@@ -19,14 +19,15 @@ The module provides the spectral machinery (eigenvalues, Jordan frames,
 Peirce projections), the two commutation tests (operator commutation via
 L-operator matrices, strong commutation via the inner-product identity
 <a,b> = <lambda(a),lambda(b)>), and automorphism sampling for
-property-style validation.
+property-style validation.  Each descriptor class carries its kind's
+kernels, down to the per-factor state of the orbit local search.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -46,10 +47,31 @@ class ConvergenceError(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # Algebra descriptors
+#
+# Each descriptor is also its kind's kernel: its underscored methods, most
+# of them on flat coordinate arrays, are the only place a kind-specific
+# rule is written.  ``ProductAlgebra`` states each rule once over its
+# factors; a simple kind is its own single factor, so code written against
+# ``factors`` needs no product special case.
+
+
+class _Kind:
+    """A single algebra kind: its own only factor."""
+
+    _is_simple = True
+    _groups = ((0,),)
+
+    @property
+    def factors(self):
+        return (self,)
+
+    @property
+    def _slices(self):
+        return (slice(0, self.dim),)
 
 
 @dataclass(frozen=True)
-class RealDiagonal:
+class RealDiagonal(_Kind):
     """R^n with the componentwise product."""
 
     n: int
@@ -66,9 +88,53 @@ class RealDiagonal:
     def dim(self) -> int:
         return self.n
 
+    @property
+    def _is_simple(self):
+        return self.n == 1
+
+    def _product(self, u, v):
+        return u * v
+
+    def _inner(self, u, v) -> float:
+        return float(u @ v)
+
+    def _trace(self, u) -> float:
+        return float(np.sum(u))
+
+    def _eigvals(self, u):
+        return -np.sort(-u)
+
+    def _decompose(self, u):
+        order = np.argsort(-u, kind="stable")
+        return u[order], np.eye(self.n)[order]
+
+    def _unit(self):
+        return np.ones(self.n)
+
+    def _identity_auto(self):
+        return np.arange(self.n)
+
+    def _apply_auto(self, perm, u):
+        return u[perm]
+
+    def _random_auto(self, rng):
+        return rng.permutation(self.n)
+
+    def _to_dict(self) -> dict:
+        return {"kind": "diag", "n": self.n}
+
+    def _canonical(self, s):
+        return s
+
+    def _rotation_generator(self, frame, j, k, toward):
+        return None
+
+    def _search_state(self, x, a):
+        return _DiagState(self, x, a)
+
 
 @dataclass(frozen=True)
-class SymMatrix:
+class SymMatrix(_Kind):
     """n x n real symmetric matrices under the symmetrized product."""
 
     n: int
@@ -85,9 +151,70 @@ class SymMatrix:
     def dim(self) -> int:
         return self.n * (self.n + 1) // 2
 
+    def _product(self, u, v):
+        M = _mat_from_sym_coords(self.n, u)
+        N = _mat_from_sym_coords(self.n, v)
+        return _sym_coords_from_mat(self.n, 0.5 * (M @ N + N @ M))
+
+    def _inner(self, u, v) -> float:
+        return float(u @ v)
+
+    def _trace(self, u) -> float:
+        return float(np.sum(u[: self.n]))
+
+    def _eigh(self, mat, want_vectors=True):
+        """Eigenvalues (non-increasing) and eigenvector columns of a dense
+        symmetric matrix: the kind's one eigensolver call."""
+        return _jacobi_symmetric(mat, want_vectors=want_vectors)
+
+    def _eigvals(self, u):
+        return self._eigh(_mat_from_sym_coords(self.n, u), want_vectors=False)[0]
+
+    def _decompose(self, u):
+        vals, Q = self._eigh(_mat_from_sym_coords(self.n, u))
+        frame = [_sym_coords_from_mat(self.n, np.outer(q, q)) for q in Q.T]
+        return vals, frame
+
+    def _unit(self):
+        c = np.zeros(self.dim)
+        c[: self.n] = 1.0
+        return c
+
+    def _identity_auto(self):
+        return np.eye(self.n)
+
+    def _apply_auto(self, Q, u):
+        M = _mat_from_sym_coords(self.n, u)
+        return _sym_coords_from_mat(self.n, Q @ M @ Q.T)
+
+    def _random_auto(self, rng):
+        return _haar_orthogonal(self.n, rng)
+
+    def _to_dict(self) -> dict:
+        return {"kind": "sym", "n": self.n}
+
+    def _canonical(self, s):
+        return _sym_coords_from_mat(self.n, np.diag(s))
+
+    def _rotation_generator(self, frame, j, k, toward):
+        qj = self._rank_one_axis(frame[j])
+        qk = self._rank_one_axis(frame[k])
+        return _sym_coords_from_mat(self.n, np.outer(qj, qk) + np.outer(qk, qj))
+
+    def _rank_one_axis(self, c):
+        M = _mat_from_sym_coords(self.n, c)
+        d = np.diagonal(M)
+        i = int(np.argmax(d))
+        if d[i] <= 0.0:
+            raise AlgebraError("frame member is not a rank-one projection")
+        return M[:, i] / math.sqrt(d[i])
+
+    def _search_state(self, x, a):
+        return _SymState(self, x, a)
+
 
 @dataclass(frozen=True)
-class SpinFactor:
+class SpinFactor(_Kind):
     """Spin factor of ambient dimension d >= 3; always rank 2 and simple."""
 
     d: int
@@ -104,6 +231,92 @@ class SpinFactor:
     def dim(self) -> int:
         return self.d
 
+    def _product(self, u, v):
+        out = np.empty(self.d)
+        out[0] = u[0] * v[0] + u[1:] @ v[1:]
+        out[1:] = u[0] * v[1:] + v[0] * u[1:]
+        return out
+
+    def _inner(self, u, v) -> float:
+        return 2.0 * float(u @ v)
+
+    def _trace(self, u) -> float:
+        return 2.0 * float(u[0])
+
+    def _eigvals(self, u):
+        r = float(np.linalg.norm(u[1:]))
+        x0 = float(u[0])
+        return np.array([x0 + r, x0 - r])
+
+    def _direction(self, u):
+        """Unit axis of the vector part; e_1 when it vanishes (degenerate
+        spectrum, where any unit direction realizes a frame)."""
+        r = float(np.linalg.norm(u[1:]))
+        if r <= 1e-14:
+            v = np.zeros(self.d - 1)
+            v[0] = 1.0
+            return v
+        return u[1:] / r
+
+    def _decompose(self, u):
+        v = self._direction(u)
+        cplus = np.concatenate([[0.5], 0.5 * v])
+        cminus = np.concatenate([[0.5], -0.5 * v])
+        return self._eigvals(u), [cplus, cminus]
+
+    def _unit(self):
+        c = np.zeros(self.d)
+        c[0] = 1.0
+        return c
+
+    def _identity_auto(self):
+        return np.eye(self.d - 1)
+
+    def _apply_auto(self, Q, u):
+        out = np.empty(self.d)
+        out[0] = u[0]
+        out[1:] = Q @ u[1:]
+        return out
+
+    def _random_auto(self, rng):
+        return _haar_orthogonal(self.d - 1, rng)
+
+    def _to_dict(self) -> dict:
+        return {"kind": "spin", "d": self.d}
+
+    def _canonical(self, s):
+        coords = np.zeros(self.d)
+        coords[0] = 0.5 * (s[0] + s[1])
+        coords[1] = 0.5 * (s[0] - s[1])
+        return coords
+
+    def _rotation_generator(self, frame, j, k, toward):
+        v = 2.0 * frame[j][1:]
+        nv = np.linalg.norm(v)
+        if nv <= 1e-12:
+            raise AlgebraError("degenerate spin frame member")
+        z = self._plane(v / nv, None if toward is None else toward[1:])
+        return np.concatenate([[0.0], z])
+
+    @staticmethod
+    def _plane(u, toward):
+        """Unit vector orthogonal to the unit axis u: in the plane of u and
+        ``toward`` when they span one, else from the coordinate axis least
+        aligned with u.  A rotation in that plane moves the frame axis
+        toward ``toward``."""
+        if toward is not None:
+            proj = toward - (toward @ u) * u
+            npr = float(np.linalg.norm(proj))
+            if npr > 1e-12 * (1.0 + float(np.linalg.norm(toward))):
+                return proj / npr
+        z = np.zeros(len(u))
+        z[int(np.argmin(np.abs(u)))] = 1.0
+        z = z - (z @ u) * u
+        return z / np.linalg.norm(z)
+
+    def _search_state(self, x, a):
+        return _SpinState(self, x, a)
+
 
 @dataclass(frozen=True)
 class ProductAlgebra:
@@ -111,11 +324,13 @@ class ProductAlgebra:
 
     factors: tuple
 
+    _is_simple = False
+
     def __post_init__(self):
         if len(self.factors) < 2:
             raise AlgebraError("ProductAlgebra needs >= 2 factors (use product_algebra)")
         for f in self.factors:
-            if isinstance(f, ProductAlgebra):
+            if len(f.factors) != 1:
                 raise AlgebraError("nested products must be flattened (use product_algebra)")
 
     @property
@@ -126,18 +341,105 @@ class ProductAlgebra:
     def dim(self) -> int:
         return sum(f.dim for f in self.factors)
 
+    @cached_property
+    def _slices(self):
+        out = []
+        off = 0
+        for f in self.factors:
+            out.append(slice(off, off + f.dim))
+            off += f.dim
+        return tuple(out)
+
+    @cached_property
+    def _groups(self):
+        """Indices of identical factors, one group per distinct descriptor
+        in order of first appearance."""
+        groups = {}
+        for i, f in enumerate(self.factors):
+            groups.setdefault(f, []).append(i)
+        return tuple(tuple(idxs) for idxs in groups.values())
+
+    def _product(self, u, v):
+        return np.concatenate([f._product(u[s], v[s]) for f, s in zip(self.factors, self._slices)])
+
+    def _inner(self, u, v) -> float:
+        return sum(f._inner(u[s], v[s]) for f, s in zip(self.factors, self._slices))
+
+    def _trace(self, u) -> float:
+        return sum(f._trace(u[s]) for f, s in zip(self.factors, self._slices))
+
+    def _eigvals(self, u):
+        vals = np.concatenate([f._eigvals(u[s]) for f, s in zip(self.factors, self._slices)])
+        return -np.sort(-vals)
+
+    def _decompose(self, u):
+        """Factor decompositions merged by a stable sort, so ties keep
+        factor order."""
+        vals = []
+        members = []
+        for f, s in zip(self.factors, self._slices):
+            fvals, fframe = f._decompose(u[s])
+            vals.append(fvals)
+            for c in fframe:
+                coords = np.zeros(self.dim)
+                coords[s] = c
+                members.append(coords)
+        vals = np.concatenate(vals)
+        order = np.argsort(-vals, kind="stable")
+        return vals[order], [members[i] for i in order]
+
+    def _unit(self):
+        return np.concatenate([f._unit() for f in self.factors])
+
+    def _identity_auto(self):
+        autos = tuple(Automorphism(f, f._identity_auto()) for f in self.factors)
+        return autos, tuple(range(len(self.factors)))
+
+    def _apply_auto(self, data, u):
+        autos, src = data
+        return np.concatenate(
+            [f._apply_auto(t.data, u[self._slices[i]]) for f, t, i in zip(self.factors, autos, src)]
+        )
+
+    def _random_auto(self, rng):
+        src = np.arange(len(self.factors))
+        for idxs in self._groups:
+            perm = rng.permutation(len(idxs))
+            idxs = np.array(idxs)
+            src[idxs] = idxs[perm]
+        autos = tuple(Automorphism(f, f._random_auto(rng)) for f in self.factors)
+        return autos, tuple(int(i) for i in src)
+
+    def _to_dict(self) -> dict:
+        return {"kind": "product", "factors": [f._to_dict() for f in self.factors]}
+
+    def _rotation_generator(self, frame, j, k, toward):
+        """Both members must live in one factor; rotate there."""
+        owner = [int(np.argmax([float(np.linalg.norm(c[s])) for s in self._slices])) for c in frame]
+        fi = owner[j]
+        if owner[k] != fi:
+            return None
+        s = self._slices[fi]
+        members = [i for i, o in enumerate(owner) if o == fi]
+        w = self.factors[fi]._rotation_generator(
+            [frame[i][s] for i in members],
+            members.index(j),
+            members.index(k),
+            None if toward is None else toward[s],
+        )
+        if w is None:
+            return None
+        coords = np.zeros(self.dim)
+        coords[s] = w
+        return coords
+
 
 def product_algebra(*factors):
     """Build a product descriptor, flattening nested products.
 
     A product of a single factor is normalized away to the factor itself.
     """
-    flat = []
-    for f in factors:
-        if isinstance(f, ProductAlgebra):
-            flat.extend(f.factors)
-        else:
-            flat.append(f)
+    flat = [g for f in factors for g in f.factors]
     if not flat:
         raise AlgebraError("product of zero factors")
     if len(flat) == 1:
@@ -152,23 +454,12 @@ def is_simple(alg) -> bool:
     eigenvalue orbits and automorphism orbits coincide for every n, since
     Aut(R^n) is the full permutation group.
     """
-    if isinstance(alg, ProductAlgebra):
-        return False
-    if isinstance(alg, RealDiagonal):
-        return alg.n == 1
-    return True
+    return alg._is_simple
 
 
 def factor_slices(alg):
     """Coordinate slices of the factors (a single full slice if not a product)."""
-    if not isinstance(alg, ProductAlgebra):
-        return [slice(0, alg.dim)]
-    out = []
-    off = 0
-    for f in alg.factors:
-        out.append(slice(off, off + f.dim))
-        off += f.dim
-    return out
+    return list(alg._slices)
 
 
 # ---------------------------------------------------------------------------
@@ -222,36 +513,17 @@ def zero(alg) -> Element:
 
 def unit(alg) -> Element:
     """The unit element e (identity for the Jordan product)."""
-    if isinstance(alg, RealDiagonal):
-        return Element(alg, np.ones(alg.n))
-    if isinstance(alg, SymMatrix):
-        c = np.zeros(alg.dim)
-        c[: alg.n] = 1.0
-        return Element(alg, c)
-    if isinstance(alg, SpinFactor):
-        c = np.zeros(alg.d)
-        c[0] = 1.0
-        return Element(alg, c)
-    return Element(alg, np.concatenate([unit(f).coords for f in alg.factors]))
+    return Element(alg, alg._unit())
 
 
 def split(x: Element):
-    """Factor components of a product element (the element itself otherwise)."""
-    if not isinstance(x.algebra, ProductAlgebra):
-        return [x]
-    return [
-        Element(f, x.coords[s])
-        for f, s in zip(x.algebra.factors, factor_slices(x.algebra))
-    ]
+    """Factor components of an element (a single component if not a product)."""
+    alg = x.algebra
+    return [Element(f, x.coords[s]) for f, s in zip(alg.factors, alg._slices)]
 
 
 def join(alg, parts) -> Element:
-    """Assemble a product element from its factor components."""
-    if not isinstance(alg, ProductAlgebra):
-        (part,) = parts
-        if part.algebra != alg:
-            raise AlgebraError("factor/algebra mismatch in join")
-        return part
+    """Assemble an element from its factor components."""
     if len(parts) != len(alg.factors):
         raise AlgebraError("wrong number of factors in join")
     for part, f in zip(parts, alg.factors):
@@ -310,43 +582,16 @@ def _sym_coords_from_mat(n, M):
 # Jordan product, inner product, trace
 
 
-def _product_coords(alg, u, v):
-    if isinstance(alg, RealDiagonal):
-        return u * v
-    if isinstance(alg, SymMatrix):
-        M = _mat_from_sym_coords(alg.n, u)
-        N = _mat_from_sym_coords(alg.n, v)
-        return _sym_coords_from_mat(alg.n, 0.5 * (M @ N + N @ M))
-    if isinstance(alg, SpinFactor):
-        out = np.empty(alg.d)
-        out[0] = u[0] * v[0] + u[1:] @ v[1:]
-        out[1:] = u[0] * v[1:] + v[0] * u[1:]
-        return out
-    return np.concatenate(
-        [_product_coords(f, u[s], v[s]) for f, s in zip(alg.factors, factor_slices(alg))]
-    )
-
-
 def jordan_product(x: Element, y: Element) -> Element:
     """The Jordan product x o y (commutative, non-associative)."""
     _check_same(x, y)
-    return Element(x.algebra, _product_coords(x.algebra, x.coords, y.coords))
-
-
-def _inner_coords(alg, u, v) -> float:
-    if isinstance(alg, SpinFactor):
-        return 2.0 * float(u @ v)
-    if isinstance(alg, ProductAlgebra):
-        return sum(
-            _inner_coords(f, u[s], v[s]) for f, s in zip(alg.factors, factor_slices(alg))
-        )
-    return float(u @ v)
+    return Element(x.algebra, x.algebra._product(x.coords, y.coords))
 
 
 def inner(x: Element, y: Element) -> float:
     """Trace inner product <x, y> = tr(x o y)."""
     _check_same(x, y)
-    return _inner_coords(x.algebra, x.coords, y.coords)
+    return x.algebra._inner(x.coords, y.coords)
 
 
 def norm(x: Element) -> float:
@@ -356,14 +601,7 @@ def norm(x: Element) -> float:
 
 def trace(x: Element) -> float:
     """tr(x), the sum of the eigenvalues (a linear functional)."""
-    alg = x.algebra
-    if isinstance(alg, RealDiagonal):
-        return float(np.sum(x.coords))
-    if isinstance(alg, SymMatrix):
-        return float(np.sum(x.coords[: alg.n]))
-    if isinstance(alg, SpinFactor):
-        return 2.0 * float(x.coords[0])
-    return sum(trace(p) for p in split(x))
+    return x.algebra._trace(x.coords)
 
 
 # ---------------------------------------------------------------------------
@@ -429,29 +667,9 @@ def _jacobi_symmetric(mat, want_vectors=True, off_tol=1e-13, max_sweeps=100):
     return vals[order], None
 
 
-def _spin_eigvals(coords):
-    r = float(np.linalg.norm(coords[1:]))
-    x0 = float(coords[0])
-    return np.array([x0 + r, x0 - r])
-
-
-def _eigvals_coords(alg, coords):
-    if isinstance(alg, RealDiagonal):
-        return -np.sort(-coords)
-    if isinstance(alg, SymMatrix):
-        vals, _ = _jacobi_symmetric(_mat_from_sym_coords(alg.n, coords), want_vectors=False)
-        return vals
-    if isinstance(alg, SpinFactor):
-        return _spin_eigvals(coords)
-    parts = [
-        _eigvals_coords(f, coords[s]) for f, s in zip(alg.factors, factor_slices(alg))
-    ]
-    return -np.sort(-np.concatenate(parts))
-
-
 def eigenvalues(x: Element) -> np.ndarray:
     """Eigenvalue map: the rank eigenvalues of x, sorted non-increasing."""
-    return _eigvals_coords(x.algebra, x.coords)
+    return x.algebra._eigvals(x.coords)
 
 
 @dataclass(frozen=True, eq=False)
@@ -472,61 +690,20 @@ class SpectralDecomposition:
         return self.frame[0].algebra
 
 
-def _spin_frame_direction(coords):
-    xbar = coords[1:]
-    r = float(np.linalg.norm(xbar))
-    if r <= 1e-14:
-        # degenerate spectrum: any unit direction realizes a frame
-        v = np.zeros(len(xbar))
-        v[0] = 1.0
-        return v
-    return xbar / r
-
-
 def spectral_decompose(x: Element) -> SpectralDecomposition:
     """Write x = sum_i lambda_i c_i over a Jordan frame {c_i}.
 
     Eigenvalues come out sorted non-increasing with the frame aligned to
-    them; ties keep the eigensolver's order.  Frames are not unique for
-    repeated eigenvalues.
+    them.  Frames are not unique for repeated eigenvalues; the order of
+    tied members is fixed: on diagonal input (``RealDiagonal`` coordinates,
+    a ``SymMatrix`` element with a diagonal matrix) ties keep ascending
+    index order; a ``SpinFactor`` element with zero vector part uses the
+    direction e_1; products decompose each factor and merge with a stable
+    sort, so ties keep factor order.
     """
     alg = x.algebra
-    if isinstance(alg, RealDiagonal):
-        order = np.argsort(-x.coords, kind="stable")
-        frame = []
-        for i in order:
-            c = np.zeros(alg.n)
-            c[i] = 1.0
-            frame.append(Element(alg, c))
-        return SpectralDecomposition(x.coords[order], tuple(frame))
-    if isinstance(alg, SymMatrix):
-        vals, Q = _jacobi_symmetric(_mat_from_sym_coords(alg.n, x.coords))
-        frame = tuple(
-            Element(alg, _sym_coords_from_mat(alg.n, np.outer(Q[:, i], Q[:, i])))
-            for i in range(alg.n)
-        )
-        return SpectralDecomposition(vals, frame)
-    if isinstance(alg, SpinFactor):
-        v = _spin_frame_direction(x.coords)
-        cplus = np.concatenate([[0.5], 0.5 * v])
-        cminus = np.concatenate([[0.5], -0.5 * v])
-        return SpectralDecomposition(
-            _spin_eigvals(x.coords),
-            (Element(alg, cplus), Element(alg, cminus)),
-        )
-    # product: decompose factors, merge with a stable sort
-    parts = split(x)
-    decs = [spectral_decompose(p) for p in parts]
-    vals = np.concatenate([d.eigenvalues for d in decs])
-    slices = factor_slices(alg)
-    members = []
-    for fi, d in enumerate(decs):
-        for c in d.frame:
-            coords = np.zeros(alg.dim)
-            coords[slices[fi]] = c.coords
-            members.append(Element(alg, coords))
-    order = np.argsort(-vals, kind="stable")
-    return SpectralDecomposition(vals[order], tuple(members[i] for i in order))
+    vals, frame = alg._decompose(x.coords)
+    return SpectralDecomposition(vals, tuple(Element(alg, c) for c in frame))
 
 
 def synthesize_from_frame(frame, coeffs, tol=1e-8, validate=True) -> Element:
@@ -555,15 +732,15 @@ def validate_frame(frame, tol=1e-8):
     for i, c in enumerate(frame):
         if c.algebra != alg:
             raise AlgebraError("frame members from different algebras")
-        sq = _product_coords(alg, c.coords, c.coords)
-        if _inner_coords(alg, sq - c.coords, sq - c.coords) > tol**2:
+        sq = alg._product(c.coords, c.coords)
+        if alg._inner(sq - c.coords, sq - c.coords) > tol**2:
             raise AlgebraError(f"frame member {i} is not idempotent")
         if abs(trace(c) - 1.0) > tol:
             raise AlgebraError(f"frame member {i} is not primitive (trace != 1)")
         total += c.coords
         for j in range(i):
-            pr = _product_coords(alg, c.coords, frame[j].coords)
-            if _inner_coords(alg, pr, pr) > tol**2:
+            pr = alg._product(c.coords, frame[j].coords)
+            if alg._inner(pr, pr) > tol**2:
                 raise AlgebraError(f"frame members {j},{i} are not orthogonal")
     if np.max(np.abs(total - e.coords)) > tol:
         raise AlgebraError("frame members do not sum to the unit")
@@ -581,7 +758,7 @@ def l_operator(x: Element) -> np.ndarray:
     probe = np.zeros(d)
     for i in range(d):
         probe[i] = 1.0
-        L[:, i] = _product_coords(alg, x.coords, probe)
+        L[:, i] = alg._product(x.coords, probe)
         probe[i] = 0.0
     return L
 
@@ -596,13 +773,13 @@ def peirce_project(p: Element, x: Element, tol=1e-8):
     """
     _check_same(p, x)
     alg = p.algebra
-    psq = _product_coords(alg, p.coords, p.coords)
-    if math.sqrt(_inner_coords(alg, psq - p.coords, psq - p.coords)) > tol * (
-        1.0 + _inner_coords(alg, p.coords, p.coords)
+    psq = alg._product(p.coords, p.coords)
+    if math.sqrt(alg._inner(psq - p.coords, psq - p.coords)) > tol * (
+        1.0 + alg._inner(p.coords, p.coords)
     ):
         raise AlgebraError("p is not an idempotent within tolerance")
-    px = _product_coords(alg, p.coords, x.coords)
-    ppx = _product_coords(alg, p.coords, px)
+    px = alg._product(p.coords, x.coords)
+    ppx = alg._product(p.coords, px)
     x1 = 2.0 * ppx - px
     xh = 4.0 * (px - ppx)
     x0 = x.coords - x1 - xh
@@ -675,36 +852,13 @@ class Automorphism:
 
 
 def identity_automorphism(alg) -> Automorphism:
-    if isinstance(alg, RealDiagonal):
-        return Automorphism(alg, np.arange(alg.n))
-    if isinstance(alg, SymMatrix):
-        return Automorphism(alg, np.eye(alg.n))
-    if isinstance(alg, SpinFactor):
-        return Automorphism(alg, np.eye(alg.d - 1))
-    return Automorphism(
-        alg,
-        (tuple(identity_automorphism(f) for f in alg.factors), tuple(range(len(alg.factors)))),
-    )
+    return Automorphism(alg, alg._identity_auto())
 
 
 def apply_automorphism(auto: Automorphism, x: Element) -> Element:
     if auto.algebra != x.algebra:
         raise AlgebraError("automorphism/element algebra mismatch")
-    alg = x.algebra
-    if isinstance(alg, RealDiagonal):
-        return Element(alg, x.coords[auto.data])
-    if isinstance(alg, SymMatrix):
-        Q = auto.data
-        M = _mat_from_sym_coords(alg.n, x.coords)
-        return Element(alg, _sym_coords_from_mat(alg.n, Q @ M @ Q.T))
-    if isinstance(alg, SpinFactor):
-        out = np.empty(alg.d)
-        out[0] = x.coords[0]
-        out[1:] = auto.data @ x.coords[1:]
-        return Element(alg, out)
-    factor_autos, src = auto.data
-    parts = split(x)
-    return join(alg, [apply_automorphism(factor_autos[i], parts[src[i]]) for i in range(len(parts))])
+    return Element(x.algebra, x.algebra._apply_auto(auto.data, x.coords))
 
 
 def _haar_orthogonal(n, rng) -> np.ndarray:
@@ -721,23 +875,7 @@ def random_element(alg, rng) -> Element:
 def random_automorphism(alg, rng) -> Automorphism:
     """Sample an automorphism: Haar orthogonal factors, and for products a
     uniformly random permutation of factors with identical descriptors."""
-    if isinstance(alg, RealDiagonal):
-        return Automorphism(alg, rng.permutation(alg.n))
-    if isinstance(alg, SymMatrix):
-        return Automorphism(alg, _haar_orthogonal(alg.n, rng))
-    if isinstance(alg, SpinFactor):
-        return Automorphism(alg, _haar_orthogonal(alg.d - 1, rng))
-    m = len(alg.factors)
-    src = np.arange(m)
-    groups = {}
-    for i, f in enumerate(alg.factors):
-        groups.setdefault(f, []).append(i)
-    for idxs in groups.values():
-        perm = rng.permutation(len(idxs))
-        idxs = np.array(idxs)
-        src[idxs] = idxs[perm]
-    autos = tuple(random_automorphism(f, rng) for f in alg.factors)
-    return Automorphism(alg, (autos, tuple(int(i) for i in src)))
+    return Automorphism(alg, alg._random_auto(rng))
 
 
 # ---------------------------------------------------------------------------
@@ -745,13 +883,7 @@ def random_automorphism(alg, rng) -> Automorphism:
 
 
 def algebra_to_dict(alg) -> dict:
-    if isinstance(alg, RealDiagonal):
-        return {"kind": "diag", "n": alg.n}
-    if isinstance(alg, SymMatrix):
-        return {"kind": "sym", "n": alg.n}
-    if isinstance(alg, SpinFactor):
-        return {"kind": "spin", "d": alg.d}
-    return {"kind": "product", "factors": [algebra_to_dict(f) for f in alg.factors]}
+    return alg._to_dict()
 
 
 def algebra_from_dict(d) -> object:
@@ -795,3 +927,146 @@ def element_from_dict(d, algebra=None) -> Element:
     if "coords" not in d:
         raise AlgebraError("element document needs 'coords' or 'matrix'")
     return Element(algebra, np.asarray(d["coords"], dtype=float))
+
+
+# ---------------------------------------------------------------------------
+# Rotation-curve search state of one factor (see orbit.local_search_orbit)
+#
+# A state holds an iterate x on the orbit and the shift a, and offers the
+# eigenvalues of x - a on its factor (``lam``), the frame pairs that admit
+# a rotation (``pairs``), the eigenvalues after rotating pair (j, k) by
+# theta (``lam_rotated``), and ``apply``/``refresh``/``x_element``.
+
+
+class _DiagState:
+    """Rank-n diagonal factor: the orbit is finite, no rotations exist."""
+
+    def __init__(self, alg, x: Element, a: Element):
+        self.alg = alg
+        self.x_coords = x.coords
+        self._lam = alg._eigvals(x.coords - a.coords)
+
+    def pairs(self):
+        return []
+
+    def lam(self):
+        return self._lam
+
+    def refresh(self):
+        pass
+
+    def x_element(self) -> Element:
+        return Element(self.alg, self.x_coords)
+
+
+class _SymState:
+    """Symmetric-matrix factor: frame = eigenvector columns Q, coefficients
+    beta; the shift is carried as M = Q^T A Q so a rotated objective costs
+    one small dense eigenvalue solve."""
+
+    def __init__(self, alg, x: Element, a: Element):
+        self.alg = alg
+        self.n = alg.n
+        self.A = sym_to_matrix(a)
+        self.beta, self.Q = alg._eigh(sym_to_matrix(x))
+        self._sync()
+
+    def _sync(self):
+        self.M = self.Q.T @ self.A @ self.Q
+        self.M = 0.5 * (self.M + self.M.T)
+        self.B0 = np.diag(self.beta) - self.M
+        self._lam = None
+
+    def pairs(self):
+        scale = 1.0 + float(np.max(np.abs(self.beta)))
+        return [
+            (j, k)
+            for j in range(self.n - 1)
+            for k in range(j + 1, self.n)
+            if abs(self.beta[j] - self.beta[k]) > 1e-14 * scale
+        ]
+
+    def lam(self):
+        if self._lam is None:
+            self._lam = np.linalg.eigvalsh(self.B0)[::-1]
+        return self._lam
+
+    def lam_rotated(self, j, k, theta):
+        c = math.cos(theta)
+        s = math.sin(theta)
+        bj, bk = self.beta[j], self.beta[k]
+        B = self.B0.copy()
+        B[j, j] = c * c * bj + s * s * bk - self.M[j, j]
+        B[k, k] = s * s * bj + c * c * bk - self.M[k, k]
+        off = c * s * (bj - bk) - self.M[j, k]
+        B[j, k] = off
+        B[k, j] = off
+        return np.linalg.eigvalsh(B)[::-1]
+
+    def apply(self, j, k, theta):
+        c = math.cos(theta)
+        s = math.sin(theta)
+        qj = self.Q[:, j].copy()
+        qk = self.Q[:, k].copy()
+        self.Q[:, j] = c * qj + s * qk
+        self.Q[:, k] = -s * qj + c * qk
+        self._sync()
+
+    def refresh(self):
+        X = self.Q @ np.diag(self.beta) @ self.Q.T
+        self.beta, self.Q = self.alg._eigh(0.5 * (X + X.T))
+        self._sync()
+
+    def x_element(self) -> Element:
+        X = self.Q @ np.diag(self.beta) @ self.Q.T
+        return sym_from_matrix(self.alg, 0.5 * (X + X.T))
+
+
+class _SpinState:
+    """Spin factor: the orbit is the sphere |xbar| = r; the rotation plane
+    is chosen through the shift's vector part, which contains the aligned
+    optimum."""
+
+    def __init__(self, alg, x: Element, a: Element):
+        self.alg = alg
+        self.x0 = float(x.coords[0])
+        self.r = float(np.linalg.norm(x.coords[1:]))
+        self.u = alg._direction(x.coords)
+        self.a0 = float(a.coords[0])
+        self.abar = a.coords[1:].copy()
+        self._lam = None
+
+    def pairs(self):
+        return [(0, 1)] if self.r > 1e-14 else []
+
+    def _lam_of(self, direction):
+        mbar = self.r * direction - self.abar
+        m0 = self.x0 - self.a0
+        d = float(np.linalg.norm(mbar))
+        return np.array([m0 + d, m0 - d])
+
+    def lam(self):
+        if self._lam is None:
+            self._lam = self._lam_of(self.u)
+        return self._lam
+
+    def lam_rotated(self, j, k, theta):
+        z = SpinFactor._plane(self.u, self.abar)
+        c2 = math.cos(2.0 * theta)
+        s2 = math.sin(2.0 * theta)
+        return self._lam_of(c2 * self.u + s2 * z)
+
+    def apply(self, j, k, theta):
+        z = SpinFactor._plane(self.u, self.abar)
+        c2 = math.cos(2.0 * theta)
+        s2 = math.sin(2.0 * theta)
+        u = c2 * self.u + s2 * z
+        self.u = u / np.linalg.norm(u)
+        self._lam = None
+
+    def refresh(self):
+        self.u = self.u / np.linalg.norm(self.u)
+        self._lam = None
+
+    def x_element(self) -> Element:
+        return Element(self.alg, np.concatenate([[self.x0], self.r * self.u]))

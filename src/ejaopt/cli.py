@@ -35,6 +35,7 @@ from .algebra import (
     apply_automorphism,
     element_from_dict,
     element_to_dict,
+    join,
     norm,
     product_algebra,
     random_automorphism,
@@ -48,6 +49,8 @@ from .orbit import (
     InfeasibleError,
     SolverError,
     WeakOrbit,
+    _all_permutations,
+    _pairings,
     counterexample_no_strong,
     local_search_orbit,
     problem_from_dict,
@@ -289,25 +292,22 @@ def cmd_condition(args) -> int:
     pairings = []
     rows = []
     if alg.rank <= 9:
-        import itertools
-
-        for perm in itertools.permutations(range(alg.rank)):
-            shifted = lam_b[list(perm)] + lam_a
-            if np.all(shifted > 0):
-                val = float(fn.fn(shifted))
-                pairings.append({"pairing": list(perm), "value": val})
-                rows.append(
-                    {
-                        "case_id": "pairing_" + "".join(str(i) for i in perm),
-                        "algebra": json.dumps(doc["algebra"], sort_keys=True),
-                        "fn": fn.id,
-                        "sense": "min",
-                        "value": val,
-                        "cert_kind": "",
-                        "cert_pass": "",
-                        "residual": val - solution.value,
-                    }
-                )
+        # f(P lam_b + lam_a) for every pairing, columns in lam_a's order
+        kept, vals = _pairings(fn, lam_b, -lam_a)
+        for perm, val in zip(_all_permutations(alg.rank)[kept].tolist(), vals.tolist()):
+            pairings.append({"pairing": perm, "value": val})
+            rows.append(
+                {
+                    "case_id": "pairing_" + "".join(str(i) for i in perm),
+                    "algebra": json.dumps(doc["algebra"], sort_keys=True),
+                    "fn": fn.id,
+                    "sense": "min",
+                    "value": val,
+                    "cert_kind": "",
+                    "cert_pass": "",
+                    "residual": val - solution.value,
+                }
+            )
     report = {
         "command": "condition",
         "seed": args.seed,
@@ -333,8 +333,6 @@ def _builtin_counterexample():
     a2 = sym_from_matrix(s2, np.diag([2.0, 1.0]))
     b1 = sym_from_matrix(s2, np.diag([4.0, 1.0]))
     b2 = sym_from_matrix(s2, np.diag([3.0, 2.0]))
-    from .algebra import join
-
     return alg, join(alg, [a1, a2]), join(alg, [b1, b2])
 
 

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, Element, eigenvalues, spectral_decompose, synthesize_from_frame
-from .majorization import sort_desc
-from .orbit import InfeasibleError, Solution, certify
+from .algebra import DEFAULT_TOL, Element, eigenvalues, spectral_decompose
+from .orbit import InfeasibleError, Solution, _align, certify
 from .schur import DomainError, phi_ratios
 
 
@@ -69,9 +68,11 @@ def condition_report(x: Element, tol=DEFAULT_TOL) -> ConditionReport:
 def minimize_condition_norm_orbit(b: Element, a: Element, tol=DEFAULT_TOL) -> Solution:
     """Closed-form minimum of |kappa(x + a)| over the orbit of b.
 
-    Feasibility uses the sufficient condition lambda_n(b) + lambda_n(a) > tol
-    (the smallest eigenvalue of x + a is bounded below by that sum); it is
-    not necessary, so borderline instances may be rejected conservatively.
+    Feasibility asks lambda_n(b) + lambda_n(a) > tol, which is exact for
+    the whole orbit, not merely sufficient: by Weyl, lambda_n(x + a) >=
+    lambda_n(b) + lambda_n(a) for every x in the orbit, with equality at
+    the commuting x that pairs the smallest eigenvalues of b and a.  So the
+    test rejects precisely when some x + a has lambda_n(x + a) <= tol.
     The optimizer pairs lambda_i(b) with lambda_{n-i+1}(a) on a's frame and
     strongly operator commutes with -a.
     """
@@ -87,8 +88,8 @@ def minimize_condition_norm_orbit(b: Element, a: Element, tol=DEFAULT_TOL) -> So
         )
     # anti-aligned synthesis: largest of b on the frame member carrying the
     # smallest eigenvalue of a
-    x_star = synthesize_from_frame(dec.frame, lam_b[::-1], validate=False)
-    shifted = lam_b - sort_desc(-lam_a)  # entries lam_i(b) + lam_{n-i+1}(a)
+    paired, x_star = _align(dec, lam_b, "max")
+    shifted = lam_b + paired  # entries lam_i(b) + lam_{n-i+1}(a)
     value = float(np.linalg.norm(phi(shifted)))
     cert = certify(a, x_star, sense="max", tol=tol)
     return Solution(x_star=x_star, value=value, certificate=cert)

@@ -28,15 +28,9 @@ from .algebra import (
     DEFAULT_TOL,
     AlgebraError,
     Element,
-    ProductAlgebra,
-    RealDiagonal,
-    SpinFactor,
-    SymMatrix,
-    _jacobi_symmetric,
     algebra_from_dict,
     eigenvalues,
     element_from_dict,
-    factor_slices,
     inner,
     join,
     jordan_product,
@@ -45,12 +39,10 @@ from .algebra import (
     spectral_decompose,
     split,
     strong_commutation_gap,
-    sym_from_matrix,
-    sym_to_matrix,
     synthesize_from_frame,
 )
 from .majorization import sort_desc
-from .schur import STRICTLY_SCHUR_CONVEX, DomainError, SymmetricFunction, from_config
+from .schur import STRICTLY_SCHUR_CONVEX, DomainError, SymmetricFunction, eval_spectral, from_config
 
 
 class SolverError(ValueError):
@@ -177,6 +169,20 @@ def _all_permutations(n):
     return P
 
 
+def _pairings(fn: SymmetricFunction, lam_b, lam_a):
+    """f at the pairings P lam_b - lam_a that lie in the function's domain.
+
+    Returns the indices of those P among the rows of ``_all_permutations``
+    (lexicographic order) and f at each, from one vectorised call; raises
+    DomainError when no pairing is in the domain.
+    """
+    cands = lam_b[_all_permutations(len(lam_b))] - lam_a[None, :]
+    mask = np.asarray(fn.in_domain(cands), dtype=bool)
+    if not mask.any():
+        raise DomainError(f"{fn.id}: every pairing falls outside the domain")
+    return np.flatnonzero(mask), fn.fn(cands[mask])
+
+
 def permutation_oracle(fn: SymmetricFunction, lam_b, lam_a, sense: str = "min"):
     """Exhaustive optimum of f(P lam_b - lam_a) over all permutations P.
 
@@ -194,16 +200,9 @@ def permutation_oracle(fn: SymmetricFunction, lam_b, lam_a, sense: str = "min"):
         raise ValueError("permutation oracle is guarded to n <= 9")
     if sense not in ("min", "max"):
         raise ValueError("sense must be 'min' or 'max'")
-    perms = _all_permutations(n)
-    cands = lam_b[perms] - lam_a[None, :]
-    mask = np.asarray(fn.in_domain(cands), dtype=bool)
-    if not mask.any():
-        raise DomainError(f"{fn.id}: every pairing falls outside the domain")
-    fill = np.inf if sense == "min" else -np.inf
-    vals = np.full(len(perms), fill)
-    vals[mask] = fn.fn(cands[mask])
+    kept, vals = _pairings(fn, lam_b, lam_a)
     idx = int(np.argmin(vals) if sense == "min" else np.argmax(vals))
-    return float(vals[idx]), tuple(int(i) for i in perms[idx])
+    return float(vals[idx]), tuple(int(i) for i in _all_permutations(n)[kept[idx]])
 
 
 # ---------------------------------------------------------------------------
@@ -221,24 +220,51 @@ def _require_strict(fn: SymmetricFunction):
 def _check_orbit_domain(fn: SymmetricFunction, lam_b, lam_a):
     """Feasibility of the whole orbit for a domain-restricted function.
 
-    All pairings P lam_b - lam_a must lie in the domain.  For the built-in
-    domains (lower bounds on the smallest entry) this also covers every
-    non-commuting point of the orbit, since the smallest eigenvalue of
-    x - a is bounded below by the worst pairing.
+    Every x in the orbit of b must have x - a in the domain.  The built-in
+    domains are lower bounds on the smallest entry (also after an affine
+    map with positive scale), and over the whole orbit the smallest
+    eigenvalue of x - a is minimized at a commuting pairing: by Weyl,
+    lambda_n(x - a) >= lambda_n(b) - lambda_1(a), with equality when x puts
+    the smallest eigenvalue of b on a's frame member for lambda_1(a).
+    Floating-point subtraction is monotone, so probing the single value
+    lambda_n(b) - lambda_1(a) is exact: it accepts precisely when every
+    pairing P lam_b - lam_a lies in the domain.
     """
     if fn.domain == "all":
         return
-    n = len(lam_b)
-    if n > 9:
-        # conservative reduction: the worst pairing pairs the smallest of b
-        # against the largest of a
-        probe = np.full(n, lam_b[-1] - lam_a[0])
-        if not bool(np.all(fn.in_domain(probe))):
-            raise InfeasibleError(f"{fn.id}: orbit leaves the function domain")
-        return
-    cands = lam_b[_all_permutations(n)] - lam_a[None, :]
-    if not bool(np.all(fn.in_domain(cands))):
+    probe = np.full(len(lam_b), lam_b[-1] - lam_a[0])
+    if not bool(np.all(fn.in_domain(probe))):
         raise InfeasibleError(f"{fn.id}: orbit leaves the function domain")
+
+
+def _align(dec, s, sense: str):
+    """Place the spectrum s (sorted non-increasing) on a's frame.
+
+    Minimization puts s in the order of lambda(a), maximization in the
+    reverse order.  Returns the eigenvalues of a that meet s entrywise (so
+    x - a has the eigenvalues s minus them) and the synthesized x.
+    """
+    if sense == "min":
+        return dec.eigenvalues, synthesize_from_frame(dec.frame, s, validate=False)
+    return dec.eigenvalues[::-1], synthesize_from_frame(dec.frame, s[::-1], validate=False)
+
+
+def _solve_aligned(problem: OrbitProblem, spectra) -> Solution:
+    """Best aligned point over the orbits of the given spectra (each sorted
+    non-increasing), all placed on one frame of a."""
+    fn = problem.fn
+    _require_strict(fn)
+    dec = spectral_decompose(problem.a)
+    best = None
+    for s in spectra:
+        _check_orbit_domain(fn, s, dec.eigenvalues)
+        paired, x = _align(dec, s, problem.sense)
+        value = fn(s - paired)
+        if best is None or (value < best[0] if problem.sense == "min" else value > best[0]):
+            best = (value, x)
+    value, x_star = best
+    cert = certify(problem.a, x_star, problem.sense)
+    return Solution(x_star=x_star, value=value, certificate=cert)
 
 
 def solve_orbit_global(problem: OrbitProblem) -> Solution:
@@ -250,27 +276,14 @@ def solve_orbit_global(problem: OrbitProblem) -> Solution:
     """
     feas = problem.feasible
     if isinstance(feas, WeakOrbit):
-        if isinstance(problem.algebra, ProductAlgebra):
+        if len(problem.algebra.factors) > 1:
             raise SolverError(
                 "weak orbits of product algebras need solve_weak_orbit_global"
             )
         feas = EigenvalueOrbit(feas.b)
     if not isinstance(feas, EigenvalueOrbit):
         raise SolverError("solve_orbit_global needs an eigenvalue-orbit problem")
-    fn = problem.fn
-    _require_strict(fn)
-    dec = spectral_decompose(problem.a)
-    lam_a = dec.eigenvalues
-    lam_b = eigenvalues(feas.b)
-    _check_orbit_domain(fn, lam_b, lam_a)
-    if problem.sense == "min":
-        x_star = synthesize_from_frame(dec.frame, lam_b, validate=False)
-        value = fn(lam_b - lam_a)
-    else:
-        x_star = synthesize_from_frame(dec.frame, lam_b[::-1], validate=False)
-        value = fn(lam_b + sort_desc(-lam_a))
-    cert = certify(problem.a, x_star, problem.sense)
-    return Solution(x_star=x_star, value=value, certificate=cert)
+    return _solve_aligned(problem, [eigenvalues(feas.b)])
 
 
 def solve_spectral_set_global(problem: OrbitProblem) -> Solution:
@@ -281,30 +294,10 @@ def solve_spectral_set_global(problem: OrbitProblem) -> Solution:
         raise SolverError("solve_spectral_set_global needs a FiniteSpectralSet problem")
     if not feas.spectra:
         raise InfeasibleError("empty spectral set")
-    fn = problem.fn
-    _require_strict(fn)
-    dec = spectral_decompose(problem.a)
-    lam_a = dec.eigenvalues
-    lam_neg_a = sort_desc(-lam_a)
-    best_val = None
-    best_u = None
-    for raw in feas.spectra:
-        u = np.asarray(raw, dtype=float)
-        if len(u) != problem.algebra.rank:
-            raise SolverError("spectral-set member length does not match rank")
-        _check_orbit_domain(fn, u, lam_a)
-        val = fn(u - lam_a) if problem.sense == "min" else fn(u + lam_neg_a)
-        better = best_val is None or (
-            val < best_val if problem.sense == "min" else val > best_val
-        )
-        if better:
-            best_val, best_u = val, u
-    if problem.sense == "min":
-        x_star = synthesize_from_frame(dec.frame, best_u, validate=False)
-    else:
-        x_star = synthesize_from_frame(dec.frame, best_u[::-1], validate=False)
-    cert = certify(problem.a, x_star, problem.sense)
-    return Solution(x_star=x_star, value=best_val, certificate=cert)
+    spectra = [np.asarray(raw, dtype=float) for raw in feas.spectra]
+    if any(len(u) != problem.algebra.rank for u in spectra):
+        raise SolverError("spectral-set member length does not match rank")
+    return _solve_aligned(problem, spectra)
 
 
 # ---------------------------------------------------------------------------
@@ -325,86 +318,10 @@ def rotation_generator(frame, j: int, k: int, toward: Element | None = None):
     if j == k:
         raise ValueError("need two distinct frame members")
     alg = frame[0].algebra
-    if isinstance(alg, RealDiagonal):
-        return None
-    if isinstance(alg, SymMatrix):
-        qj = _rank_one_axis(frame[j])
-        qk = _rank_one_axis(frame[k])
-        return sym_from_matrix(alg, np.outer(qj, qk) + np.outer(qk, qj))
-    if isinstance(alg, SpinFactor):
-        v = 2.0 * frame[j].coords[1:]
-        nv = np.linalg.norm(v)
-        if nv <= 1e-12:
-            raise AlgebraError("degenerate spin frame member")
-        v = v / nv
-        z = None
-        if toward is not None:
-            tb = toward.coords[1:]
-            proj = tb - (tb @ v) * v
-            np_ = np.linalg.norm(proj)
-            if np_ > 1e-12 * (1.0 + np.linalg.norm(tb)):
-                z = proj / np_
-        if z is None:
-            z = _any_unit_orthogonal(v)
-        out = np.concatenate([[0.0], z])
-        return Element(alg, out)
-    # product: both members must live in one factor
-    slices = factor_slices(alg)
-    fj = _support_factor(frame[j], slices)
-    fk = _support_factor(frame[k], slices)
-    if fj != fk:
-        return None
-    sub_alg = alg.factors[fj]
-    sub_frame = []
-    for c in frame:
-        if _support_factor(c, slices) == fj:
-            sub_frame.append(Element(sub_alg, c.coords[slices[fj]]))
-        else:
-            sub_frame.append(None)
-    sub_toward = split(toward)[fj] if toward is not None else None
-    w_sub = rotation_generator(
-        [m for m in sub_frame if m is not None],
-        _position_within(sub_frame, j),
-        _position_within(sub_frame, k),
-        toward=sub_toward,
+    w = alg._rotation_generator(
+        [c.coords for c in frame], j, k, None if toward is None else toward.coords
     )
-    if w_sub is None:
-        return None
-    coords = np.zeros(alg.dim)
-    coords[slices[fj]] = w_sub.coords
-    return Element(alg, coords)
-
-
-def _rank_one_axis(c: Element) -> np.ndarray:
-    M = sym_to_matrix(c)
-    d = np.diagonal(M)
-    i = int(np.argmax(d))
-    if d[i] <= 0.0:
-        raise AlgebraError("frame member is not a rank-one projection")
-    return M[:, i] / math.sqrt(d[i])
-
-
-def _any_unit_orthogonal(v: np.ndarray) -> np.ndarray:
-    i = int(np.argmin(np.abs(v)))
-    z = np.zeros(len(v))
-    z[i] = 1.0
-    z = z - (z @ v) * v
-    return z / np.linalg.norm(z)
-
-
-def _support_factor(c: Element, slices) -> int:
-    norms = [float(np.linalg.norm(c.coords[s])) for s in slices]
-    return int(np.argmax(norms))
-
-
-def _position_within(sub_frame, idx) -> int:
-    pos = 0
-    for i, m in enumerate(sub_frame):
-        if i == idx:
-            return pos
-        if m is not None:
-            pos += 1
-    raise ValueError("frame member not supported on the factor")
+    return None if w is None else Element(alg, w)
 
 
 def rotation_curve(frame, j: int, k: int, beta_j: float, beta_k: float, w: Element, theta: float, tol=1e-8) -> Element:
@@ -507,169 +424,6 @@ def _line_search(g, g0: float, lo: float, hi: float, params: SearchParams):
     return best_x, best_v
 
 
-class _DiagState:
-    """Rank-n diagonal factor: the orbit is finite, no rotations exist."""
-
-    def __init__(self, alg, x: Element, a: Element):
-        self.alg = alg
-        self.x_coords = x.coords.copy()
-        self._lam = sort_desc(self.x_coords - a.coords)
-
-    def pairs(self):
-        return []
-
-    def lam(self):
-        return self._lam
-
-    def refresh(self):
-        pass
-
-    def x_element(self) -> Element:
-        return Element(self.alg, self.x_coords)
-
-
-class _SymState:
-    """Symmetric-matrix factor: frame = eigenvector columns Q, coefficients
-    beta; the shift is carried as M = Q^T A Q so a rotated objective costs
-    one small dense eigenvalue solve."""
-
-    def __init__(self, alg, x: Element, a: Element):
-        self.alg = alg
-        self.n = alg.n
-        self.A = sym_to_matrix(a)
-        self.beta, self.Q = _jacobi_symmetric(sym_to_matrix(x))
-        self._sync()
-
-    def _sync(self):
-        self.M = self.Q.T @ self.A @ self.Q
-        self.M = 0.5 * (self.M + self.M.T)
-        self.B0 = np.diag(self.beta) - self.M
-        self._lam = None
-
-    def pairs(self):
-        scale = 1.0 + float(np.max(np.abs(self.beta)))
-        return [
-            (j, k)
-            for j in range(self.n - 1)
-            for k in range(j + 1, self.n)
-            if abs(self.beta[j] - self.beta[k]) > 1e-14 * scale
-        ]
-
-    def lam(self):
-        if self._lam is None:
-            self._lam = np.linalg.eigvalsh(self.B0)[::-1]
-        return self._lam
-
-    def lam_rotated(self, j, k, theta):
-        c = math.cos(theta)
-        s = math.sin(theta)
-        bj, bk = self.beta[j], self.beta[k]
-        B = self.B0.copy()
-        B[j, j] = c * c * bj + s * s * bk - self.M[j, j]
-        B[k, k] = s * s * bj + c * c * bk - self.M[k, k]
-        off = c * s * (bj - bk) - self.M[j, k]
-        B[j, k] = off
-        B[k, j] = off
-        return np.linalg.eigvalsh(B)[::-1]
-
-    def apply(self, j, k, theta):
-        c = math.cos(theta)
-        s = math.sin(theta)
-        qj = self.Q[:, j].copy()
-        qk = self.Q[:, k].copy()
-        self.Q[:, j] = c * qj + s * qk
-        self.Q[:, k] = -s * qj + c * qk
-        self._sync()
-
-    def refresh(self):
-        X = self.Q @ np.diag(self.beta) @ self.Q.T
-        self.beta, self.Q = _jacobi_symmetric(0.5 * (X + X.T))
-        self._sync()
-
-    def x_element(self) -> Element:
-        X = self.Q @ np.diag(self.beta) @ self.Q.T
-        return sym_from_matrix(self.alg, 0.5 * (X + X.T))
-
-
-class _SpinState:
-    """Spin factor: the orbit is the sphere |xbar| = r; the rotation plane
-    is chosen through the shift's vector part, which contains the aligned
-    optimum."""
-
-    def __init__(self, alg, x: Element, a: Element):
-        self.alg = alg
-        self.x0 = float(x.coords[0])
-        xbar = x.coords[1:]
-        self.r = float(np.linalg.norm(xbar))
-        if self.r > 1e-14:
-            self.u = xbar / self.r
-        else:
-            self.u = np.zeros(alg.d - 1)
-            self.u[0] = 1.0
-        self.a0 = float(a.coords[0])
-        self.abar = a.coords[1:].copy()
-        self._lam = None
-
-    def pairs(self):
-        return [(0, 1)] if self.r > 1e-14 else []
-
-    def _z(self):
-        proj = self.abar - (self.abar @ self.u) * self.u
-        npr = float(np.linalg.norm(proj))
-        if npr > 1e-12 * (1.0 + float(np.linalg.norm(self.abar))):
-            return proj / npr
-        return _any_unit_orthogonal(self.u)
-
-    def _lam_of(self, direction):
-        mbar = self.r * direction - self.abar
-        m0 = self.x0 - self.a0
-        d = float(np.linalg.norm(mbar))
-        return np.array([m0 + d, m0 - d])
-
-    def lam(self):
-        if self._lam is None:
-            self._lam = self._lam_of(self.u)
-        return self._lam
-
-    def lam_rotated(self, j, k, theta):
-        z = self._z()
-        c2 = math.cos(2.0 * theta)
-        s2 = math.sin(2.0 * theta)
-        return self._lam_of(c2 * self.u + s2 * z)
-
-    def apply(self, j, k, theta):
-        z = self._z()
-        c2 = math.cos(2.0 * theta)
-        s2 = math.sin(2.0 * theta)
-        u = c2 * self.u + s2 * z
-        self.u = u / np.linalg.norm(u)
-        self._lam = None
-
-    def refresh(self):
-        self.u = self.u / np.linalg.norm(self.u)
-        self._lam = None
-
-    def x_element(self) -> Element:
-        return Element(self.alg, np.concatenate([[self.x0], self.r * self.u]))
-
-
-def _factor_states(alg, x0: Element, a: Element):
-    factors = alg.factors if isinstance(alg, ProductAlgebra) else (alg,)
-    xs = split(x0)
-    azs = split(a)
-    states = []
-    for f, xf, af in zip(factors, xs, azs):
-        if isinstance(f, RealDiagonal):
-            states.append(_DiagState(f, xf, af))
-        elif isinstance(f, SymMatrix):
-            states.append(_SymState(f, xf, af))
-        elif isinstance(f, SpinFactor):
-            states.append(_SpinState(f, xf, af))
-        else:  # pragma: no cover - descriptors are closed
-            raise AlgebraError(f"unsupported factor {f}")
-    return states
-
-
 def local_search_orbit(problem: OrbitProblem, x0: Element, params: SearchParams | None = None) -> Solution:
     """Pairwise-rotation descent (ascent for max) over the orbit of b.
 
@@ -693,7 +447,10 @@ def local_search_orbit(problem: OrbitProblem, x0: Element, params: SearchParams 
     _check_orbit_domain(fn, lam_b, spectral_decompose(problem.a).eigenvalues)
 
     sense_mult = 1.0 if problem.sense == "min" else -1.0
-    states = _factor_states(problem.algebra, x0, problem.a)
+    states = [
+        f._search_state(xf, af)
+        for f, xf, af in zip(problem.algebra.factors, split(x0), split(problem.a))
+    ]
 
     def signed_value():
         lam = np.concatenate([st.lam() for st in states])
@@ -727,10 +484,7 @@ def local_search_orbit(problem: OrbitProblem, x0: Element, params: SearchParams 
         if start - cur <= params.eps_sweep * (1.0 + abs(cur)):
             converged = True
             break
-    parts = [st.x_element() for st in states]
-    x_final = join(problem.algebra, parts) if isinstance(problem.algebra, ProductAlgebra) else parts[0]
-    from .schur import eval_spectral
-
+    x_final = join(problem.algebra, [st.x_element() for st in states])
     value = eval_spectral(fn, x_final - problem.a)
     cert = certify(problem.a, x_final, problem.sense, tol=params.tol)
     return Solution(
@@ -754,12 +508,8 @@ def _factor_spectra(b: Element):
 def _ordered_assignments(alg, spectra):
     """Distinct assignments of the given per-factor spectra to factor slots,
     permuting only slots with identical descriptors."""
-    factors = alg.factors if isinstance(alg, ProductAlgebra) else (alg,)
-    groups = {}
-    for i, f in enumerate(factors):
-        groups.setdefault(f, []).append(i)
     per_group = []
-    for f, idxs in groups.items():
+    for idxs in alg._groups:
         seen = []
         for perm in itertools.permutations([spectra[i] for i in idxs]):
             if perm not in seen:
@@ -767,26 +517,12 @@ def _ordered_assignments(alg, spectra):
         per_group.append((idxs, seen))
     out = []
     for combo in itertools.product(*(seen for _idxs, seen in per_group)):
-        assignment = [None] * len(factors)
+        assignment = [None] * len(alg.factors)
         for (idxs, _seen), perm in zip(per_group, combo):
             for pos, spec in zip(idxs, perm):
                 assignment[pos] = spec
         out.append(tuple(assignment))
     return out
-
-
-def _canonical_element(desc, spectrum) -> Element:
-    s = sort_desc(np.asarray(spectrum, dtype=float))
-    if isinstance(desc, RealDiagonal):
-        return Element(desc, s)
-    if isinstance(desc, SymMatrix):
-        return sym_from_matrix(desc, np.diag(s))
-    if isinstance(desc, SpinFactor):
-        coords = np.zeros(desc.d)
-        coords[0] = 0.5 * (s[0] + s[1])
-        coords[1] = 0.5 * (s[0] - s[1])
-        return Element(desc, coords)
-    raise AlgebraError(f"unsupported factor {desc}")
 
 
 def weak_orbit_reps(alg, b: Element):
@@ -797,12 +533,12 @@ def weak_orbit_reps(alg, b: Element):
     of per-factor spectra to isomorphic factors is realized (duplicates
     removed), each synthesized on standard frames.
     """
-    if not isinstance(alg, ProductAlgebra):
+    if len(alg.factors) == 1:
         return [b]
-    spectra = _factor_spectra(b)
     reps = []
-    for assignment in _ordered_assignments(alg, spectra):
-        parts = [_canonical_element(f, s) for f, s in zip(alg.factors, assignment)]
+    for assignment in _ordered_assignments(alg, _factor_spectra(b)):
+        # factor spectra are eigenvalue lists, already sorted non-increasing
+        parts = [Element(f, f._canonical(np.asarray(s))) for f, s in zip(alg.factors, assignment)]
         reps.append(join(alg, parts))
     return reps
 
@@ -814,8 +550,6 @@ def orbit_components(alg, b: Element, cap: int = 20000):
     to the factors (canonicalized within groups of identical factors).
     For non-products there is a single component.
     """
-    if not isinstance(alg, ProductAlgebra):
-        return [(tuple(float(v) for v in eigenvalues(b)),)]
     vals = [float(v) for v in eigenvalues(b)]
     sizes = [f.rank for f in alg.factors]
     count = 1
@@ -837,21 +571,20 @@ def orbit_components(alg, b: Element, cap: int = 20000):
             for tail in _partitions(rest, sizes[1:]):
                 yield (combo,) + tail
 
-    groups = {}
-    for i, f in enumerate(alg.factors):
-        groups.setdefault(f, []).append(i)
     seen = {}
     for part in _partitions(list(range(len(vals))), sizes):
         assignment = tuple(
             tuple(sorted((vals[i] for i in block), reverse=True)) for block in part
         )
-        canon = []
-        for idxs in groups.values():
-            canon.append(tuple(sorted(assignment[i] for i in idxs)))
-        key = tuple(canon)
+        key = _canonical_assignment(alg, assignment)
         if key not in seen:
             seen[key] = assignment
     return list(seen.values())
+
+
+def _canonical_assignment(alg, assignment):
+    """Key identifying an assignment up to swaps of identical factors."""
+    return tuple(tuple(sorted(assignment[i] for i in idxs)) for idxs in alg._groups)
 
 
 def _assignment_optimum(alg, a_decs, assignment, fn, sense):
@@ -860,16 +593,10 @@ def _assignment_optimum(alg, a_decs, assignment, fn, sense):
     parts = []
     for (dec, spec) in zip(a_decs, assignment):
         s = sort_desc(np.asarray(spec, dtype=float))
-        lam_a = dec.eigenvalues
-        if sense == "min":
-            diffs.append(s - lam_a)
-            parts.append(synthesize_from_frame(dec.frame, s, validate=False))
-        else:
-            diffs.append(s + sort_desc(-lam_a))
-            parts.append(synthesize_from_frame(dec.frame, s[::-1], validate=False))
-    value = fn(sort_desc(np.concatenate(diffs)))
-    x = join(alg, parts) if isinstance(alg, ProductAlgebra) else parts[0]
-    return value, x
+        paired, x = _align(dec, s, sense)
+        diffs.append(s - paired)
+        parts.append(x)
+    return fn(sort_desc(np.concatenate(diffs))), join(alg, parts)
 
 
 def solve_weak_orbit_global(problem: OrbitProblem) -> Solution:
@@ -882,7 +609,7 @@ def solve_weak_orbit_global(problem: OrbitProblem) -> Solution:
     feas = problem.feasible
     if not isinstance(feas, WeakOrbit):
         raise SolverError("solve_weak_orbit_global needs a weak-orbit problem")
-    if not isinstance(problem.algebra, ProductAlgebra):
+    if len(problem.algebra.factors) == 1:
         return solve_orbit_global(
             OrbitProblem(problem.algebra, problem.fn, problem.a,
                          EigenvalueOrbit(feas.b), problem.sense)
@@ -938,7 +665,7 @@ def counterexample_no_strong(alg, a: Element, b: Element, fn: SymmetricFunction)
     """
     problem_full = OrbitProblem(alg, fn, a, EigenvalueOrbit(b), "min")
     full = solve_orbit_global(problem_full)
-    if not isinstance(alg, ProductAlgebra):
+    if len(alg.factors) == 1:
         comp = ComponentReport(
             spectra=(tuple(float(v) for v in eigenvalues(b)),),
             value=full.value,
@@ -956,14 +683,7 @@ def counterexample_no_strong(alg, a: Element, b: Element, fn: SymmetricFunction)
             degenerate=True,
         )
     a_decs = [spectral_decompose(p) for p in split(a)]
-    groups = {}
-    for i, f in enumerate(alg.factors):
-        groups.setdefault(f, []).append(i)
-
-    def _canon_key(assignment):
-        return tuple(tuple(sorted(assignment[i] for i in idxs)) for idxs in groups.values())
-
-    b_key = _canon_key(_factor_spectra(b))
+    b_key = _canonical_assignment(alg, _factor_spectra(b))
     comps = []
     b_value = None
     for assignment in orbit_components(alg, b):
@@ -976,7 +696,7 @@ def counterexample_no_strong(alg, a: Element, b: Element, fn: SymmetricFunction)
             if best is None or value < best[0]:
                 best = (value, x, cert)
         value, x, cert = best
-        contains_b = _canon_key(assignment) == b_key
+        contains_b = _canonical_assignment(alg, assignment) == b_key
         if contains_b:
             b_value = value
         comps.append(

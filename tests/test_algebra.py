@@ -302,6 +302,43 @@ def test_decompose_roundtrip_random_and_degenerate():
             assert norm(recon - x) <= 1e-9 * (1 + norm(x))
 
 
+def test_frame_tie_order_is_pinned():
+    # repeated eigenvalues: diagonal input keeps ascending index order, a
+    # spin element with zero vector part uses e_1, and products merge the
+    # factor frames with a stable sort, so ties keep factor order
+    def sym_diag(alg, i):
+        return sym_from_matrix(alg, np.diag(np.eye(alg.n)[i])).coords
+
+    d4, d2, sp, s3 = RealDiagonal(4), RealDiagonal(2), SpinFactor(4), SymMatrix(3)
+    spin_plus, spin_minus = [0.5, 0.5, 0.0, 0.0], [0.5, -0.5, 0.0, 0.0]
+    prod = product_algebra(d2, sp, s3)
+    sym_part = sym_from_matrix(s3, np.diag([2.0, 1.0, 2.0])).coords
+    x_prod = Element(prod, np.concatenate([[1.0, 2.0], [1.0, 0.0, 0.0, 0.0], sym_part]))
+    z2, z4, z6 = np.zeros(2), np.zeros(4), np.zeros(6)
+    cases = [
+        (Element(d4, [1.0, 3.0, 1.0, 3.0]), [3.0, 3.0, 1.0, 1.0], [np.eye(4)[i] for i in (1, 3, 0, 2)]),
+        (sym_from_matrix(s3, np.diag([2.0, 5.0, 2.0])), [5.0, 2.0, 2.0], [sym_diag(s3, i) for i in (1, 0, 2)]),
+        (Element(sp, [2.0, 0.0, 0.0, 0.0]), [2.0, 2.0], [spin_plus, spin_minus]),
+        (
+            x_prod,
+            [2.0, 2.0, 2.0, 1.0, 1.0, 1.0, 1.0],
+            [
+                np.concatenate([[0.0, 1.0], z4, z6]),
+                np.concatenate([z2, z4, sym_diag(s3, 0)]),
+                np.concatenate([z2, z4, sym_diag(s3, 2)]),
+                np.concatenate([[1.0, 0.0], z4, z6]),
+                np.concatenate([z2, spin_plus, z6]),
+                np.concatenate([z2, spin_minus, z6]),
+                np.concatenate([z2, z4, sym_diag(s3, 1)]),
+            ],
+        ),
+    ]
+    for x, vals, frame in cases:
+        dec = spectral_decompose(x)
+        np.testing.assert_array_equal(dec.eigenvalues, vals)
+        np.testing.assert_array_equal([c.coords for c in dec.frame], frame)
+
+
 def test_spin_degenerate_direction_is_fixed():
     sp = SpinFactor(3)
     dec = spectral_decompose(Element(sp, [2.0, 0.0, 0.0]))

@@ -13,6 +13,12 @@ SQRT2_PROBLEM = {
     "sense": "min",
 }
 
+CONDITION_PROBLEM = {
+    "algebra": {"kind": "sym", "n": 2},
+    "a": {"matrix": [[3.0, 0.0], [0.0, 1.0]]},
+    "feasible": {"orbit_of": {"matrix": [[2.0, 0.0], [0.0, 1.0]]}},
+}
+
 
 def write(tmp_path, name, doc):
     p = tmp_path / name
@@ -47,12 +53,19 @@ def test_verify_csv_format(capsys):
 
 
 def test_verify_determinism(tmp_path):
-    out1 = tmp_path / "a.json"
-    out2 = tmp_path / "b.json"
-    argv = ["verify", "--trials", "10", "--no-timestamp", "--seed", "777"]
-    assert main(argv + ["--out", str(out1)]) == 0
-    assert main(argv + ["--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
+    problem = write(tmp_path, "p.json", SQRT2_PROBLEM)
+    condition = write(tmp_path, "c.json", CONDITION_PROBLEM)
+    for argv in (
+        ["verify", "--trials", "10", "--seed", "777"],
+        ["solve", problem, "--local-search", "3"],
+        ["condition", condition],
+        ["counterexample"],
+    ):
+        out1 = tmp_path / f"{argv[0]}_a.json"
+        out2 = tmp_path / f"{argv[0]}_b.json"
+        assert main(argv + ["--no-timestamp", "--out", str(out1)]) == 0
+        assert main(argv + ["--no-timestamp", "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes(), argv[0]
 
 
 def test_unwritable_out_path_exit_2(capsys):
@@ -148,12 +161,7 @@ def test_solve_non_strict_fn_exit_3(tmp_path, capsys):
 
 
 def test_condition_command(tmp_path, capsys):
-    doc = {
-        "algebra": {"kind": "sym", "n": 2},
-        "a": {"matrix": [[3.0, 0.0], [0.0, 1.0]]},
-        "feasible": {"orbit_of": {"matrix": [[2.0, 0.0], [0.0, 1.0]]}},
-    }
-    path = write(tmp_path, "c.json", doc)
+    path = write(tmp_path, "c.json", CONDITION_PROBLEM)
     code, out = run(capsys, ["condition", path, "--no-timestamp"])
     assert code == 0
     report = json.loads(out)

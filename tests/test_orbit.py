@@ -167,6 +167,39 @@ def test_solver_domain_infeasible():
         solve_orbit_global(OrbitProblem(S2, fn, diag2(2, 1), EigenvalueOrbit(diag2(3, 0)), "min"))
 
 
+def test_orbit_domain_probe_matches_pairing_enumeration():
+    # the single Weyl probe lambda_n(b) - lambda_1(a) must give the verdict
+    # of checking every pairing P lam_b - lam_a, also on exact boundaries
+    # (quarter-integer spectra hit the domain thresholds exactly)
+    from ejaopt import affine_compose
+    from ejaopt.orbit import _check_orbit_domain
+
+    rng = np.random.default_rng(41)
+    for n in range(1, 8):
+        perms = np.array(list(itertools.permutations(range(n))))
+        fns = [
+            builtin("cond_vector_norm", n),
+            builtin("cond_number", n),
+            affine_compose(builtin("cond_vector_norm", n), scale=2.0, shift=1.0),
+            affine_compose(builtin("cond_number", n), scale=0.5, shift=-0.25),
+        ]
+        for trial in range(120):
+            if trial % 2:
+                lam_a = sort_desc(rng.standard_normal(n))
+                lam_b = sort_desc(rng.standard_normal(n) + 1.5)
+            else:
+                lam_a = sort_desc(rng.integers(-6, 7, size=n) / 4.0)
+                lam_b = sort_desc(rng.integers(-2, 11, size=n) / 4.0)
+            for fn in fns:
+                expected = bool(np.all(fn.in_domain(lam_b[perms] - lam_a[None, :])))
+                try:
+                    _check_orbit_domain(fn, lam_b, lam_a)
+                    got = True
+                except InfeasibleError:
+                    got = False
+                assert got == expected, (n, fn.id, lam_b, lam_a)
+
+
 def test_global_matches_oracle_many_kinds():
     rng = np.random.default_rng(2)
     kinds = [SymMatrix(2), SymMatrix(3), SymMatrix(5), SpinFactor(4), RealDiagonal(4),
@@ -289,13 +322,10 @@ def test_rotation_generator_kinds():
     assert rotation_generator(spectral_decompose(random_element(RealDiagonal(3), rng)).frame, 0, 1) is None
     alg = product_algebra(SymMatrix(2), SymMatrix(2))
     dec = spectral_decompose(random_element(alg, rng))
-    slices = [0, 1, 2, 3]
     # find two members in different factors: supports differ
-    from ejaopt.orbit import _support_factor
-    from ejaopt.algebra import factor_slices
+    from ejaopt.algebra import split
 
-    sl = factor_slices(alg)
-    facs = [_support_factor(c, sl) for c in dec.frame]
+    facs = [int(np.argmax([norm(p) for p in split(c)])) for c in dec.frame]
     j = facs.index(0)
     k = facs.index(1)
     assert rotation_generator(dec.frame, j, k) is None
