@@ -1050,18 +1050,19 @@ class _SpinState:
             self._lam = self._lam_of(self.u)
         return self._lam
 
-    def lam_rotated(self, j, k, theta):
+    def _rotated(self, theta):
+        """The unit axis after rotating by theta: what ``apply`` realises
+        and what ``lam_rotated`` scores, so an accepted step has exactly
+        the value it was accepted for."""
         z = SpinFactor._plane(self.u, self.abar)
-        c2 = math.cos(2.0 * theta)
-        s2 = math.sin(2.0 * theta)
-        return self._lam_of(c2 * self.u + s2 * z)
+        u = math.cos(2.0 * theta) * self.u + math.sin(2.0 * theta) * z
+        return u / np.linalg.norm(u)
+
+    def lam_rotated(self, j, k, theta):
+        return self._lam_of(self._rotated(theta))
 
     def apply(self, j, k, theta):
-        z = SpinFactor._plane(self.u, self.abar)
-        c2 = math.cos(2.0 * theta)
-        s2 = math.sin(2.0 * theta)
-        u = c2 * self.u + s2 * z
-        self.u = u / np.linalg.norm(u)
+        self.u = self._rotated(theta)
         self._lam = None
 
     def refresh(self):

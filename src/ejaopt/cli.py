@@ -39,7 +39,6 @@ from .algebra import (
     norm,
     product_algebra,
     random_automorphism,
-    spectral_decompose,
     sym_from_matrix,
     eigenvalues,
 )
@@ -288,7 +287,7 @@ def cmd_condition(args) -> int:
     opt_report = condition_report(solution.x_star + a)
     fn = builtin("cond_vector_norm", alg.rank)
     lam_b = eigenvalues(b)
-    lam_a = spectral_decompose(a).eigenvalues
+    lam_a = eigenvalues(a)
     pairings = []
     rows = []
     if alg.rank <= 9:

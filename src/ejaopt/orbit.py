@@ -38,7 +38,6 @@ from .algebra import (
     operator_commutation_residual,
     spectral_decompose,
     split,
-    strong_commutation_gap,
     synthesize_from_frame,
 )
 from .majorization import sort_desc
@@ -135,8 +134,12 @@ def certify(a: Element, x: Element, sense: str = "min", tol=DEFAULT_TOL) -> Cert
     commutation and both strong checks are always reported.
     """
     res_op = operator_commutation_residual(a, x)
-    gap_a = strong_commutation_gap(a, x)
-    gap_neg = strong_commutation_gap(-a, x)
+    # one eigensolve each for a and x: lambda(-a) is -lambda(a) reversed
+    lam_a = eigenvalues(a)
+    lam_x = eigenvalues(x)
+    ax = inner(a, x)
+    gap_a = abs(ax - float(lam_a @ lam_x))
+    gap_neg = abs(-ax - float(-lam_a[::-1] @ lam_x))
     thr_op = tol * (1.0 + norm(a)) * (1.0 + norm(x))
     thr_strong = tol * (1.0 + norm(a) * norm(x))
     checks = {
@@ -178,6 +181,8 @@ def _pairings(fn: SymmetricFunction, lam_b, lam_a):
     """
     cands = lam_b[_all_permutations(len(lam_b))] - lam_a[None, :]
     mask = np.asarray(fn.in_domain(cands), dtype=bool)
+    if mask.all():
+        return np.arange(len(cands)), fn.fn(cands)
     if not mask.any():
         raise DomainError(f"{fn.id}: every pairing falls outside the domain")
     return np.flatnonzero(mask), fn.fn(cands[mask])
@@ -359,6 +364,12 @@ def rotation_curve(frame, j: int, k: int, beta_j: float, beta_k: float, w: Eleme
 class SearchParams:
     """Knobs of the rotation-curve search.
 
+    Each line search scans ``scan_points`` angles evenly spaced on
+    (-pi/2 + bracket_delta, pi/2 - bracket_delta), plus angle 0, then
+    refines the best one with Brent's method on the bracket between its
+    scan neighbours; ``golden_iters`` caps the refinement steps (objective
+    calls), which usually stop well before it.
+
     ``tol`` is the certificate tolerance for the returned solution.  It is
     looser than the library default because sweep convergence is measured
     on objective improvement: near an optimum the residual misalignment
@@ -376,52 +387,84 @@ class SearchParams:
     tol: float = 1e-6
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 
-def _golden_min(g, lo, hi, iters):
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc = g(c)
-    fd = g(d)
-    best_x, best_v = (c, fc) if fc <= fd else (d, fd)
+def _brent_min(g, a, b, x, fx, iters):
+    """Brent's minimizer of g on [a, b] from the point x with g(x) = fx.
+
+    Parabolic steps through the three best points, with a golden-section
+    step whenever the parabola is unreliable (Brent, *Algorithms for
+    Minimization without Derivatives*, 1973, ch. 5).  Stops when
+    |x - m| <= 2 tol - (b - a)/2 for the midpoint m, with
+    tol = sqrt(eps) |x| + 1e-10, or after ``iters`` calls of g.  Returns
+    the best point seen and its value, so the value never exceeds fx.
+    """
+    w = v = x
+    fw = fv = fx
+    d = e = 0.0
     for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = g(c)
-            if fc < best_v:
-                best_x, best_v = c, fc
+        m = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(x) + 1e-10
+        tol2 = 2.0 * tol1
+        if abs(x - m) <= tol2 - 0.5 * (b - a):
+            break
+        golden = True
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+                e, d = d, p / q
+                golden = False
+                u = x + d
+                if u - a < tol2 or b - u < tol2:
+                    d = math.copysign(tol1, m - x)
+        if golden:
+            e = (a - x) if x >= m else (b - x)
+            d = _CGOLD * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        fu = g(u)
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = g(d)
-            if fd < best_v:
-                best_x, best_v = d, fd
-    return best_x, best_v
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return x, fx
 
 
 def _line_search(g, g0: float, lo: float, hi: float, params: SearchParams):
-    """Coarse scan then golden-section refinement of g over [lo, hi].
+    """Coarse scan then Brent refinement of g over [lo, hi].
 
     The scan guards against the curve objective being bimodal on the
-    bracket (golden section alone assumes unimodality); theta = 0 with
-    value g0 is always a candidate.
+    bracket (Brent, like golden section, assumes unimodality); theta = 0
+    with value g0 is always a candidate.  The refinement starts from the
+    best scan point, with its known value, on the bracket between that
+    point's scan neighbours, and never returns a worse value.
     """
     xs = np.linspace(lo, hi, params.scan_points).tolist()
     xs.append(0.0)
     xs.sort()
     vals = [g0 if x == 0.0 else g(x) for x in xs]
     m = int(np.argmin(vals))
-    best_x, best_v = xs[m], vals[m]
     bl = xs[max(m - 1, 0)]
     br = xs[min(m + 1, len(xs) - 1)]
-    if br > bl:
-        gx, gv = _golden_min(g, bl, br, params.golden_iters)
-        if gv < best_v:
-            best_x, best_v = gx, gv
-    return best_x, best_v
+    return _brent_min(g, bl, br, xs[m], vals[m], params.golden_iters)
 
 
 def local_search_orbit(problem: OrbitProblem, x0: Element, params: SearchParams | None = None) -> Solution:
@@ -444,7 +487,7 @@ def local_search_orbit(problem: OrbitProblem, x0: Element, params: SearchParams 
     scale = 1.0 + float(np.max(np.abs(lam_b)))
     if float(np.max(np.abs(lam_b - lam_x0))) > 1e-6 * scale:
         raise InfeasibleError("x0 does not lie on the orbit of b")
-    _check_orbit_domain(fn, lam_b, spectral_decompose(problem.a).eigenvalues)
+    _check_orbit_domain(fn, lam_b, eigenvalues(problem.a))
 
     sense_mult = 1.0 if problem.sense == "min" else -1.0
     states = [
@@ -616,9 +659,7 @@ def solve_weak_orbit_global(problem: OrbitProblem) -> Solution:
         )
     fn = problem.fn
     _require_strict(fn)
-    _check_orbit_domain(
-        fn, eigenvalues(feas.b), spectral_decompose(problem.a).eigenvalues
-    )
+    _check_orbit_domain(fn, eigenvalues(feas.b), eigenvalues(problem.a))
     a_decs = [spectral_decompose(p) for p in split(problem.a)]
     best = None
     for assignment in _ordered_assignments(problem.algebra, _factor_spectra(feas.b)):
