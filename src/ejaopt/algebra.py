@@ -20,7 +20,8 @@ Peirce projections), the two commutation tests (operator commutation via
 L-operator matrices, strong commutation via the inner-product identity
 <a,b> = <lambda(a),lambda(b)>), and automorphism sampling for
 property-style validation.  Each descriptor class carries its kind's
-kernels, down to the per-factor state of the orbit local search.
+kernels, down to the rotation generator and the eigenvalue routine that
+the orbit local search (``orbit.local_search_orbit``) builds on.
 """
 
 from __future__ import annotations
@@ -68,6 +69,10 @@ class _Kind:
     @property
     def _slices(self):
         return (slice(0, self.dim),)
+
+    def _search_eigvals(self, u):
+        """Eigenvalues (non-increasing) scored by the local search."""
+        return self._eigvals(u)
 
 
 @dataclass(frozen=True)
@@ -129,9 +134,6 @@ class RealDiagonal(_Kind):
     def _rotation_generator(self, frame, j, k, toward):
         return None
 
-    def _search_state(self, x, a):
-        return _DiagState(self, x, a)
-
 
 @dataclass(frozen=True)
 class SymMatrix(_Kind):
@@ -169,6 +171,13 @@ class SymMatrix(_Kind):
 
     def _eigvals(self, u):
         return self._eigh(_mat_from_sym_coords(self.n, u), want_vectors=False)[0]
+
+    def _search_eigvals(self, u):
+        """LAPACK eigenvalues for the local-search objective, which makes
+        hundreds of eigenvalue calls per run; Jacobi (``_eigh``) stays the
+        eigensolver of frames and certificates.  This override goes away
+        when ``_eigh`` itself moves to LAPACK (ROADMAP item 2)."""
+        return np.linalg.eigvalsh(_mat_from_sym_coords(self.n, u))[::-1]
 
     def _decompose(self, u):
         vals, Q = self._eigh(_mat_from_sym_coords(self.n, u))
@@ -209,9 +218,6 @@ class SymMatrix(_Kind):
             raise AlgebraError("frame member is not a rank-one projection")
         return M[:, i] / math.sqrt(d[i])
 
-    def _search_state(self, x, a):
-        return _SymState(self, x, a)
-
 
 @dataclass(frozen=True)
 class SpinFactor(_Kind):
@@ -249,10 +255,11 @@ class SpinFactor(_Kind):
         return np.array([x0 + r, x0 - r])
 
     def _direction(self, u):
-        """Unit axis of the vector part; e_1 when it vanishes (degenerate
-        spectrum, where any unit direction realizes a frame)."""
+        """Unit axis of the vector part; e_1 when it is exactly zero
+        (degenerate spectrum, where any unit direction realizes a frame).
+        Any nonzero vector part, however small, has its own axis."""
         r = float(np.linalg.norm(u[1:]))
-        if r <= 1e-14:
+        if r == 0.0:
             v = np.zeros(self.d - 1)
             v[0] = 1.0
             return v
@@ -303,19 +310,20 @@ class SpinFactor(_Kind):
         """Unit vector orthogonal to the unit axis u: in the plane of u and
         ``toward`` when they span one, else from the coordinate axis least
         aligned with u.  A rotation in that plane moves the frame axis
-        toward ``toward``."""
-        if toward is not None:
-            proj = toward - (toward @ u) * u
-            npr = float(np.linalg.norm(proj))
-            if npr > 1e-12 * (1.0 + float(np.linalg.norm(toward))):
-                return proj / npr
-        z = np.zeros(len(u))
-        z[int(np.argmin(np.abs(u)))] = 1.0
+        toward ``toward``.
+
+        When ``toward`` is nearly parallel to u, one projection leaves a
+        component along u of order eps |toward| / |proj|, so the normalised
+        result is projected once more ("twice is enough", Kahan's rule for
+        Gram-Schmidt; Parlett, *The Symmetric Eigenvalue Problem*)."""
+        z = None if toward is None else toward - (toward @ u) * u
+        if z is None or np.linalg.norm(z) <= 1e-12 * (1.0 + np.linalg.norm(toward)):
+            z = np.zeros(len(u))
+            z[int(np.argmin(np.abs(u)))] = 1.0
+            z = z - (z @ u) * u
+        z = z / np.linalg.norm(z)
         z = z - (z @ u) * u
         return z / np.linalg.norm(z)
-
-    def _search_state(self, x, a):
-        return _SpinState(self, x, a)
 
 
 @dataclass(frozen=True)
@@ -560,14 +568,24 @@ def sym_from_matrix(alg: SymMatrix, mat) -> Element:
     return Element(alg, _sym_coords_from_mat(alg.n, mat))
 
 
-def _mat_from_sym_coords(n, coords):
-    M = np.zeros((n, n))
-    M[np.diag_indices(n)] = coords[:n]
+@lru_cache(maxsize=None)
+def _sym_gather(n):
+    """Coordinate index and divisor (1 on the diagonal, sqrt(2) off it) of
+    each entry of the dense n x n matrix."""
     iu, ju = _triu_indices(n)
-    off = coords[n:] / _SQRT2
-    M[iu, ju] = off
-    M[ju, iu] = off
-    return M
+    idx = np.empty((n, n), dtype=np.intp)
+    idx[np.diag_indices(n)] = np.arange(n)
+    idx[iu, ju] = idx[ju, iu] = n + np.arange(len(iu))
+    div = np.ones((n, n))
+    div[iu, ju] = div[ju, iu] = _SQRT2
+    idx.flags.writeable = False
+    div.flags.writeable = False
+    return idx, div
+
+
+def _mat_from_sym_coords(n, coords):
+    idx, div = _sym_gather(n)
+    return coords[idx] / div
 
 
 def _sym_coords_from_mat(n, M):
@@ -927,147 +945,3 @@ def element_from_dict(d, algebra=None) -> Element:
     if "coords" not in d:
         raise AlgebraError("element document needs 'coords' or 'matrix'")
     return Element(algebra, np.asarray(d["coords"], dtype=float))
-
-
-# ---------------------------------------------------------------------------
-# Rotation-curve search state of one factor (see orbit.local_search_orbit)
-#
-# A state holds an iterate x on the orbit and the shift a, and offers the
-# eigenvalues of x - a on its factor (``lam``), the frame pairs that admit
-# a rotation (``pairs``), the eigenvalues after rotating pair (j, k) by
-# theta (``lam_rotated``), and ``apply``/``refresh``/``x_element``.
-
-
-class _DiagState:
-    """Rank-n diagonal factor: the orbit is finite, no rotations exist."""
-
-    def __init__(self, alg, x: Element, a: Element):
-        self.alg = alg
-        self.x_coords = x.coords
-        self._lam = alg._eigvals(x.coords - a.coords)
-
-    def pairs(self):
-        return []
-
-    def lam(self):
-        return self._lam
-
-    def refresh(self):
-        pass
-
-    def x_element(self) -> Element:
-        return Element(self.alg, self.x_coords)
-
-
-class _SymState:
-    """Symmetric-matrix factor: frame = eigenvector columns Q, coefficients
-    beta; the shift is carried as M = Q^T A Q so a rotated objective costs
-    one small dense eigenvalue solve."""
-
-    def __init__(self, alg, x: Element, a: Element):
-        self.alg = alg
-        self.n = alg.n
-        self.A = sym_to_matrix(a)
-        self.beta, self.Q = alg._eigh(sym_to_matrix(x))
-        self._sync()
-
-    def _sync(self):
-        self.M = self.Q.T @ self.A @ self.Q
-        self.M = 0.5 * (self.M + self.M.T)
-        self.B0 = np.diag(self.beta) - self.M
-        self._lam = None
-
-    def pairs(self):
-        scale = 1.0 + float(np.max(np.abs(self.beta)))
-        return [
-            (j, k)
-            for j in range(self.n - 1)
-            for k in range(j + 1, self.n)
-            if abs(self.beta[j] - self.beta[k]) > 1e-14 * scale
-        ]
-
-    def lam(self):
-        if self._lam is None:
-            self._lam = np.linalg.eigvalsh(self.B0)[::-1]
-        return self._lam
-
-    def lam_rotated(self, j, k, theta):
-        c = math.cos(theta)
-        s = math.sin(theta)
-        bj, bk = self.beta[j], self.beta[k]
-        B = self.B0.copy()
-        B[j, j] = c * c * bj + s * s * bk - self.M[j, j]
-        B[k, k] = s * s * bj + c * c * bk - self.M[k, k]
-        off = c * s * (bj - bk) - self.M[j, k]
-        B[j, k] = off
-        B[k, j] = off
-        return np.linalg.eigvalsh(B)[::-1]
-
-    def apply(self, j, k, theta):
-        c = math.cos(theta)
-        s = math.sin(theta)
-        qj = self.Q[:, j].copy()
-        qk = self.Q[:, k].copy()
-        self.Q[:, j] = c * qj + s * qk
-        self.Q[:, k] = -s * qj + c * qk
-        self._sync()
-
-    def refresh(self):
-        X = self.Q @ np.diag(self.beta) @ self.Q.T
-        self.beta, self.Q = self.alg._eigh(0.5 * (X + X.T))
-        self._sync()
-
-    def x_element(self) -> Element:
-        X = self.Q @ np.diag(self.beta) @ self.Q.T
-        return sym_from_matrix(self.alg, 0.5 * (X + X.T))
-
-
-class _SpinState:
-    """Spin factor: the orbit is the sphere |xbar| = r; the rotation plane
-    is chosen through the shift's vector part, which contains the aligned
-    optimum."""
-
-    def __init__(self, alg, x: Element, a: Element):
-        self.alg = alg
-        self.x0 = float(x.coords[0])
-        self.r = float(np.linalg.norm(x.coords[1:]))
-        self.u = alg._direction(x.coords)
-        self.a0 = float(a.coords[0])
-        self.abar = a.coords[1:].copy()
-        self._lam = None
-
-    def pairs(self):
-        return [(0, 1)] if self.r > 1e-14 else []
-
-    def _lam_of(self, direction):
-        mbar = self.r * direction - self.abar
-        m0 = self.x0 - self.a0
-        d = float(np.linalg.norm(mbar))
-        return np.array([m0 + d, m0 - d])
-
-    def lam(self):
-        if self._lam is None:
-            self._lam = self._lam_of(self.u)
-        return self._lam
-
-    def _rotated(self, theta):
-        """The unit axis after rotating by theta: what ``apply`` realises
-        and what ``lam_rotated`` scores, so an accepted step has exactly
-        the value it was accepted for."""
-        z = SpinFactor._plane(self.u, self.abar)
-        u = math.cos(2.0 * theta) * self.u + math.sin(2.0 * theta) * z
-        return u / np.linalg.norm(u)
-
-    def lam_rotated(self, j, k, theta):
-        return self._lam_of(self._rotated(theta))
-
-    def apply(self, j, k, theta):
-        self.u = self._rotated(theta)
-        self._lam = None
-
-    def refresh(self):
-        self.u = self.u / np.linalg.norm(self.u)
-        self._lam = None
-
-    def x_element(self) -> Element:
-        return Element(self.alg, np.concatenate([[self.x0], self.r * self.u]))

@@ -309,6 +309,16 @@ def solve_spectral_set_global(problem: OrbitProblem) -> Solution:
 # Rotation curves
 
 
+def _curve(beta_j: float, beta_k: float, theta: float) -> np.ndarray:
+    """Coefficients of (e_j, w, e_k) in beta_j e_j(theta) + beta_k e_k(theta),
+    with e_j(theta) = cos^2 e_j + cos sin w + sin^2 e_k and
+    e_k(theta) = sin^2 e_j - cos sin w + cos^2 e_k."""
+    c = math.cos(theta)
+    s = math.sin(theta)
+    cc, cs, ss = c * c, c * s, s * s
+    return np.array([beta_j * cc + beta_k * ss, (beta_j - beta_k) * cs, beta_j * ss + beta_k * cc])
+
+
 def rotation_generator(frame, j: int, k: int, toward: Element | None = None):
     """A unit generator w of the rank-2 rotation between frame members j, k.
 
@@ -349,11 +359,8 @@ def rotation_curve(frame, j: int, k: int, beta_j: float, beta_k: float, w: Eleme
         resid = jordan_product(e, w) - 0.5 * w
         if norm(resid) > tol * scale:
             raise AlgebraError("invalid rotation generator: not in both half spaces")
-    c = math.cos(theta)
-    s = math.sin(theta)
-    e1t = (c * c) * ej + (c * s) * w + (s * s) * ek
-    e2t = (s * s) * ej - (c * s) * w + (c * c) * ek
-    return beta_j * e1t + beta_k * e2t
+    block = np.array([ej.coords, w.coords, ek.coords])
+    return Element(ej.algebra, _curve(beta_j, beta_k, theta) @ block)
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +474,67 @@ def _line_search(g, g0: float, lo: float, hi: float, params: SearchParams):
     return _brent_min(g, bl, br, xs[m], vals[m], params.golden_iters)
 
 
+class _RotationSearch:
+    """Rotation-curve search state of one factor.
+
+    Holds x = sum_i beta_i e_i on a Jordan frame {e_i} of the factor with
+    the coefficients beta fixed, so x stays on its orbit, and the shift a.
+    Every kind is served by the same code: the frame comes from the kind's
+    ``_decompose``, the generator of pair (j, k) from its
+    ``_rotation_generator`` (pointed toward a), and the rotation is
+    ``_curve`` on the block (e_j, w, e_k) both when a pair is scored and
+    when it is applied, so a step is scored on the point it realises.
+    """
+
+    def __init__(self, alg, x, a):
+        self.alg = alg
+        self.a = a
+        self.beta, frame = alg._decompose(x)
+        self.frame = np.array(frame)
+
+    def refresh(self):
+        """Take a fresh frame of x, keeping beta."""
+        self.frame = np.array(self.alg._decompose(self.beta @ self.frame)[1])
+
+    def lam(self):
+        """Eigenvalues of x - a."""
+        return self.alg._search_eigvals(self.beta @ self.frame - self.a)
+
+    def pairs(self):
+        """Frame pairs with distinct coefficients: between equal ones every
+        rotation leaves x where it is."""
+        b = self.beta
+        scale = 1.0 + float(np.max(np.abs(b)))
+        return [
+            (j, k)
+            for j in range(len(b) - 1)
+            for k in range(j + 1, len(b))
+            if abs(b[j] - b[k]) > 1e-14 * scale
+        ]
+
+    def rotation(self, j, k):
+        """The block (e_j, w, e_k) of pair (j, k) and the map theta ->
+        eigenvalues of x(theta) - a, or None when the pair has no
+        generator."""
+        w = self.alg._rotation_generator(self.frame, j, k, self.a)
+        if w is None:
+            return None
+        block = np.array([self.frame[j], w, self.frame[k]])
+        rest = self.beta.copy()
+        rest[[j, k]] = 0.0
+        base = rest @ self.frame - self.a
+        bj, bk = self.beta[j], self.beta[k]
+        eigvals = self.alg._search_eigvals
+        return block, lambda theta: eigvals(base + _curve(bj, bk, theta) @ block)
+
+    def apply(self, j, k, block, theta):
+        self.frame[j] = _curve(1.0, 0.0, theta) @ block
+        self.frame[k] = _curve(0.0, 1.0, theta) @ block
+
+    def x_element(self) -> Element:
+        return Element(self.alg, self.beta @ self.frame)
+
+
 def local_search_orbit(problem: OrbitProblem, x0: Element, params: SearchParams | None = None) -> Solution:
     """Pairwise-rotation descent (ascent for max) over the orbit of b.
 
@@ -491,13 +559,13 @@ def local_search_orbit(problem: OrbitProblem, x0: Element, params: SearchParams 
 
     sense_mult = 1.0 if problem.sense == "min" else -1.0
     states = [
-        f._search_state(xf, af)
+        _RotationSearch(f, xf.coords, af.coords)
         for f, xf, af in zip(problem.algebra.factors, split(x0), split(problem.a))
     ]
 
+    # f is symmetric, so the eigenvalues it scores need not be sorted
     def signed_value():
-        lam = np.concatenate([st.lam() for st in states])
-        return sense_mult * fn(sort_desc(lam))
+        return sense_mult * fn(np.concatenate([st.lam() for st in states]))
 
     lo = -math.pi / 2.0 + params.bracket_delta
     hi = math.pi / 2.0 - params.bracket_delta
@@ -514,15 +582,18 @@ def local_search_orbit(problem: OrbitProblem, x0: Element, params: SearchParams 
         for fi, st in enumerate(states):
             other = [s.lam() for i, s in enumerate(states) if i != fi]
             for (j, k) in st.pairs():
-                def g(theta, st=st, j=j, k=k, other=other):
-                    lam = np.concatenate(other + [st.lam_rotated(j, k, theta)])
-                    return sense_mult * fn(sort_desc(lam))
+                rot = st.rotation(j, k)
+                if rot is None:
+                    continue
+                block, lam_at = rot
+
+                def g(theta, lam_at=lam_at, other=other):
+                    return sense_mult * fn(np.concatenate(other + [lam_at(theta)]))
 
                 theta, gval = _line_search(g, cur, lo, hi, params)
                 if gval < cur - params.accept_tol * (1.0 + abs(cur)):
-                    st.apply(j, k, theta)
-                    cur = signed_value()
-            other = None
+                    st.apply(j, k, block, theta)
+                    cur = gval
         trace.append((sweeps, sense_mult * cur))
         if start - cur <= params.eps_sweep * (1.0 + abs(cur)):
             converged = True

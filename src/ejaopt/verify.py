@@ -135,14 +135,15 @@ def suite_automorphism_invariance(alg, rng, trials, tol):
     return {"failures": failures, "worst_residual": worst}
 
 
-def suite_lidskii(alg, rng, trials, tol):
+def _majorization_suite(holds, alg, rng, trials, tol):
+    """Failures and worst gaps of a majorization verifier over random pairs."""
     failures = 0
     worst_prefix = np.inf
     worst_sum = 0.0
     for _ in range(trials):
         a = random_element(alg, rng)
         b = random_element(alg, rng)
-        v = lidskii_holds(a, b, tol=tol)
+        v = holds(a, b, tol=tol)
         worst_prefix = min(worst_prefix, v.worst_prefix_gap)
         worst_sum = max(worst_sum, v.sum_gap)
         failures += not v.holds
@@ -152,25 +153,14 @@ def suite_lidskii(alg, rng, trials, tol):
         "worst_prefix_gap": worst_prefix,
         "worst_sum_gap": worst_sum,
     }
+
+
+def suite_lidskii(alg, rng, trials, tol):
+    return _majorization_suite(lidskii_holds, alg, rng, trials, tol)
 
 
 def suite_kyfan(alg, rng, trials, tol):
-    failures = 0
-    worst_prefix = np.inf
-    worst_sum = 0.0
-    for _ in range(trials):
-        a = random_element(alg, rng)
-        b = random_element(alg, rng)
-        v = kyfan_holds(a, b, tol=tol)
-        worst_prefix = min(worst_prefix, v.worst_prefix_gap)
-        worst_sum = max(worst_sum, v.sum_gap)
-        failures += not v.holds
-    return {
-        "failures": failures,
-        "worst_residual": max(0.0, -worst_prefix, worst_sum),
-        "worst_prefix_gap": worst_prefix,
-        "worst_sum_gap": worst_sum,
-    }
+    return _majorization_suite(kyfan_holds, alg, rng, trials, tol)
 
 
 def _strong_equivalence_residuals(a, b):

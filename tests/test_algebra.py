@@ -345,6 +345,19 @@ def test_spin_degenerate_direction_is_fixed():
     np.testing.assert_allclose(dec.frame[0].coords, [0.5, 0.5, 0.0])
 
 
+def test_spin_spectral_roundtrip_at_any_scale():
+    # a small nonzero vector part has its own axis: an absolute cut-off
+    # replaced it by e_1 and lost the element at small scales
+    sp = SpinFactor(5)
+    base = np.array([1.0, 0.6, 0.8, 0.0, 0.0])
+    for e in range(-15, 16):
+        x = Element(sp, 10.0**e * base)
+        dec = spectral_decompose(x)
+        recon = synthesize_from_frame(dec.frame, dec.eigenvalues)
+        assert norm(recon - x) <= 1e-14 * norm(x), e
+        np.testing.assert_allclose(dec.eigenvalues, 10.0**e * np.array([2.0, 0.0]), atol=1e-15 * 10.0**e)
+
+
 # ---------------------------------------------------------------------------
 # L-operator
 

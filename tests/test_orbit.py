@@ -43,10 +43,11 @@ from ejaopt import (
     synthesize_from_frame,
     unit,
     weak_orbit_reps,
+    zero,
 )
-from ejaopt.algebra import strong_commutation_gap
+from ejaopt.algebra import Element, split, strong_commutation_gap
 from ejaopt.majorization import sort_desc
-from ejaopt.orbit import _brent_min
+from ejaopt.orbit import _brent_min, _RotationSearch
 from ejaopt.schur import SymmetricFunction
 
 S2 = SymMatrix(2)
@@ -352,6 +353,58 @@ def test_rotation_generator_spin_toward():
     basis = np.stack([v, a.coords[1:]])
     resid = w.coords[1:] - np.linalg.lstsq(basis.T, w.coords[1:], rcond=None)[0] @ basis
     assert np.linalg.norm(resid) <= 1e-9
+
+
+def test_rotation_generator_spin_toward_nearly_parallel_shift():
+    # one projection of a shift nearly parallel to the frame axis leaves a
+    # component along the axis, which rotation_curve rejects
+    sp = SpinFactor(5)
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        dec = spectral_decompose(random_element(sp, rng))
+        u = 2.0 * dec.frame[0].coords[1:]
+        v = rng.standard_normal(4)
+        v -= (v @ u) * u
+        v /= np.linalg.norm(v)
+        angle = 10.0 ** rng.uniform(-11.0, -3.0)
+        shift = rng.uniform(0.1, 10.0) * (math.cos(angle) * u + math.sin(angle) * v)
+        a = Element(sp, np.concatenate([[rng.standard_normal()], shift]))
+        w = rotation_generator(dec.frame, 0, 1, toward=a)
+        assert abs(w.coords[1:] @ u) <= 1e-14
+        rotation_curve(dec.frame, 0, 1, dec.eigenvalues[0], dec.eigenvalues[1], w, 0.4)
+
+
+def test_search_state_scores_the_rotation_curve():
+    # the local search scores and applies each rotation with the formula of
+    # rotation_curve, on the generator rotation_generator returns
+    rng = np.random.default_rng(14)
+    for alg in (SymMatrix(3), SpinFactor(5), product_algebra(SymMatrix(2), SpinFactor(4))):
+        b = random_element(alg, rng)
+        a = random_element(alg, rng)
+        x = apply_automorphism(random_automorphism(alg, rng), b)
+        for xf, af, bf in zip(split(x), split(a), split(b)):
+            f = xf.algebra
+            scale = 1.0 + norm(xf) + norm(af)
+            st = _RotationSearch(f, xf.coords, af.coords)
+            beta = st.beta
+            assert st.pairs()
+            for j, k in st.pairs():
+                frame = [Element(f, c) for c in st.frame]
+                w = rotation_generator(frame, j, k, toward=af)
+                block, lam_at = st.rotation(j, k)
+                np.testing.assert_array_equal(block[1], w.coords)
+                rest = sum(
+                    (beta[i] * frame[i] for i in range(f.rank) if i not in (j, k)),
+                    start=zero(f),
+                )
+                for theta in rng.uniform(-1.5, 1.5, size=5):
+                    curve = rotation_curve(frame, j, k, beta[j], beta[k], w, theta)
+                    expect = eigenvalues(curve + rest - af)
+                    assert np.max(np.abs(lam_at(theta) - expect)) <= 1e-12 * scale
+                st.apply(j, k, block, rng.uniform(-1.5, 1.5))
+                moved = st.x_element()
+                assert np.max(np.abs(eigenvalues(moved) - eigenvalues(bf))) <= 1e-12 * scale
+                assert np.max(np.abs(st.lam() - eigenvalues(moved - af))) <= 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------
