@@ -32,10 +32,13 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-#: Absolute tolerance used by every predicate, scaled by (1 + operand norms).
+#: Tolerance used by every predicate, scaled by (1 + operand norms); the
+#: certificates of ``orbit.certify`` scale it by the norms' product.
 DEFAULT_TOL = 1e-9
 
 _SQRT2 = math.sqrt(2.0)
+_PLUS_MINUS = np.array([1.0, -1.0])
+_PLUS_MINUS.flags.writeable = False
 
 
 class AlgebraError(ValueError):
@@ -71,7 +74,10 @@ class _Kind:
         return (slice(0, self.dim),)
 
     def _search_eigvals(self, u):
-        """Eigenvalues (non-increasing) scored by the local search."""
+        """Eigenvalues (non-increasing) scored by the local search, along
+        the last axis of a ``(..., dim)`` stack of coordinate vectors, so a
+        line-search scan is scored in one call; each row gets the bits of
+        its own single-vector call."""
         return self._eigvals(u)
 
 
@@ -174,10 +180,10 @@ class SymMatrix(_Kind):
 
     def _search_eigvals(self, u):
         """LAPACK eigenvalues for the local-search objective, which makes
-        hundreds of eigenvalue calls per run; Jacobi (``_eigh``) stays the
-        eigensolver of frames and certificates.  This override goes away
-        when ``_eigh`` itself moves to LAPACK (ROADMAP item 2)."""
-        return np.linalg.eigvalsh(_mat_from_sym_coords(self.n, u))[::-1]
+        hundreds of eigenvalue calls per run, of a ``(..., dim)`` stack in
+        one ``eigvalsh``; Jacobi (``_eigh``) stays the eigensolver of
+        frames and certificates."""
+        return np.linalg.eigvalsh(_mat_from_sym_coords(self.n, u))[..., ::-1]
 
     def _decompose(self, u):
         vals, Q = self._eigh(_mat_from_sym_coords(self.n, u))
@@ -253,6 +259,11 @@ class SpinFactor(_Kind):
         r = float(np.linalg.norm(u[1:]))
         x0 = float(u[0])
         return np.array([x0 + r, x0 - r])
+
+    def _search_eigvals(self, u):
+        v = u[..., 1:]
+        r = np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
+        return u[..., :1] + r * _PLUS_MINUS
 
     def _direction(self, u):
         """Unit axis of the vector part; e_1 when it is exactly zero
@@ -584,8 +595,10 @@ def _sym_gather(n):
 
 
 def _mat_from_sym_coords(n, coords):
+    """Dense matrices of the coordinate vectors along the last axis."""
     idx, div = _sym_gather(n)
-    return coords[idx] / div
+    # one vector takes plain indexing, a few times faster than the ellipsis
+    return (coords[idx] if coords.ndim == 1 else coords[..., idx]) / div
 
 
 def _sym_coords_from_mat(n, M):

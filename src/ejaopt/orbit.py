@@ -132,6 +132,10 @@ def certify(a: Element, x: Element, sense: str = "min", tol=DEFAULT_TOL) -> Cert
     The certificate's ``kind``/``passed`` reflect the sense-appropriate
     strong-commutation check (with a for min, with -a for max); operator
     commutation and both strong checks are always reported.
+
+    Every residual is bilinear in (a, x), so each check compares it with
+    ``tol * |a| |x|``: scaling a and x by any t > 0 leaves every verdict
+    unchanged.
     """
     res_op = operator_commutation_residual(a, x)
     # one eigensolve each for a and x: lambda(-a) is -lambda(a) reversed
@@ -140,12 +144,11 @@ def certify(a: Element, x: Element, sense: str = "min", tol=DEFAULT_TOL) -> Cert
     ax = inner(a, x)
     gap_a = abs(ax - float(lam_a @ lam_x))
     gap_neg = abs(-ax - float(-lam_a[::-1] @ lam_x))
-    thr_op = tol * (1.0 + norm(a)) * (1.0 + norm(x))
-    thr_strong = tol * (1.0 + norm(a) * norm(x))
+    thr = tol * norm(a) * norm(x)
     checks = {
-        "operator_commute": res_op <= thr_op,
-        "strong_commute_with_a": gap_a <= thr_strong,
-        "strong_commute_with_neg_a": gap_neg <= thr_strong,
+        "operator_commute": res_op <= thr,
+        "strong_commute_with_a": gap_a <= thr,
+        "strong_commute_with_neg_a": gap_neg <= thr,
     }
     kind = "strong_commute_with_a" if sense == "min" else "strong_commute_with_neg_a"
     return Certificate(
@@ -309,14 +312,19 @@ def solve_spectral_set_global(problem: OrbitProblem) -> Solution:
 # Rotation curves
 
 
-def _curve(beta_j: float, beta_k: float, theta: float) -> np.ndarray:
+def _curve(beta_j: float, beta_k: float, theta) -> np.ndarray:
     """Coefficients of (e_j, w, e_k) in beta_j e_j(theta) + beta_k e_k(theta),
     with e_j(theta) = cos^2 e_j + cos sin w + sin^2 e_k and
-    e_k(theta) = sin^2 e_j - cos sin w + cos^2 e_k."""
-    c = math.cos(theta)
-    s = math.sin(theta)
+    e_k(theta) = sin^2 e_j - cos sin w + cos^2 e_k.
+
+    ``theta`` is an angle or an array of angles; for an array the result
+    has one row of coefficients per angle."""
+    if isinstance(theta, np.ndarray):
+        c, s = np.cos(theta), np.sin(theta)
+    else:
+        c, s = math.cos(theta), math.sin(theta)
     cc, cs, ss = c * c, c * s, s * s
-    return np.array([beta_j * cc + beta_k * ss, (beta_j - beta_k) * cs, beta_j * ss + beta_k * cc])
+    return np.array([beta_j * cc + beta_k * ss, (beta_j - beta_k) * cs, beta_j * ss + beta_k * cc]).T
 
 
 def rotation_generator(frame, j: int, k: int, toward: Element | None = None):
@@ -371,11 +379,12 @@ def rotation_curve(frame, j: int, k: int, beta_j: float, beta_k: float, w: Eleme
 class SearchParams:
     """Knobs of the rotation-curve search.
 
-    Each line search scans ``scan_points`` angles evenly spaced on
-    (-pi/2 + bracket_delta, pi/2 - bracket_delta), plus angle 0, then
-    refines the best one with Brent's method on the bracket between its
-    scan neighbours; ``golden_iters`` caps the refinement steps (objective
-    calls), which usually stop well before it.
+    Each line search scores ``scan_points`` angles evenly spaced on
+    (-pi/2 + bracket_delta, pi/2 - bracket_delta) in one stacked objective
+    call, takes angle 0 at the current value, then refines the best one
+    with Brent's method on the bracket between its scan neighbours;
+    ``golden_iters`` caps the refinement steps (scalar objective calls),
+    which usually stop well before it.
 
     ``tol`` is the certificate tolerance for the returned solution.  It is
     looser than the library default because sweep convergence is measured
@@ -458,20 +467,22 @@ def _brent_min(g, a, b, x, fx, iters):
 def _line_search(g, g0: float, lo: float, hi: float, params: SearchParams):
     """Coarse scan then Brent refinement of g over [lo, hi].
 
-    The scan guards against the curve objective being bimodal on the
-    bracket (Brent, like golden section, assumes unimodality); theta = 0
-    with value g0 is always a candidate.  The refinement starts from the
-    best scan point, with its known value, on the bracket between that
-    point's scan neighbours, and never returns a worse value.
+    ``g`` maps an angle to a float and an array of angles to an array of
+    values: the scan is one call.  The scan guards against the curve
+    objective being bimodal on the bracket (Brent, like golden section,
+    assumes unimodality); theta = 0 with value g0 is always a candidate.
+    The refinement starts from the best scan point, with its known value,
+    on the bracket between that point's scan neighbours, and never returns
+    a worse value.
     """
-    xs = np.linspace(lo, hi, params.scan_points).tolist()
-    xs.append(0.0)
-    xs.sort()
-    vals = [g0 if x == 0.0 else g(x) for x in xs]
+    xs = np.sort(np.append(np.linspace(lo, hi, params.scan_points), 0.0))
+    vals = np.full(len(xs), g0)
+    off = xs != 0.0
+    vals[off] = g(xs[off])
     m = int(np.argmin(vals))
-    bl = xs[max(m - 1, 0)]
-    br = xs[min(m + 1, len(xs) - 1)]
-    return _brent_min(g, bl, br, xs[m], vals[m], params.golden_iters)
+    bl = float(xs[max(m - 1, 0)])
+    br = float(xs[min(m + 1, len(xs) - 1)])
+    return _brent_min(g, bl, br, float(xs[m]), float(vals[m]), params.golden_iters)
 
 
 class _RotationSearch:
@@ -514,8 +525,8 @@ class _RotationSearch:
 
     def rotation(self, j, k):
         """The block (e_j, w, e_k) of pair (j, k) and the map theta ->
-        eigenvalues of x(theta) - a, or None when the pair has no
-        generator."""
+        eigenvalues of x(theta) - a (one row per angle for an array of
+        angles), or None when the pair has no generator."""
         w = self.alg._rotation_generator(self.frame, j, k, self.a)
         if w is None:
             return None
@@ -549,19 +560,23 @@ def local_search_orbit(problem: OrbitProblem, x0: Element, params: SearchParams 
     feas = problem.feasible
     if not isinstance(feas, (EigenvalueOrbit, WeakOrbit)):
         raise SolverError("local search needs an orbit problem")
+    if x0.algebra != problem.algebra:
+        raise SolverError("start element belongs to a different algebra")
     fn = problem.fn
-    lam_b = eigenvalues(feas.b)
-    lam_x0 = eigenvalues(x0)
-    scale = 1.0 + float(np.max(np.abs(lam_b)))
-    if float(np.max(np.abs(lam_b - lam_x0))) > 1e-6 * scale:
-        raise InfeasibleError("x0 does not lie on the orbit of b")
-    _check_orbit_domain(fn, lam_b, eigenvalues(problem.a))
-
-    sense_mult = 1.0 if problem.sense == "min" else -1.0
     states = [
         _RotationSearch(f, xf.coords, af.coords)
         for f, xf, af in zip(problem.algebra.factors, split(x0), split(problem.a))
     ]
+    # the frames just decomposed from x0 carry its eigenvalues
+    lam_x0 = sort_desc(np.concatenate([st.beta for st in states]))
+    lam_b = eigenvalues(feas.b)
+    scale = 1.0 + float(np.max(np.abs(lam_b)))
+    if float(np.max(np.abs(lam_b - lam_x0))) > 1e-6 * scale:
+        raise InfeasibleError("x0 does not lie on the orbit of b")
+    if fn.domain != "all":
+        _check_orbit_domain(fn, lam_b, eigenvalues(problem.a))
+
+    sense_mult = 1.0 if problem.sense == "min" else -1.0
 
     # f is symmetric, so the eigenvalues it scores need not be sorted
     def signed_value():
@@ -576,9 +591,11 @@ def local_search_orbit(problem: OrbitProblem, x0: Element, params: SearchParams 
     for _sweep in range(params.max_sweeps):
         sweeps += 1
         start = cur
-        for st in states:
-            st.refresh()
-        cur = signed_value()
+        if sweeps > 1:
+            # the first sweep runs on the frames decomposed from x0
+            for st in states:
+                st.refresh()
+            cur = signed_value()
         for fi, st in enumerate(states):
             other = [s.lam() for i, s in enumerate(states) if i != fi]
             for (j, k) in st.pairs():
@@ -588,7 +605,11 @@ def local_search_orbit(problem: OrbitProblem, x0: Element, params: SearchParams 
                 block, lam_at = rot
 
                 def g(theta, lam_at=lam_at, other=other):
-                    return sense_mult * fn(np.concatenate(other + [lam_at(theta)]))
+                    lam = lam_at(theta)
+                    if lam.ndim == 1:
+                        return sense_mult * fn(np.concatenate(other + [lam]))
+                    rows = [np.broadcast_to(o, (len(lam), len(o))) for o in other]
+                    return sense_mult * fn._values(np.concatenate(rows + [lam], axis=1))
 
                 theta, gval = _line_search(g, cur, lo, hi, params)
                 if gval < cur - params.accept_tol * (1.0 + abs(cur)):

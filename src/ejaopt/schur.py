@@ -61,11 +61,21 @@ class SymmetricFunction:
 
     def __call__(self, u) -> float:
         u = np.asarray(u, dtype=float)
-        if u.shape != (self.arity,):
+        if u.ndim != 1:
             raise ValueError(f"{self.id}: expected a vector of length {self.arity}")
-        if not bool(self.in_domain(u)):
+        return float(self._values(u))
+
+    def _values(self, U) -> np.ndarray:
+        """f of each row of a (..., arity) stack, every row checked against
+        the domain: the validation behind ``__call__``."""
+        U = np.asarray(U, dtype=float)
+        if U.shape[-1:] != (self.arity,):
+            raise ValueError(f"{self.id}: expected a vector of length {self.arity}")
+        ok = self.in_domain(U)
+        # one vector has a single verdict: bool() is the cheap test there
+        if not (ok if U.ndim == 1 else np.all(ok)):
             raise DomainError(f"{self.id}: argument outside domain '{self.domain}'")
-        return float(self.fn(u))
+        return self.fn(U)
 
 
 def eval_spectral(fn: SymmetricFunction, x: Element) -> float:

@@ -235,6 +235,26 @@ def test_eigenvalue_sum_is_trace():
             assert float(np.sum(lam)) == pytest.approx(trace(x), abs=1e-9 * (1 + norm(x)))
 
 
+def test_search_eigvals_rows_match_single_calls():
+    # a (..., dim) stack is scored in one call, each row with the bits of
+    # its own single-vector call
+    rng = np.random.default_rng(23)
+    for alg in (RealDiagonal(1), RealDiagonal(4), SymMatrix(1), SymMatrix(3), SymMatrix(5),
+                SpinFactor(3), SpinFactor(5), SpinFactor(12)):
+        for scale in (1e-12, 1.0, 1e12):
+            U = scale * rng.standard_normal((3, 4, alg.dim))
+            U[0, 0, 1:] = 0.0
+            stacked = alg._search_eigvals(U)
+            assert stacked.shape == (3, 4, alg.rank)
+            for idx in np.ndindex(3, 4):
+                single = alg._search_eigvals(U[idx])
+                assert single.shape == (alg.rank,)
+                np.testing.assert_array_equal(stacked[idx], single)
+                assert np.all(np.diff(single) <= 0.0)
+                expect = eigenvalues(Element(alg, U[idx]))
+                assert np.max(np.abs(single - expect)) <= 1e-13 * (scale + np.max(np.abs(expect)))
+
+
 def test_jacobi_matches_numpy():
     rng = np.random.default_rng(6)
     for n in (2, 3, 5, 7):

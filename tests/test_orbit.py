@@ -45,11 +45,13 @@ from ejaopt import (
     weak_orbit_reps,
     zero,
 )
+from ejaopt import orbit as orbit_module
 from ejaopt.algebra import Element, split, strong_commutation_gap
 from ejaopt.majorization import sort_desc
 from ejaopt.orbit import _brent_min, _RotationSearch
 from ejaopt.schur import SymmetricFunction
 
+EPS = np.finfo(float).eps
 S2 = SymMatrix(2)
 SCHATTEN2_2 = builtin("schatten", 2, p=2)
 
@@ -527,6 +529,84 @@ def test_local_search_objective_calls_per_run(monkeypatch):
     assert np.mean([n for v in per_kind.values() for n in v]) <= 500, means
 
 
+def test_local_search_eigensolves_per_run(monkeypatch):
+    # A count, on the set of test_local_search_objective_calls_per_run.
+    # A SymMatrix run decomposes x0 once, refreshes its frame on every sweep
+    # but the first, and solves lambda(b), lambda(x* - a) and the two
+    # operands of certify: sweeps + 4 Jacobi solves.  The objective points
+    # (stacked scan rows plus scalar calls) stay within that test's bounds.
+    eigh = SymMatrix._eigh
+    values = SymmetricFunction._values
+    solves = []
+    points = []
+
+    def counted_eigh(self, mat, want_vectors=True):
+        solves.append(1)
+        return eigh(self, mat, want_vectors)
+
+    def counted_values(self, U):
+        points.append(int(np.prod(np.shape(U)[:-1])))
+        return values(self, U)
+
+    monkeypatch.setattr(SymMatrix, "_eigh", counted_eigh)
+    monkeypatch.setattr(SymmetricFunction, "_values", counted_values)
+    rng = np.random.default_rng(31)
+    per_kind = {}
+    for alg in (SymMatrix(3), SymMatrix(4), SpinFactor(5)):
+        for fn in (builtin("schatten", alg.rank, p=4), builtin("squared_norm", alg.rank)):
+            for sense in ("min", "max"):
+                for _ in range(3):
+                    a = random_element(alg, rng)
+                    b = random_element(alg, rng)
+                    x0 = apply_automorphism(random_automorphism(alg, rng), b)
+                    problem = OrbitProblem(alg, fn, a, EigenvalueOrbit(b), sense)
+                    solves.clear()
+                    points.clear()
+                    sol = local_search_orbit(problem, x0)
+                    assert sol.converged
+                    expect = sol.iterations + 4 if isinstance(alg, SymMatrix) else 0
+                    assert len(solves) == expect, (alg, len(solves), sol.iterations)
+                    per_kind.setdefault(alg, []).append(sum(points))
+    means = {alg: float(np.mean(v)) for alg, v in per_kind.items()}
+    assert means[SymMatrix(3)] <= 450, means
+    assert means[SymMatrix(4)] <= 1000, means
+    assert means[SpinFactor(5)] <= 80, means
+    assert np.mean([n for v in per_kind.values() for n in v]) <= 500, means
+
+
+def test_line_search_scan_scores_like_scalar_calls(monkeypatch):
+    # Each line search scores its scan angles in one stacked call.  Its
+    # values are the scalar g(theta) at the same angles up to rounding: the
+    # stack forms x(theta) - a with one matrix product where a scalar call
+    # uses a matrix-vector product, which may round the last bit of a
+    # coordinate differently (seen up to 7.5 eps relative here).
+    line_search = orbit_module._line_search
+    scans = []
+
+    def checking(g, g0, lo, hi, params):
+        thetas = np.linspace(lo, hi, params.scan_points)
+        stacked = g(thetas)
+        assert stacked.shape == thetas.shape
+        for theta, v in zip(thetas, stacked):
+            scalar = g(float(theta))
+            assert isinstance(scalar, float)
+            assert abs(v - scalar) <= 16 * EPS * (1.0 + abs(scalar)), (v, scalar)
+        scans.append(1)
+        return line_search(g, g0, lo, hi, params)
+
+    monkeypatch.setattr(orbit_module, "_line_search", checking)
+    rng = np.random.default_rng(33)
+    for alg in (SymMatrix(3), SpinFactor(5), product_algebra(SymMatrix(2), SpinFactor(4))):
+        for fn in (builtin("schatten", alg.rank, p=4), builtin("squared_norm", alg.rank)):
+            for sense in ("min", "max"):
+                a = random_element(alg, rng)
+                b = random_element(alg, rng)
+                x0 = apply_automorphism(random_automorphism(alg, rng), b)
+                scans.clear()
+                sol = local_search_orbit(OrbitProblem(alg, fn, a, EigenvalueOrbit(b), sense), x0)
+                assert sol.converged and scans
+
+
 def test_brent_min_refines_without_losing_the_start():
     calls = []
 
@@ -583,6 +663,9 @@ def test_local_search_rejects_off_orbit_start():
     problem = OrbitProblem(S2, SCHATTEN2_2, diag2(2, 1), EigenvalueOrbit(diag2(3, 0)), "min")
     with pytest.raises(InfeasibleError):
         local_search_orbit(problem, diag2(5, 0))
+    # same spectrum, other algebra
+    with pytest.raises(SolverError):
+        local_search_orbit(problem, Element(RealDiagonal(2), np.array([3.0, 0.0])))
 
 
 def test_local_search_mixed_product_and_weak_orbit_feasible():
@@ -688,6 +771,28 @@ def test_certify_gaps_equal_strong_commutation_gap():
                 cert = certify(a, x, "max")
                 assert cert.residuals["inner_gap_a"] == strong_commutation_gap(a, x)
                 assert cert.residuals["inner_gap_neg_a"] == strong_commutation_gap(-a, x)
+
+
+def test_certify_verdicts_do_not_depend_on_scale():
+    # every residual is bilinear in (a, x) and so is the threshold: scaling
+    # both operands by t leaves each verdict as it is at t = 1
+    rng = np.random.default_rng(16)
+    frame = spectral_decompose(random_element(SymMatrix(3), rng)).frame
+    diag = [Element(RealDiagonal(3), np.eye(3)[i]) for i in range(3)]
+    lam = np.array([3.0, 2.0, 1.0])
+    generic = (random_element(SymMatrix(3), rng), random_element(SymMatrix(3), rng))
+    for t in 10.0 ** np.arange(-12, 13):
+        for fr in (diag, frame):
+            a = synthesize_from_frame(fr, t * lam, validate=False)
+            aligned = synthesize_from_frame(fr, t * lam, validate=False)
+            anti = synthesize_from_frame(fr, t * lam[::-1], validate=False)
+            assert certify(a, aligned, "min").passed, t
+            cert = certify(a, anti, "min")
+            assert not cert.passed, (t, cert.residuals)
+            assert cert.checks["operator_commute"] and cert.checks["strong_commute_with_neg_a"], t
+            assert certify(a, anti, "max").passed, t
+        cert = certify(t * generic[0], t * generic[1], "min")
+        assert not any(cert.checks.values()), (t, cert.residuals)
 
 
 def test_certify_generic_pair_fails_everything():

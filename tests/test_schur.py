@@ -77,6 +77,33 @@ def test_arity_checked():
         eval_spectral(fn, x)
 
 
+def test_stacked_values_check_every_row():
+    # the stacked evaluator behind __call__: one value per row, the domain
+    # checked on every row and the last axis checked against the arity
+    fn = builtin("cond_number", 3)
+    rng = np.random.default_rng(4)
+    U = np.exp(rng.standard_normal((4, 5, 3)))
+    vals = fn._values(U)
+    assert vals.shape == (4, 5)
+    for idx in np.ndindex(4, 5):
+        assert vals[idx] == fn(U[idx])
+    U[2, 3, 1] = -1.0
+    with pytest.raises(DomainError):
+        fn._values(U)
+    with pytest.raises(DomainError):
+        fn._values(U[2])
+    fn._values(np.delete(U[2], 3, axis=0))
+    with pytest.raises(ValueError):
+        fn._values(np.ones((5, 2)))
+    with pytest.raises(ValueError):
+        fn._values(np.ones(4))
+    # __call__ keeps its exact-vector rule: a one-row stack is not a vector
+    with pytest.raises(ValueError):
+        fn(np.ones((1, 3)))
+    with pytest.raises(ValueError):
+        fn(2.0)
+
+
 def test_eval_spectral_domain_violation():
     fn = builtin("cond_vector_norm", 2)
     x = sym_from_matrix(SymMatrix(2), np.diag([1.0, -2.0]))
