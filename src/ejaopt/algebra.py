@@ -32,8 +32,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-#: Tolerance used by every predicate, scaled by (1 + operand norms); the
-#: certificates of ``orbit.certify`` scale it by the norms' product.
+#: Default tolerance of the library's verdicts; the commutation tests and
+#: ``orbit.certify`` scale it by the product of the operand norms.
 DEFAULT_TOL = 1e-9
 
 _SQRT2 = math.sqrt(2.0)
@@ -476,11 +476,6 @@ def is_simple(alg) -> bool:
     return alg._is_simple
 
 
-def factor_slices(alg):
-    """Coordinate slices of the factors (a single full slice if not a product)."""
-    return list(alg._slices)
-
-
 # ---------------------------------------------------------------------------
 # Elements
 
@@ -826,9 +821,12 @@ def operator_commutation_residual(a: Element, b: Element) -> float:
 
 
 def operator_commute(a: Element, b: Element, tol=DEFAULT_TOL) -> bool:
-    """L_a L_b = L_b L_a, i.e. a and b share some Jordan frame."""
+    """L_a L_b = L_b L_a, i.e. a and b share some Jordan frame.
+
+    Compares |[L_a, L_b]| with ``tol * |a| |b|``; verdicts do not depend on
+    units."""
     res = operator_commutation_residual(a, b)
-    return res <= tol * (1.0 + norm(a)) * (1.0 + norm(b))
+    return res <= tol * norm(a) * norm(b)
 
 
 def strong_commutation_gap(a: Element, b: Element) -> float:
@@ -841,26 +839,11 @@ def strongly_operator_commute(a: Element, b: Element, tol=DEFAULT_TOL) -> bool:
     """a, b share a frame with both eigenvalue lists in sorted order.
 
     Uses the frame-free characterization <a,b> = <lambda(a), lambda(b)>,
-    which is robust to repeated eigenvalues.
+    which is robust to repeated eigenvalues.  Compares the gap with
+    ``tol * |a| |b|``; verdicts do not depend on units.
     """
     gap = strong_commutation_gap(a, b)
-    return gap <= tol * (1.0 + norm(a) * norm(b))
-
-
-def derivation_commute_sym(a: Element, b: Element, tol=DEFAULT_TOL) -> bool:
-    """Derivation-space commutation test, symmetric matrices only.
-
-    Der(S^n) consists of commutators with skew-symmetric matrices, so
-    <Da, b> = 0 for every derivation D iff the plain matrix commutator
-    AB - BA vanishes.  Cross-check for :func:`operator_commute`.
-    """
-    _check_same(a, b)
-    if not isinstance(a.algebra, SymMatrix):
-        raise AlgebraError("derivation-space test is implemented for SymMatrix only")
-    A = sym_to_matrix(a)
-    B = sym_to_matrix(b)
-    res = float(np.linalg.norm(A @ B - B @ A))
-    return res <= tol * (1.0 + norm(a)) * (1.0 + norm(b))
+    return gap <= tol * norm(a) * norm(b)
 
 
 # ---------------------------------------------------------------------------

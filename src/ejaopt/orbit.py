@@ -280,15 +280,12 @@ def solve_orbit_global(problem: OrbitProblem) -> Solution:
 
     Minimization aligns the eigenvalues of b with those of a on a's frame;
     maximization anti-aligns them.  The optimal value is f(lam(b) - lam(a))
-    resp. f(lam(b) + lam(-a)) on sorted vectors.
+    resp. f(lam(b) + lam(-a)) on sorted vectors.  Weak orbits, of every
+    algebra, go to :func:`solve_weak_orbit_global`.
     """
     feas = problem.feasible
     if isinstance(feas, WeakOrbit):
-        if len(problem.algebra.factors) > 1:
-            raise SolverError(
-                "weak orbits of product algebras need solve_weak_orbit_global"
-            )
-        feas = EigenvalueOrbit(feas.b)
+        return solve_weak_orbit_global(problem)
     if not isinstance(feas, EigenvalueOrbit):
         raise SolverError("solve_orbit_global needs an eigenvalue-orbit problem")
     return _solve_aligned(problem, [eigenvalues(feas.b)])
@@ -731,24 +728,20 @@ def _assignment_optimum(alg, a_decs, assignment, fn, sense):
         paired, x = _align(dec, s, sense)
         diffs.append(s - paired)
         parts.append(x)
-    return fn(sort_desc(np.concatenate(diffs))), join(alg, parts)
+    # f is symmetric, so the differences it scores need not be sorted
+    return fn(np.concatenate(diffs)), join(alg, parts)
 
 
 def solve_weak_orbit_global(problem: OrbitProblem) -> Solution:
     """Global optimum of F(x - a) over the automorphism orbit of b.
 
-    For products the weak orbit is the union of ordered-assignment
-    sub-orbits of b's factor spectra; each sub-orbit optimum is the
-    per-factor alignment, and the best assignment wins.
+    The weak orbit is the union of ordered-assignment sub-orbits of b's
+    factor spectra; each sub-orbit optimum is the per-factor alignment, and
+    the best assignment wins.  One factor has one assignment, [b] itself.
     """
     feas = problem.feasible
     if not isinstance(feas, WeakOrbit):
         raise SolverError("solve_weak_orbit_global needs a weak-orbit problem")
-    if len(problem.algebra.factors) == 1:
-        return solve_orbit_global(
-            OrbitProblem(problem.algebra, problem.fn, problem.a,
-                         EigenvalueOrbit(feas.b), problem.sense)
-        )
     fn = problem.fn
     _require_strict(fn)
     _check_orbit_domain(fn, eigenvalues(feas.b), eigenvalues(problem.a))
@@ -756,10 +749,7 @@ def solve_weak_orbit_global(problem: OrbitProblem) -> Solution:
     best = None
     for assignment in _ordered_assignments(problem.algebra, _factor_spectra(feas.b)):
         value, x = _assignment_optimum(problem.algebra, a_decs, assignment, fn, problem.sense)
-        better = best is None or (
-            value < best[0] if problem.sense == "min" else value > best[0]
-        )
-        if better:
+        if best is None or (value < best[0] if problem.sense == "min" else value > best[0]):
             best = (value, x)
     value, x_star = best
     cert = certify(problem.a, x_star, problem.sense)
@@ -794,31 +784,13 @@ def counterexample_no_strong(alg, a: Element, b: Element, fn: SymmetricFunction)
     the orbit-wide minimum (over the full spectral set [b]) is attained at
     an aligned point.  ``is_counterexample`` is True when b's component
     optimum is strictly worse than the [b]-wide optimum and no optimizer
-    of that component strongly commutes with a.
+    of that component strongly commutes with a.  One factor gives the
+    single component [b], ``gap`` 0.0 and ``degenerate`` True.
     """
-    problem_full = OrbitProblem(alg, fn, a, EigenvalueOrbit(b), "min")
-    full = solve_orbit_global(problem_full)
-    if len(alg.factors) == 1:
-        comp = ComponentReport(
-            spectra=(tuple(float(v) for v in eigenvalues(b)),),
-            value=full.value,
-            optimizer=full.x_star,
-            certificate=full.certificate,
-            any_strong_commute=full.certificate.checks["strong_commute_with_a"],
-            contains_b=True,
-        )
-        return CounterexampleReport(
-            components=(comp,),
-            spectral_set_solution=full,
-            b_component_value=full.value,
-            gap=0.0,
-            is_counterexample=False,
-            degenerate=True,
-        )
+    full = solve_orbit_global(OrbitProblem(alg, fn, a, EigenvalueOrbit(b), "min"))
     a_decs = [spectral_decompose(p) for p in split(a)]
     b_key = _canonical_assignment(alg, _factor_spectra(b))
     comps = []
-    b_value = None
     for assignment in orbit_components(alg, b):
         best = None
         any_strong = False
@@ -829,9 +801,6 @@ def counterexample_no_strong(alg, a: Element, b: Element, fn: SymmetricFunction)
             if best is None or value < best[0]:
                 best = (value, x, cert)
         value, x, cert = best
-        contains_b = _canonical_assignment(alg, assignment) == b_key
-        if contains_b:
-            b_value = value
         comps.append(
             ComponentReport(
                 spectra=assignment,
@@ -839,18 +808,19 @@ def counterexample_no_strong(alg, a: Element, b: Element, fn: SymmetricFunction)
                 optimizer=x,
                 certificate=cert,
                 any_strong_commute=any_strong,
-                contains_b=contains_b,
+                contains_b=_canonical_assignment(alg, assignment) == b_key,
             )
         )
     b_comp = next(c for c in comps if c.contains_b)
-    gap = b_value - full.value
+    gap = b_comp.value - full.value
     scale = 1.0 + abs(full.value)
     return CounterexampleReport(
         components=tuple(comps),
         spectral_set_solution=full,
-        b_component_value=b_value,
+        b_component_value=b_comp.value,
         gap=gap,
         is_counterexample=bool(not b_comp.any_strong_commute and gap > 1e-9 * scale),
+        degenerate=len(alg.factors) == 1,
     )
 
 

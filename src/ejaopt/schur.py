@@ -30,8 +30,11 @@ class DomainError(ValueError):
     """Evaluation attempted outside the function's domain."""
 
 
+_TRUE = np.broadcast_to(True, ())  # read-only, shared by every single vector
+
+
 def _in_all(U) -> np.ndarray:
-    return np.ones(np.asarray(U).shape[:-1], dtype=bool)
+    return np.ones(np.shape(U)[:-1], dtype=bool) if np.ndim(U) > 1 else _TRUE
 
 
 def _in_positive(U) -> np.ndarray:

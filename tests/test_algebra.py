@@ -36,7 +36,6 @@ from ejaopt import (
 )
 from ejaopt.algebra import (
     _jacobi_symmetric,
-    derivation_commute_sym,
     identity_automorphism,
     validate_frame,
 )
@@ -493,21 +492,28 @@ def test_strong_commute_implies_operator_commute():
         assert operator_commute(a, b, tol=1e-8)
 
 
-def test_derivation_commute_crosscheck_sym():
+def test_matrix_commutator_crosscheck_sym():
+    # Der(S^n) consists of commutators with skew-symmetric matrices, so L_a
+    # and L_b commute iff the matrices do: |AB - BA| against the same
+    # tol |a| |b| must give operator_commute's verdict, at any scale
+    def matrix_commute(a, b, tol):
+        A, B = sym_to_matrix(a), sym_to_matrix(b)
+        return float(np.linalg.norm(A @ B - B @ A)) <= tol * norm(a) * norm(b)
+
     rng = np.random.default_rng(14)
     alg = SymMatrix(3)
     for _ in range(50):
         a = random_element(alg, rng)
         b = random_element(alg, rng)
-        assert derivation_commute_sym(a, b, tol=1e-8) == operator_commute(a, b, tol=1e-8)
+        assert matrix_commute(a, b, 1e-8) == operator_commute(a, b, tol=1e-8)
     frame = spectral_decompose(random_element(alg, rng)).frame
-    a = synthesize_from_frame(frame, [3.0, 1.0, -2.0], validate=False)
-    b = synthesize_from_frame(frame, [0.5, 4.0, 2.0], validate=False)
-    assert derivation_commute_sym(a, b)
-    with pytest.raises(AlgebraError):
-        derivation_commute_sym(
-            Element(RealDiagonal(2), [1.0, 2.0]), Element(RealDiagonal(2), [3.0, 4.0])
-        )
+    for eps in (0.0, 1e-14, 1e-3, 1.0):
+        for t in (1e-6, 1.0, 1e6):
+            a = t * synthesize_from_frame(frame, rng.standard_normal(3), validate=False)
+            b = synthesize_from_frame(frame, rng.standard_normal(3), validate=False)
+            b = t * (b + eps * random_element(alg, rng))
+            verdict = operator_commute(a, b, tol=1e-8)
+            assert verdict == matrix_commute(a, b, 1e-8) == (eps <= 1e-14), (eps, t)
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,17 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["not-a-command"])
     assert exc.value.code == 2
+    # each subcommand takes only the flags it acts on
+    for argv in (
+        ["solve", "p.json", "--tol", "1e-6"],
+        ["solve", "p.json", "--trials", "5"],
+        ["condition", "c.json", "--seed", "1"],
+        ["counterexample", "--seed", "1"],
+        ["counterexample", "--tol", "1e-6"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +108,9 @@ def test_solve_sqrt2(tmp_path, capsys):
     assert report["solution"]["value"] == pytest.approx(math.sqrt(2.0), abs=1e-9)
     assert report["solution"]["certificate"]["passed"] is True
     assert report["fn"] == "schatten_2"
+    # the certificate carries the tolerance it was computed at
+    assert "tol" not in report
+    assert report["solution"]["certificate"]["tol"] == 1e-9
 
 
 def test_solve_max_sense(tmp_path, capsys):
@@ -169,6 +183,8 @@ def test_condition_command(tmp_path, capsys):
     vals = sorted(p["value"] for p in report["pairings"])
     assert vals == pytest.approx([4.0 / 3.0, 2.5], abs=1e-12)
     assert report["optimum_condition_report"]["bounds_ok"] is True
+    assert "seed" not in report
+    assert report["feasibility_check"].startswith("exact:")
 
     code, out = run(capsys, ["condition", path, "--no-timestamp", "--format", "csv"])
     assert code == 0

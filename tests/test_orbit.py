@@ -25,6 +25,7 @@ from ejaopt import (
     eval_spectral,
     local_search_orbit,
     norm,
+    operator_commute,
     orbit_components,
     permutation_oracle,
     problem_from_dict,
@@ -38,6 +39,7 @@ from ejaopt import (
     solve_spectral_set_global,
     solve_weak_orbit_global,
     spectral_decompose,
+    strongly_operator_commute,
     sym_from_matrix,
     sym_to_matrix,
     synthesize_from_frame,
@@ -49,7 +51,7 @@ from ejaopt import orbit as orbit_module
 from ejaopt.algebra import Element, split, strong_commutation_gap
 from ejaopt.majorization import sort_desc
 from ejaopt.orbit import _brent_min, _RotationSearch
-from ejaopt.schur import SymmetricFunction
+from ejaopt.schur import SymmetricFunction, affine_compose
 
 EPS = np.finfo(float).eps
 S2 = SymMatrix(2)
@@ -775,7 +777,8 @@ def test_certify_gaps_equal_strong_commutation_gap():
 
 def test_certify_verdicts_do_not_depend_on_scale():
     # every residual is bilinear in (a, x) and so is the threshold: scaling
-    # both operands by t leaves each verdict as it is at t = 1
+    # both operands by t leaves each verdict as it is at t = 1, in certify
+    # and in both public predicates
     rng = np.random.default_rng(16)
     frame = spectral_decompose(random_element(SymMatrix(3), rng)).frame
     diag = [Element(RealDiagonal(3), np.eye(3)[i]) for i in range(3)]
@@ -791,8 +794,13 @@ def test_certify_verdicts_do_not_depend_on_scale():
             assert not cert.passed, (t, cert.residuals)
             assert cert.checks["operator_commute"] and cert.checks["strong_commute_with_neg_a"], t
             assert certify(a, anti, "max").passed, t
-        cert = certify(t * generic[0], t * generic[1], "min")
+            assert operator_commute(a, aligned) and operator_commute(a, anti), t
+            assert strongly_operator_commute(a, aligned), t
+            assert not strongly_operator_commute(a, anti), t
+        g0, g1 = t * generic[0], t * generic[1]
+        cert = certify(g0, g1, "min")
         assert not any(cert.checks.values()), (t, cert.residuals)
+        assert not operator_commute(g0, g1) and not strongly_operator_commute(g0, g1), t
 
 
 def test_certify_generic_pair_fails_everything():
@@ -861,8 +869,13 @@ def test_solve_weak_orbit_global_product():
     a = join(alg, [diag2(4, 3), diag2(2, 1)])
     b = join(alg, [diag2(4, 1), diag2(3, 2)])
     fn = builtin("schatten", 4, p=2)
-    sol = solve_weak_orbit_global(OrbitProblem(alg, fn, a, WeakOrbit(b), "min"))
+    problem = OrbitProblem(alg, fn, a, WeakOrbit(b), "min")
+    sol = solve_weak_orbit_global(problem)
     assert sol.value == pytest.approx(math.sqrt(6.0), abs=1e-12)
+    # every entry point solves a product weak orbit the same way
+    for other in (solve_orbit_global(problem), solve_problem(problem)):
+        assert other.value == sol.value
+        assert np.array_equal(other.x_star.coords, sol.x_star.coords)
     # orbit-wide (spectral set) minimum is strictly better
     full = solve_orbit_global(OrbitProblem(alg, fn, a, EigenvalueOrbit(b), "min"))
     assert full.value == pytest.approx(0.0, abs=1e-12)
@@ -907,13 +920,43 @@ def test_counterexample_a_equals_b_is_not_one():
 
 
 def test_counterexample_simple_algebra_degenerates():
+    # one factor: the single component is [b] itself, solved bit for bit
+    # like the eigenvalue orbit
     rng = np.random.default_rng(14)
-    alg = SymMatrix(3)
-    rep = counterexample_no_strong(
-        alg, random_element(alg, rng), random_element(alg, rng), builtin("schatten", 3, p=2)
-    )
-    assert rep.degenerate and not rep.is_counterexample
-    assert rep.gap == pytest.approx(0.0)
+    for alg in (SymMatrix(3), RealDiagonal(3), SpinFactor(5)):
+        a, b = random_element(alg, rng), random_element(alg, rng)
+        fn = builtin("schatten", alg.rank, p=2)
+        rep = counterexample_no_strong(alg, a, b, fn)
+        assert rep.degenerate and not rep.is_counterexample
+        assert rep.gap == 0.0
+        (comp,) = rep.components
+        full = solve_orbit_global(OrbitProblem(alg, fn, a, EigenvalueOrbit(b), "min"))
+        assert comp.contains_b and comp.value == full.value == rep.b_component_value
+        assert np.array_equal(comp.optimizer.coords, full.x_star.coords)
+        assert comp.certificate.residuals == full.certificate.residuals
+
+
+def test_weak_orbit_of_one_factor_algebra_is_the_eigenvalue_orbit():
+    # a one-factor algebra takes the product code with a single assignment,
+    # which must do exactly the arithmetic of the eigenvalue-orbit solver
+    rng = np.random.default_rng(22)
+    algs = (RealDiagonal(1), RealDiagonal(3), SymMatrix(1), SymMatrix(2), SymMatrix(4),
+            SpinFactor(3), SpinFactor(6))
+    for alg in algs:
+        n = alg.rank
+        cond = builtin("cond_vector_norm", n)
+        fns = (builtin("schatten", n, p=2), builtin("schatten", n, p=3.5),
+               builtin("squared_norm", n), builtin("spread_vector_norm", n),
+               cond, affine_compose(cond, scale=2.0, shift=0.5))
+        for fn, sense, _ in itertools.product(fns, ("min", "max"), range(3)):
+            a = random_element(alg, rng)
+            # lambda_n(b) > |a| >= lambda_1(a): every x - a is positive
+            b = sample_pos(alg, rng) + norm(a) * unit(alg)
+            weak = solve_weak_orbit_global(OrbitProblem(alg, fn, a, WeakOrbit(b), sense))
+            full = solve_orbit_global(OrbitProblem(alg, fn, a, EigenvalueOrbit(b), sense))
+            assert weak.value == full.value, (alg, fn.id, sense)
+            assert np.array_equal(weak.x_star.coords, full.x_star.coords)
+            assert weak.certificate.residuals == full.certificate.residuals
 
 
 # ---------------------------------------------------------------------------
