@@ -122,9 +122,6 @@ class RealDiagonal(_Kind):
     def _unit(self):
         return np.ones(self.n)
 
-    def _identity_auto(self):
-        return np.arange(self.n)
-
     def _apply_auto(self, perm, u):
         return u[perm]
 
@@ -194,9 +191,6 @@ class SymMatrix(_Kind):
         c = np.zeros(self.dim)
         c[: self.n] = 1.0
         return c
-
-    def _identity_auto(self):
-        return np.eye(self.n)
 
     def _apply_auto(self, Q, u):
         M = _mat_from_sym_coords(self.n, u)
@@ -286,9 +280,6 @@ class SpinFactor(_Kind):
         c = np.zeros(self.d)
         c[0] = 1.0
         return c
-
-    def _identity_auto(self):
-        return np.eye(self.d - 1)
 
     def _apply_auto(self, Q, u):
         out = np.empty(self.d)
@@ -409,10 +400,6 @@ class ProductAlgebra:
 
     def _unit(self):
         return np.concatenate([f._unit() for f in self.factors])
-
-    def _identity_auto(self):
-        autos = tuple(Automorphism(f, f._identity_auto()) for f in self.factors)
-        return autos, tuple(range(len(self.factors)))
 
     def _apply_auto(self, data, u):
         autos, src = data
@@ -732,7 +719,7 @@ def spectral_decompose(x: Element) -> SpectralDecomposition:
     return SpectralDecomposition(vals, tuple(Element(alg, c) for c in frame))
 
 
-def synthesize_from_frame(frame, coeffs, tol=1e-8, validate=True) -> Element:
+def synthesize_from_frame(frame, coeffs, validate=True) -> Element:
     """sum_i coeffs[i] * frame[i]; the eigenvalues are the sorted coeffs."""
     frame = tuple(frame)
     alg = frame[0].algebra
@@ -742,7 +729,7 @@ def synthesize_from_frame(frame, coeffs, tol=1e-8, validate=True) -> Element:
     if len(frame) != alg.rank:
         raise AlgebraError("frame size does not match algebra rank")
     if validate:
-        validate_frame(frame, tol=tol)
+        validate_frame(frame)
     out = np.zeros(alg.dim)
     for c, member in zip(coeffs, frame):
         out += c * member.coords
@@ -789,18 +776,19 @@ def l_operator(x: Element) -> np.ndarray:
     return L
 
 
-def peirce_project(p: Element, x: Element, tol=1e-8):
+def peirce_project(p: Element, x: Element):
     """Peirce projections of x for the idempotent p.
 
     Returns (x1, x0, xhalf), the components in the eigenspaces of L_p for
     eigenvalues 1, 0, 1/2.  Uses the exact polynomial projections
     2t^2 - t, 1 - 3t + 2t^2, 4t - 4t^2 evaluated on L_p, so no eigensolve
-    is involved.
+    is involved.  Raises AlgebraError when p is not an idempotent to
+    within 1e-8 (relative to 1 + |p|^2).
     """
     _check_same(p, x)
     alg = p.algebra
     psq = alg._product(p.coords, p.coords)
-    if math.sqrt(alg._inner(psq - p.coords, psq - p.coords)) > tol * (
+    if math.sqrt(alg._inner(psq - p.coords, psq - p.coords)) > 1e-8 * (
         1.0 + alg._inner(p.coords, p.coords)
     ):
         raise AlgebraError("p is not an idempotent within tolerance")
@@ -863,10 +851,6 @@ class Automorphism:
 
     algebra: object
     data: object
-
-
-def identity_automorphism(alg) -> Automorphism:
-    return Automorphism(alg, alg._identity_auto())
 
 
 def apply_automorphism(auto: Automorphism, x: Element) -> Element:
@@ -935,7 +919,7 @@ def element_from_dict(d, algebra=None) -> Element:
         if M.shape != (algebra.n, algebra.n):
             raise AlgebraError(f"matrix shape {M.shape} does not match n={algebra.n}")
         asym = np.linalg.norm(M - M.T)
-        if asym > 1e-8 * (1.0 + np.linalg.norm(M)):
+        if asym > 1e-8 * np.linalg.norm(M):
             raise AlgebraError(f"matrix asymmetry {asym:.3e} beyond tolerance")
         return sym_from_matrix(algebra, 0.5 * (M + M.T))
     if "coords" not in d:

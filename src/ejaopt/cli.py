@@ -103,12 +103,17 @@ def dumps_report(obj) -> str:
 _CSV_COLUMNS = ("case_id", "algebra", "fn", "sense", "value", "cert_kind", "cert_pass", "residual")
 
 
+def _row(*cells) -> dict:
+    """A CSV row: one cell per name of ``_CSV_COLUMNS``, in that order."""
+    return dict(zip(_CSV_COLUMNS, cells, strict=True))
+
+
 def _csv_from_rows(rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
     for row in rows:
-        writer.writerow([_cell(row.get(c, "")) for c in _CSV_COLUMNS])
+        writer.writerow([_cell(row[c]) for c in _CSV_COLUMNS])
     return buf.getvalue()
 
 
@@ -169,16 +174,7 @@ def _solution_doc(sol) -> dict:
 def cmd_verify(args) -> int:
     report = run_verify(args.seed, args.trials, args.tol)
     rows = [
-        {
-            "case_id": r["suite"],
-            "algebra": r["algebra"],
-            "fn": "",
-            "sense": "",
-            "value": float(r["failures"]),
-            "cert_kind": "",
-            "cert_pass": r["passed"],
-            "residual": r["worst_residual"],
-        }
+        _row(r["suite"], r["algebra"], "", "", float(r["failures"]), "", r["passed"], r["worst_residual"])
         for r in report["suites"]
     ]
     _finish(report, rows, args)
@@ -206,6 +202,7 @@ def cmd_solve(args) -> int:
     except (ValueError, TypeError) as exc:
         raise _Usage(f"bad problem file: {exc}")
     solution = solve_problem(problem)
+    alg_id = json.dumps(doc["algebra"], sort_keys=True)
     report = {
         "command": "solve",
         "seed": args.seed,
@@ -213,19 +210,14 @@ def cmd_solve(args) -> int:
         "sense": problem.sense,
         "solution": _solution_doc(solution),
     }
+    cert = solution.certificate
     rows = [
-        {
-            "case_id": "closed_form",
-            "algebra": json.dumps(doc["algebra"], sort_keys=True),
-            "fn": problem.fn.id,
-            "sense": problem.sense,
-            "value": solution.value,
-            "cert_kind": solution.certificate.kind,
-            "cert_pass": solution.certificate.passed,
-            "residual": solution.certificate.residuals["inner_gap_a" if problem.sense == "min" else "inner_gap_neg_a"],
-        }
+        _row(
+            "closed_form", alg_id, problem.fn.id, problem.sense, solution.value, cert.kind, cert.passed,
+            cert.residuals["inner_gap_a" if problem.sense == "min" else "inner_gap_neg_a"],
+        )
     ]
-    if args.local_search > 0:
+    if args.local_search:
         if not isinstance(problem.feasible, (EigenvalueOrbit, WeakOrbit)):
             raise _Usage("--local-search needs an orbit problem")
         rng = np.random.default_rng(args.seed)
@@ -252,16 +244,10 @@ def cmd_solve(args) -> int:
                 }
             )
             rows.append(
-                {
-                    "case_id": f"local_search_{i}",
-                    "algebra": json.dumps(doc["algebra"], sort_keys=True),
-                    "fn": problem.fn.id,
-                    "sense": problem.sense,
-                    "value": sol.value,
-                    "cert_kind": sol.certificate.kind,
-                    "cert_pass": sol.certificate.passed,
-                    "residual": gap,
-                }
+                _row(
+                    f"local_search_{i}", alg_id, problem.fn.id, problem.sense, sol.value,
+                    sol.certificate.kind, sol.certificate.passed, gap,
+                )
             )
         report["local_search"] = {
             "starts": args.local_search,
@@ -283,8 +269,9 @@ def cmd_condition(args) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         raise _Usage(f"bad condition problem file: {exc}")
     solution = minimize_condition_norm_orbit(b, a, tol=args.tol)
-    opt_report = condition_report(solution.x_star + a)
+    opt_report = condition_report(solution.x_star + a, tol=args.tol)
     fn = builtin("cond_vector_norm", alg.rank)
+    alg_id = json.dumps(doc["algebra"], sort_keys=True)
     lam_b = eigenvalues(b)
     lam_a = eigenvalues(a)
     pairings = []
@@ -294,18 +281,8 @@ def cmd_condition(args) -> int:
         kept, vals = _pairings(fn, lam_b, -lam_a)
         for perm, val in zip(_all_permutations(alg.rank)[kept].tolist(), vals.tolist()):
             pairings.append({"pairing": perm, "value": val})
-            rows.append(
-                {
-                    "case_id": "pairing_" + "".join(str(i) for i in perm),
-                    "algebra": json.dumps(doc["algebra"], sort_keys=True),
-                    "fn": fn.id,
-                    "sense": "min",
-                    "value": val,
-                    "cert_kind": "",
-                    "cert_pass": "",
-                    "residual": val - solution.value,
-                }
-            )
+            case_id = "pairing_" + "".join(str(i) for i in perm)
+            rows.append(_row(case_id, alg_id, fn.id, "min", val, "", "", val - solution.value))
     report = {
         "command": "condition",
         "tol": args.tol,
@@ -359,7 +336,7 @@ def cmd_counterexample(args) -> int:
         "is_counterexample": rep.is_counterexample,
     }
     if rep.degenerate:
-        verdicts = {"is_counterexample": False, "degenerate_simple_algebra": True}
+        verdicts = {"is_counterexample": False}
     report = {
         "command": "counterexample",
         "fn": fn.id,
@@ -382,16 +359,10 @@ def cmd_counterexample(args) -> int:
         "verdicts": verdicts,
     }
     rows = [
-        {
-            "case_id": f"component_{i}",
-            "algebra": "product",
-            "fn": fn.id,
-            "sense": "min",
-            "value": c.value,
-            "cert_kind": c.certificate.kind,
-            "cert_pass": c.certificate.passed,
-            "residual": c.certificate.residuals["inner_gap_a"],
-        }
+        _row(
+            f"component_{i}", "product", fn.id, "min", c.value, c.certificate.kind, c.certificate.passed,
+            c.certificate.residuals["inner_gap_a"],
+        )
         for i, c in enumerate(rep.components)
     ]
     _finish(report, rows, args)
@@ -423,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve a problem file")
     p.add_argument("input", metavar="FILE")
-    p.add_argument("--local-search", type=int, default=0, metavar="N")
+    p.add_argument("--local-search", type=_positive(int), default=0, metavar="N")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     _output(p)
 

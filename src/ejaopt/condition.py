@@ -23,7 +23,7 @@ import numpy as np
 
 from .algebra import DEFAULT_TOL, Element, eigenvalues, spectral_decompose
 from .orbit import InfeasibleError, Solution, _align, certify
-from .schur import DomainError, phi_ratios
+from .schur import phi_ratios
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,10 +41,8 @@ class ConditionReport:
 
 def phi(u) -> np.ndarray:
     """phi(u) = (u_1/u_n, u_2/u_{n-1}, ...) on the sorted vector, length
-    floor(n/2); the condition vector of u read as a spectrum."""
-    u = np.asarray(u, dtype=float)
-    if np.any(u <= 0.0):
-        raise DomainError("phi needs strictly positive entries")
+    floor(n/2); the condition vector of u read as a spectrum.  Raises
+    DomainError unless every entry is positive."""
     return phi_ratios(u)
 
 

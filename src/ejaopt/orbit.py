@@ -344,7 +344,7 @@ def rotation_generator(frame, j: int, k: int, toward: Element | None = None):
     return None if w is None else Element(alg, w)
 
 
-def rotation_curve(frame, j: int, k: int, beta_j: float, beta_k: float, w: Element, theta: float, tol=1e-8) -> Element:
+def rotation_curve(frame, j: int, k: int, beta_j: float, beta_k: float, w: Element, theta: float) -> Element:
     """The rank-2 rotation curve beta_j e_j(theta) + beta_k e_k(theta).
 
     e_j(theta) = cos^2 e_j + cos sin w + sin^2 e_k and e_k(theta) is its
@@ -358,11 +358,12 @@ def rotation_curve(frame, j: int, k: int, beta_j: float, beta_k: float, w: Eleme
         raise ValueError("need two distinct frame members")
     ej, ek = frame[j], frame[k]
     scale = 1.0 + norm(w)
-    if abs(inner(w, w) - 2.0) > tol * scale * scale:
+    thr = 1e-8 * scale
+    if abs(inner(w, w) - 2.0) > thr * scale:
         raise AlgebraError("invalid rotation generator: |w|^2 != 2")
     for e in (ej, ek):
         resid = jordan_product(e, w) - 0.5 * w
-        if norm(resid) > tol * scale:
+        if norm(resid) > thr:
             raise AlgebraError("invalid rotation generator: not in both half spaces")
     block = np.array([ej.coords, w.coords, ek.coords])
     return Element(ej.algebra, _curve(beta_j, beta_k, theta) @ block)
@@ -372,33 +373,27 @@ def rotation_curve(frame, j: int, k: int, beta_j: float, beta_k: float, w: Eleme
 # Local search over pairwise rotation curves
 
 
-@dataclass(frozen=True)
-class SearchParams:
-    """Knobs of the rotation-curve search.
-
-    Each line search scores ``scan_points`` angles evenly spaced on
-    (-pi/2 + bracket_delta, pi/2 - bracket_delta) in one stacked objective
-    call, takes angle 0 at the current value, then refines the best one
-    with Brent's method on the bracket between its scan neighbours;
-    ``golden_iters`` caps the refinement steps (scalar objective calls),
-    which usually stop well before it.
-
-    ``tol`` is the certificate tolerance for the returned solution.  It is
-    looser than the library default because sweep convergence is measured
-    on objective improvement: near an optimum the residual misalignment
-    scales like the square root of the improvement threshold, so demanding
-    commutation residuals at 1e-9 from a value-converged iterate is not
-    justified; 1e-6 is.
-    """
-
-    max_sweeps: int = 500
-    golden_iters: int = 60
-    scan_points: int = 12
-    bracket_delta: float = 1e-6
-    eps_sweep: float = 1e-11
-    accept_tol: float = 1e-14
-    tol: float = 1e-6
-
+# Knobs of the rotation-curve search.  Each line search scores
+# _SCAN_POINTS angles evenly spaced on
+# (-pi/2 + _BRACKET_DELTA, pi/2 - _BRACKET_DELTA) in one stacked objective
+# call, takes angle 0 at the current value, then refines the best one with
+# Brent's method on the bracket between its scan neighbours; _BRENT_ITERS
+# caps the refinement steps (scalar objective calls), which usually stop
+# well before it.
+#
+# _SEARCH_TOL is the certificate tolerance of the returned solution.  It
+# is looser than the library default because sweep convergence is measured
+# on objective improvement: near an optimum the residual misalignment
+# scales like the square root of the improvement threshold, so demanding
+# commutation residuals at 1e-9 from a value-converged iterate is not
+# justified; 1e-6 is.
+_MAX_SWEEPS = 500
+_BRENT_ITERS = 60
+_SCAN_POINTS = 12
+_BRACKET_DELTA = 1e-6
+_EPS_SWEEP = 1e-11
+_ACCEPT_TOL = 1e-14
+_SEARCH_TOL = 1e-6
 
 _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
@@ -461,7 +456,7 @@ def _brent_min(g, a, b, x, fx, iters):
     return x, fx
 
 
-def _line_search(g, g0: float, lo: float, hi: float, params: SearchParams):
+def _line_search(g, g0: float, lo: float, hi: float):
     """Coarse scan then Brent refinement of g over [lo, hi].
 
     ``g`` maps an angle to a float and an array of angles to an array of
@@ -472,14 +467,14 @@ def _line_search(g, g0: float, lo: float, hi: float, params: SearchParams):
     on the bracket between that point's scan neighbours, and never returns
     a worse value.
     """
-    xs = np.sort(np.append(np.linspace(lo, hi, params.scan_points), 0.0))
+    xs = np.sort(np.append(np.linspace(lo, hi, _SCAN_POINTS), 0.0))
     vals = np.full(len(xs), g0)
     off = xs != 0.0
     vals[off] = g(xs[off])
     m = int(np.argmin(vals))
     bl = float(xs[max(m - 1, 0)])
     br = float(xs[min(m + 1, len(xs) - 1)])
-    return _brent_min(g, bl, br, float(xs[m]), float(vals[m]), params.golden_iters)
+    return _brent_min(g, bl, br, float(xs[m]), float(vals[m]), _BRENT_ITERS)
 
 
 class _RotationSearch:
@@ -543,17 +538,19 @@ class _RotationSearch:
         return Element(self.alg, self.beta @ self.frame)
 
 
-def local_search_orbit(problem: OrbitProblem, x0: Element, params: SearchParams | None = None) -> Solution:
+def local_search_orbit(problem: OrbitProblem, x0: Element) -> Solution:
     """Pairwise-rotation descent (ascent for max) over the orbit of b.
 
-    Each sweep refreshes a Jordan frame of the current iterate and, for
-    every frame pair admitting a rotation generator, line-searches the
-    rotation angle on (-pi/2, pi/2).  Accepted steps are monotone.  Stops
-    when a full sweep improves less than ``eps_sweep`` (relative) or the
-    sweep cap is hit, in which case the best-so-far point is returned
-    flagged as non-converged.
+    The first sweep runs on the Jordan frames decomposed from x0; each
+    later sweep refreshes the frames of the current iterate.  A sweep
+    line-searches the rotation angle on (-pi/2, pi/2) of every frame pair
+    admitting a rotation generator and accepts a step only when it
+    improves the value by more than ``_ACCEPT_TOL`` (relative), so the
+    steps are monotone.  Stops when a full sweep improves by at most
+    ``_EPS_SWEEP`` (relative), or after ``_MAX_SWEEPS`` sweeps, in which
+    case the best-so-far point is returned flagged as non-converged.  The
+    certificate is taken at ``_SEARCH_TOL``.
     """
-    params = params or SearchParams()
     feas = problem.feasible
     if not isinstance(feas, (EigenvalueOrbit, WeakOrbit)):
         raise SolverError("local search needs an orbit problem")
@@ -579,13 +576,13 @@ def local_search_orbit(problem: OrbitProblem, x0: Element, params: SearchParams 
     def signed_value():
         return sense_mult * fn(np.concatenate([st.lam() for st in states]))
 
-    lo = -math.pi / 2.0 + params.bracket_delta
-    hi = math.pi / 2.0 - params.bracket_delta
+    lo = -math.pi / 2.0 + _BRACKET_DELTA
+    hi = math.pi / 2.0 - _BRACKET_DELTA
     cur = signed_value()
     trace = [(0, sense_mult * cur)]
     converged = False
     sweeps = 0
-    for _sweep in range(params.max_sweeps):
+    for _sweep in range(_MAX_SWEEPS):
         sweeps += 1
         start = cur
         if sweeps > 1:
@@ -608,17 +605,17 @@ def local_search_orbit(problem: OrbitProblem, x0: Element, params: SearchParams 
                     rows = [np.broadcast_to(o, (len(lam), len(o))) for o in other]
                     return sense_mult * fn._values(np.concatenate(rows + [lam], axis=1))
 
-                theta, gval = _line_search(g, cur, lo, hi, params)
-                if gval < cur - params.accept_tol * (1.0 + abs(cur)):
+                theta, gval = _line_search(g, cur, lo, hi)
+                if gval < cur - _ACCEPT_TOL * (1.0 + abs(cur)):
                     st.apply(j, k, block, theta)
                     cur = gval
         trace.append((sweeps, sense_mult * cur))
-        if start - cur <= params.eps_sweep * (1.0 + abs(cur)):
+        if start - cur <= _EPS_SWEEP * (1.0 + abs(cur)):
             converged = True
             break
     x_final = join(problem.algebra, [st.x_element() for st in states])
     value = eval_spectral(fn, x_final - problem.a)
-    cert = certify(problem.a, x_final, problem.sense, tol=params.tol)
+    cert = certify(problem.a, x_final, problem.sense, tol=_SEARCH_TOL)
     return Solution(
         x_star=x_final,
         value=value,
@@ -675,12 +672,16 @@ def weak_orbit_reps(alg, b: Element):
     return reps
 
 
-def orbit_components(alg, b: Element, cap: int = 20000):
+_MAX_PARTITIONS = 20000
+
+
+def orbit_components(alg, b: Element):
     """Weak-orbit components of the eigenvalue orbit [b] of a product.
 
     Each component is an assignment of the full eigenvalue multiset of b
     to the factors (canonicalized within groups of identical factors).
-    For non-products there is a single component.
+    For non-products there is a single component.  Raises ValueError
+    beyond ``_MAX_PARTITIONS`` eigenvalue partitions.
     """
     vals = [float(v) for v in eigenvalues(b)]
     sizes = [f.rank for f in alg.factors]
@@ -689,8 +690,8 @@ def orbit_components(alg, b: Element, cap: int = 20000):
     for s in sizes:
         count *= math.comb(rem, s)
         rem -= s
-    if count > cap:
-        raise ValueError(f"too many eigenvalue partitions ({count} > {cap})")
+    if count > _MAX_PARTITIONS:
+        raise ValueError(f"too many eigenvalue partitions ({count} > {_MAX_PARTITIONS})")
 
     def _partitions(indices, sizes):
         # enumerate everything; value-level dedup below removes repeats

@@ -244,31 +244,34 @@ class StrictnessReport:
     min_margin: float  # min over trials of f(v) - f(u)
 
 
-def _sample_in_domain(fn: SymmetricFunction, rng, cap=100) -> np.ndarray:
-    for _ in range(cap):
+_MAX_RESAMPLE = 100  # draws per domain sample and per strict pair
+
+
+def _sample_in_domain(fn: SymmetricFunction, rng) -> np.ndarray:
+    for _ in range(_MAX_RESAMPLE):
         if fn.domain == "positive":
             v = np.exp(rng.standard_normal(fn.arity))
         else:
             v = rng.standard_normal(fn.arity)
         if bool(fn.in_domain(v)):
             return v
-    raise DomainError(f"{fn.id}: could not sample the domain in {cap} attempts")
+    raise DomainError(f"{fn.id}: could not sample the domain in {_MAX_RESAMPLE} attempts")
 
 
-def check_strict_schur_convex(fn: SymmetricFunction, rng, trials=1000, max_resample=100) -> StrictnessReport:
+def check_strict_schur_convex(fn: SymmetricFunction, rng, trials=1000) -> StrictnessReport:
     """Falsify strict Schur-convexity on random strict majorization pairs.
 
     Samples v in the domain, builds u strictly majorized by v via one to
     three composed t-transforms (which stay inside the positive orthant),
     and checks f(u) < f(v).  Domain-escaping or non-strict samples are
-    discarded and resampled, with a cap.
+    discarded and resampled, at most ``_MAX_RESAMPLE`` times.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     violations = []
     min_margin = np.inf
     for _ in range(trials):
-        for _attempt in range(max_resample):
+        for _attempt in range(_MAX_RESAMPLE):
             v = _sample_in_domain(fn, rng)
             u = v
             for _k in range(int(rng.integers(1, 4))):

@@ -179,7 +179,10 @@ def _strong_equivalence_residuals(a, b):
     return ra, rb, rc
 
 
-def suite_strong_commutation_equivalence(alg, rng, trials, tol, generic_tol=1e-7):
+_GENERIC_TOL = 1e-7  # classifies the generic pairs of suite_strong_commutation_equivalence
+
+
+def suite_strong_commutation_equivalence(alg, rng, trials, tol):
     """Constructed strongly-commuting pairs satisfy the eigenvalue
     identities; on generic pairs the three characterizations agree.
 
@@ -209,15 +212,15 @@ def suite_strong_commutation_equivalence(alg, rng, trials, tol, generic_tol=1e-7
             a = random_element(alg, rng)
             b = random_element(alg, rng)
             resid = _strong_equivalence_residuals(a, b)
-            decisive_true = all(r <= 1e-3 * generic_tol for r in resid)
-            decisive_false = all(r > generic_tol for r in resid)
+            decisive_true = all(r <= 1e-3 * _GENERIC_TOL for r in resid)
+            decisive_false = all(r > _GENERIC_TOL for r in resid)
             if decisive_true or decisive_false:
                 break
             resampled += 1
         else:
             failures += 1
             continue
-        bools = [r <= generic_tol for r in resid]
+        bools = [r <= _GENERIC_TOL for r in resid]
         if not (bools[0] == bools[1] == bools[2]):
             disagreements += 1
             failures += 1

@@ -36,7 +36,6 @@ from ejaopt import (
 )
 from ejaopt.algebra import (
     _jacobi_symmetric,
-    identity_automorphism,
     validate_frame,
 )
 
@@ -569,13 +568,6 @@ def test_automorphisms_preserve_product():
             assert norm(lhs - rhs) <= 1e-9 * (1 + norm(x)) * (1 + norm(y))
 
 
-def test_identity_automorphism():
-    rng = np.random.default_rng(17)
-    for alg in KINDS:
-        x = random_element(alg, rng)
-        assert norm(apply_automorphism(identity_automorphism(alg), x) - x) <= 1e-14
-
-
 def test_product_automorphism_swaps_only_isomorphic_factors():
     rng = np.random.default_rng(18)
     alg = product_algebra(SymMatrix(2), SpinFactor(3))
@@ -611,6 +603,21 @@ def test_matrix_loader_symmetrizes():
     bad = {"algebra": {"kind": "sym", "n": 2}, "matrix": [[1.0, 2.0], [0.5, 3.0]]}
     with pytest.raises(AlgebraError):
         element_from_dict(bad)
+
+
+def test_matrix_loader_asymmetry_check_is_scale_free():
+    # relative asymmetry 0.58 is rejected and 1.2e-10 symmetrized at every scale
+    skew = np.array([[1.0, 1.0], [0.0, 1.0]])
+    near = np.array([[1.0, 2.0 + 5e-10], [2.0, 3.0]])
+    for e in range(-12, 13):
+        t = 10.0**e
+        with pytest.raises(AlgebraError):
+            element_from_dict({"algebra": {"kind": "sym", "n": 2}, "matrix": (t * skew).tolist()})
+        x = element_from_dict({"algebra": {"kind": "sym", "n": 2}, "matrix": (t * near).tolist()})
+        np.testing.assert_allclose(sym_to_matrix(x), 0.5 * t * (near + near.T), rtol=1e-15)
+    for m in ([[0.0, 0.0], [0.0, 0.0]], [[1e-300, 2e-300], [2e-300, 0.0]]):
+        x = element_from_dict({"algebra": {"kind": "sym", "n": 2}, "matrix": m})
+        np.testing.assert_allclose(sym_to_matrix(x), m, rtol=1e-15, atol=0.0)
 
 
 def test_bad_documents_raise():

@@ -90,6 +90,8 @@ def test_usage_errors_exit_2(capsys):
         ["condition", "c.json", "--seed", "1"],
         ["counterexample", "--seed", "1"],
         ["counterexample", "--tol", "1e-6"],
+        ["solve", "p.json", "--local-search", "-2"],
+        ["solve", "p.json", "--local-search", "0"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -191,6 +193,22 @@ def test_condition_command(tmp_path, capsys):
     assert out.splitlines()[0] == "case_id,algebra,fn,sense,value,cert_kind,cert_pass,residual"
 
 
+def test_condition_tol_reaches_the_optimum_report(tmp_path, capsys):
+    # the orbit is feasible at --tol 1e-12 (lambda_n(b) + lambda_n(a) = 5e-10),
+    # and the report on the optimum takes the same margin
+    doc = {
+        "algebra": {"kind": "sym", "n": 2},
+        "a": {"matrix": [[5e-10, 0], [0, 5e-10]]},
+        "feasible": {"orbit_of": {"matrix": [[1, 0], [0, 0]]}},
+    }
+    path = write(tmp_path, "c.json", doc)
+    code, out = run(capsys, ["condition", path, "--no-timestamp", "--tol", "1e-12"])
+    assert code == 0
+    assert json.loads(out)["optimum_condition_report"]["bounds_ok"] is True
+    code, _ = run(capsys, ["condition", path, "--no-timestamp"])
+    assert code == 3
+
+
 def test_condition_infeasible_exit_3(tmp_path, capsys):
     doc = {
         "algebra": {"kind": "sym", "n": 2},
@@ -233,17 +251,21 @@ def test_counterexample_modified_instance_flagged(tmp_path, capsys):
 
 
 def test_counterexample_simple_algebra_warns(tmp_path, capsys):
-    doc = {
-        "algebra": {"kind": "sym", "n": 2},
-        "a": {"matrix": [[2.0, 0.0], [0.0, 1.0]]},
-        "b": {"matrix": [[3.0, 0.0], [0.0, 0.0]]},
-    }
-    path = write(tmp_path, "cx.json", doc)
-    code, out = run(capsys, ["counterexample", "--input", path, "--no-timestamp"])
-    assert code == 1
-    report = json.loads(out)
-    assert report["degenerate"] is True
-    assert report["verdicts"]["degenerate_simple_algebra"] is True
+    # one factor: "degenerate" says so, whether or not the algebra is simple
+    for doc in (
+        {
+            "algebra": {"kind": "sym", "n": 2},
+            "a": {"matrix": [[2.0, 0.0], [0.0, 1.0]]},
+            "b": {"matrix": [[3.0, 0.0], [0.0, 0.0]]},
+        },
+        {"algebra": {"kind": "diag", "n": 3}, "a": {"coords": [3.0, 2.0, 1.0]}, "b": {"coords": [1.0, 5.0, 2.0]}},
+    ):
+        path = write(tmp_path, "cx.json", doc)
+        code, out = run(capsys, ["counterexample", "--input", path, "--no-timestamp"])
+        assert code == 1
+        report = json.loads(out)
+        assert report["degenerate"] is True
+        assert report["verdicts"] == {"is_counterexample": False}
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from ejaopt import (
     InfeasibleError,
     OrbitProblem,
     RealDiagonal,
-    SearchParams,
     SolverError,
     SpinFactor,
     SymMatrix,
@@ -585,8 +584,8 @@ def test_line_search_scan_scores_like_scalar_calls(monkeypatch):
     line_search = orbit_module._line_search
     scans = []
 
-    def checking(g, g0, lo, hi, params):
-        thetas = np.linspace(lo, hi, params.scan_points)
+    def checking(g, g0, lo, hi):
+        thetas = np.linspace(lo, hi, orbit_module._SCAN_POINTS)
         stacked = g(thetas)
         assert stacked.shape == thetas.shape
         for theta, v in zip(thetas, stacked):
@@ -594,7 +593,7 @@ def test_line_search_scan_scores_like_scalar_calls(monkeypatch):
             assert isinstance(scalar, float)
             assert abs(v - scalar) <= 16 * EPS * (1.0 + abs(scalar)), (v, scalar)
         scans.append(1)
-        return line_search(g, g0, lo, hi, params)
+        return line_search(g, g0, lo, hi)
 
     monkeypatch.setattr(orbit_module, "_line_search", checking)
     rng = np.random.default_rng(33)
@@ -647,7 +646,8 @@ def test_local_search_agrees_with_global():
                 assert sol.certificate.residuals["inner_gap_a"] <= 1e-6
 
 
-def test_local_search_sweep_cap_flag():
+def test_local_search_sweep_cap_flag(monkeypatch):
+    monkeypatch.setattr(orbit_module, "_MAX_SWEEPS", 1)
     rng = np.random.default_rng(10)
     alg = SymMatrix(3)
     fn = builtin("schatten", 3, p=4)
@@ -655,7 +655,7 @@ def test_local_search_sweep_cap_flag():
     b = random_element(alg, rng)
     problem = OrbitProblem(alg, fn, a, EigenvalueOrbit(b), "min")
     x0 = apply_automorphism(random_automorphism(alg, rng), b)
-    sol = local_search_orbit(problem, x0, SearchParams(max_sweeps=1))
+    sol = local_search_orbit(problem, x0)
     assert sol.iterations == 1
     if not sol.converged:
         assert sol.value >= solve_orbit_global(problem).value - 1e-9
