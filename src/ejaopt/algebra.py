@@ -319,7 +319,7 @@ class SpinFactor(_Kind):
         result is projected once more ("twice is enough", Kahan's rule for
         Gram-Schmidt; Parlett, *The Symmetric Eigenvalue Problem*)."""
         z = None if toward is None else toward - (toward @ u) * u
-        if z is None or np.linalg.norm(z) <= 1e-12 * (1.0 + np.linalg.norm(toward)):
+        if z is None or np.linalg.norm(z) <= 1e-12 * np.linalg.norm(toward):
             z = np.zeros(len(u))
             z[int(np.argmin(np.abs(u)))] = 1.0
             z = z - (z @ u) * u

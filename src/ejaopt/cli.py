@@ -32,6 +32,7 @@ from .algebra import (
     AlgebraError,
     SymMatrix,
     algebra_from_dict,
+    algebra_to_dict,
     apply_automorphism,
     element_from_dict,
     element_to_dict,
@@ -358,9 +359,10 @@ def cmd_counterexample(args) -> int:
         "gap": rep.gap,
         "verdicts": verdicts,
     }
+    alg_id = json.dumps(algebra_to_dict(alg), sort_keys=True)
     rows = [
         _row(
-            f"component_{i}", "product", fn.id, "min", c.value, c.certificate.kind, c.certificate.passed,
+            f"component_{i}", alg_id, fn.id, "min", c.value, c.certificate.kind, c.certificate.passed,
             c.certificate.residuals["inner_gap_a"],
         )
         for i, c in enumerate(rep.components)

@@ -381,12 +381,19 @@ def rotation_curve(frame, j: int, k: int, beta_j: float, beta_k: float, w: Eleme
 # caps the refinement steps (scalar objective calls), which usually stop
 # well before it.
 #
+# _EPS_SWEEP and _ACCEPT_TOL are relative to the current value |F|, with
+# no absolute floor, so the search takes the same steps at every scale of
+# a and b.
+#
 # _SEARCH_TOL is the certificate tolerance of the returned solution.  It
 # is looser than the library default because sweep convergence is measured
 # on objective improvement: near an optimum the residual misalignment
 # scales like the square root of the improvement threshold, so demanding
 # commutation residuals at 1e-9 from a value-converged iterate is not
-# justified; 1e-6 is.
+# justified; 1e-6 is.  It also sets the skip rule: a pair whose
+# first-order commutation term is at most _SEARCH_TOL |a| |x| / P (P the
+# factor's pair count) is not line-searched, so a sweep that skips every
+# pair keeps the operator check within _SEARCH_TOL.
 _MAX_SWEEPS = 500
 _BRENT_ITERS = 60
 _SCAN_POINTS = 12
@@ -481,7 +488,8 @@ class _RotationSearch:
     """Rotation-curve search state of one factor.
 
     Holds x = sum_i beta_i e_i on a Jordan frame {e_i} of the factor with
-    the coefficients beta fixed, so x stays on its orbit, and the shift a.
+    the coefficients beta fixed, so x stays on its orbit, the shift a and
+    the sign of the sense (+1 for min, -1 for max).
     Every kind is served by the same code: the frame comes from the kind's
     ``_decompose``, the generator of pair (j, k) from its
     ``_rotation_generator`` (pointed toward a), and the rotation is
@@ -489,11 +497,15 @@ class _RotationSearch:
     when it is applied, so a step is scored on the point it realises.
     """
 
-    def __init__(self, alg, x, a):
+    def __init__(self, alg, x, a, sense_mult):
         self.alg = alg
         self.a = a
+        self.sense_mult = sense_mult
         self.beta, frame = alg._decompose(x)
         self.frame = np.array(frame)
+        # |x|^2 = sum beta^2 on a Jordan frame; the pairs are fixed with beta
+        norm_ax = math.sqrt(alg._inner(a, a)) * float(np.linalg.norm(self.beta))
+        self.skip_thr = _SEARCH_TOL * norm_ax / max(len(self.pairs()), 1)
 
     def refresh(self):
         """Take a fresh frame of x, keeping beta."""
@@ -507,7 +519,7 @@ class _RotationSearch:
         """Frame pairs with distinct coefficients: between equal ones every
         rotation leaves x where it is."""
         b = self.beta
-        scale = 1.0 + float(np.max(np.abs(b)))
+        scale = float(np.max(np.abs(b)))
         return [
             (j, k)
             for j in range(len(b) - 1)
@@ -530,6 +542,25 @@ class _RotationSearch:
         eigvals = self.alg._search_eigvals
         return block, lambda theta: eigvals(base + _curve(bj, bk, theta) @ block)
 
+    def settled(self, j, k, w):
+        """Whether pair (j, k) already passes a first-order version of the
+        sense's commutation certificate, so its line search can be skipped.
+
+        The curve leaves x with velocity (beta_j - beta_k) w, and the
+        pair's share of the commutator of L_a and L_x is proportional to
+        (beta_j - beta_k) <a, w>; w points toward a, so <a, w> carries a's
+        whole component in the pair's Peirce space.  That term must be
+        within ``skip_thr``, the pair's share of ``_SEARCH_TOL`` |a| |x| on
+        this factor, and a's diagonal on the pair must be ordered for the
+        sense (like beta for min, opposite for max): a start that commutes
+        with a but is anti-ordered is a saddle, and is searched.
+        """
+        inner = self.alg._inner
+        a, e = self.a, self.frame
+        d = self.beta[j] - self.beta[k]
+        ordered = self.sense_mult * d * (inner(a, e[j]) - inner(a, e[k])) >= 0.0
+        return ordered and abs(d * inner(a, w)) <= self.skip_thr
+
     def apply(self, j, k, block, theta):
         self.frame[j] = _curve(1.0, 0.0, theta) @ block
         self.frame[k] = _curve(0.0, 1.0, theta) @ block
@@ -546,7 +577,10 @@ def local_search_orbit(problem: OrbitProblem, x0: Element) -> Solution:
     line-searches the rotation angle on (-pi/2, pi/2) of every frame pair
     admitting a rotation generator and accepts a step only when it
     improves the value by more than ``_ACCEPT_TOL`` (relative), so the
-    steps are monotone.  Stops when a full sweep improves by at most
+    steps are monotone.  A pair that already passes a first-order version
+    of the certificate at ``_SEARCH_TOL``, ordered for the sense, is
+    skipped with no objective call (``_RotationSearch.settled``).  Stops
+    when the steps of a full sweep improve the value by at most
     ``_EPS_SWEEP`` (relative), or after ``_MAX_SWEEPS`` sweeps, in which
     case the best-so-far point is returned flagged as non-converged.  The
     certificate is taken at ``_SEARCH_TOL``.
@@ -557,8 +591,9 @@ def local_search_orbit(problem: OrbitProblem, x0: Element) -> Solution:
     if x0.algebra != problem.algebra:
         raise SolverError("start element belongs to a different algebra")
     fn = problem.fn
+    sense_mult = 1.0 if problem.sense == "min" else -1.0
     states = [
-        _RotationSearch(f, xf.coords, af.coords)
+        _RotationSearch(f, xf.coords, af.coords, sense_mult)
         for f, xf, af in zip(problem.algebra.factors, split(x0), split(problem.a))
     ]
     # the frames just decomposed from x0 carry its eigenvalues
@@ -569,8 +604,6 @@ def local_search_orbit(problem: OrbitProblem, x0: Element) -> Solution:
         raise InfeasibleError("x0 does not lie on the orbit of b")
     if fn.domain != "all":
         _check_orbit_domain(fn, lam_b, eigenvalues(problem.a))
-
-    sense_mult = 1.0 if problem.sense == "min" else -1.0
 
     # f is symmetric, so the eigenvalues it scores need not be sorted
     def signed_value():
@@ -584,12 +617,13 @@ def local_search_orbit(problem: OrbitProblem, x0: Element) -> Solution:
     sweeps = 0
     for _sweep in range(_MAX_SWEEPS):
         sweeps += 1
-        start = cur
         if sweeps > 1:
             # the first sweep runs on the frames decomposed from x0
             for st in states:
                 st.refresh()
             cur = signed_value()
+        # the sweep is judged on its steps, not on the refresh's rounding
+        start = cur
         for fi, st in enumerate(states):
             other = [s.lam() for i, s in enumerate(states) if i != fi]
             for (j, k) in st.pairs():
@@ -597,6 +631,8 @@ def local_search_orbit(problem: OrbitProblem, x0: Element) -> Solution:
                 if rot is None:
                     continue
                 block, lam_at = rot
+                if st.settled(j, k, block[1]):
+                    continue
 
                 def g(theta, lam_at=lam_at, other=other):
                     lam = lam_at(theta)
@@ -606,11 +642,11 @@ def local_search_orbit(problem: OrbitProblem, x0: Element) -> Solution:
                     return sense_mult * fn._values(np.concatenate(rows + [lam], axis=1))
 
                 theta, gval = _line_search(g, cur, lo, hi)
-                if gval < cur - _ACCEPT_TOL * (1.0 + abs(cur)):
+                if gval < cur - _ACCEPT_TOL * abs(cur):
                     st.apply(j, k, block, theta)
                     cur = gval
         trace.append((sweeps, sense_mult * cur))
-        if start - cur <= _EPS_SWEEP * (1.0 + abs(cur)):
+        if start - cur <= _EPS_SWEEP * abs(cur):
             converged = True
             break
     x_final = join(problem.algebra, [st.x_element() for st in states])

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -266,6 +268,18 @@ def test_counterexample_simple_algebra_warns(tmp_path, capsys):
         report = json.loads(out)
         assert report["degenerate"] is True
         assert report["verdicts"] == {"is_counterexample": False}
+
+
+def test_counterexample_csv_names_the_algebra(tmp_path, capsys):
+    # the algebra column holds the algebra document, as in solve and condition
+    product = {"kind": "product", "factors": [{"kind": "sym", "n": 2}, {"kind": "sym", "n": 2}]}
+    diag = {"kind": "diag", "n": 3}
+    doc = {"algebra": diag, "a": {"coords": [3.0, 2.0, 1.0]}, "b": {"coords": [1.0, 5.0, 2.0]}}
+    path = write(tmp_path, "cx.json", doc)
+    for argv, alg in (([], product), (["--input", path], diag)):
+        _code, out = run(capsys, ["counterexample", *argv, "--no-timestamp", "--format", "csv"])
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert rows and all(json.loads(row["algebra"]) == alg for row in rows), rows
 
 
 # ---------------------------------------------------------------------------
