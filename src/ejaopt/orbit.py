@@ -382,18 +382,16 @@ def rotation_curve(frame, j: int, k: int, beta_j: float, beta_k: float, w: Eleme
 # well before it.
 #
 # _EPS_SWEEP and _ACCEPT_TOL are relative to the current value |F|, with
-# no absolute floor, so the search takes the same steps at every scale of
-# a and b.
+# no absolute floor, so the search takes the same steps when a and b are
+# scaled by a common factor.
 #
 # _SEARCH_TOL is the certificate tolerance of the returned solution.  It
 # is looser than the library default because sweep convergence is measured
 # on objective improvement: near an optimum the residual misalignment
 # scales like the square root of the improvement threshold, so demanding
 # commutation residuals at 1e-9 from a value-converged iterate is not
-# justified; 1e-6 is.  It also sets the skip rule: a pair whose
-# first-order commutation term is at most _SEARCH_TOL |a| |x| / P (P the
-# factor's pair count) is not line-searched, so a sweep that skips every
-# pair keeps the operator check within _SEARCH_TOL.
+# justified; 1e-6 is.  It and _ACCEPT_TOL also decide which pairs are not
+# line-searched (_RotationSearch.aligning_angle).
 _MAX_SWEEPS = 500
 _BRENT_ITERS = 60
 _SCAN_POINTS = 12
@@ -528,9 +526,10 @@ class _RotationSearch:
         ]
 
     def rotation(self, j, k):
-        """The block (e_j, w, e_k) of pair (j, k) and the map theta ->
+        """The block (e_j, w, e_k) of pair (j, k), the map theta ->
         eigenvalues of x(theta) - a (one row per angle for an array of
-        angles), or None when the pair has no generator."""
+        angles) and the pair's ``aligning_angle`` (None when the pair must
+        be line-searched), or None when the pair has no generator."""
         w = self.alg._rotation_generator(self.frame, j, k, self.a)
         if w is None:
             return None
@@ -540,26 +539,36 @@ class _RotationSearch:
         base = rest @ self.frame - self.a
         bj, bk = self.beta[j], self.beta[k]
         eigvals = self.alg._search_eigvals
-        return block, lambda theta: eigvals(base + _curve(bj, bk, theta) @ block)
 
-    def settled(self, j, k, w):
-        """Whether pair (j, k) already passes a first-order version of the
-        sense's commutation certificate, so its line search can be skipped.
+        def lam_at(theta):
+            return eigvals(base + _curve(bj, bk, theta) @ block)
 
-        The curve leaves x with velocity (beta_j - beta_k) w, and the
-        pair's share of the commutator of L_a and L_x is proportional to
-        (beta_j - beta_k) <a, w>; w points toward a, so <a, w> carries a's
-        whole component in the pair's Peirce space.  That term must be
-        within ``skip_thr``, the pair's share of ``_SEARCH_TOL`` |a| |x| on
-        this factor, and a's diagonal on the pair must be ordered for the
-        sense (like beta for min, opposite for max): a start that commutes
-        with a but is anti-ordered is a saddle, and is searched.
+        return block, lam_at, self.aligning_angle(j, k, w)
+
+    def aligning_angle(self, j, k, w):
+        """The angle that puts pair (j, k) in line with a for the sense,
+        when the pair already passes a first-order version of the
+        certificate; else None.
+
+        The pair's share of the commutator of L_a and L_x is proportional
+        to (beta_j - beta_k) <a, w> (w points toward a, so <a, w> carries
+        a's whole component in the pair's Peirce space).  It passes when
+        that term is within ``skip_thr``, its share of ``_SEARCH_TOL``
+        |a| |x|.  Passing says nothing of the value where F(x - a) is small
+        next to |a| |x| (b near a), so the search scores the angle once and
+        skips the pair only when ``_ACCEPT_TOL`` rejects that step.  The
+        angle extremises <x(theta), a> = const + (beta_j - beta_k)/2
+        ((<a, e_j> - <a, e_k>) cos 2 theta + <a, w> sin 2 theta) for the
+        sense; it is near +-pi/2 for a commuting but anti-ordered start, a
+        saddle, which is then searched.
         """
         inner = self.alg._inner
         a, e = self.a, self.frame
-        d = self.beta[j] - self.beta[k]
-        ordered = self.sense_mult * d * (inner(a, e[j]) - inner(a, e[k])) >= 0.0
-        return ordered and abs(d * inner(a, w)) <= self.skip_thr
+        gap = self.sense_mult * (self.beta[j] - self.beta[k])
+        off = gap * inner(a, w)
+        if abs(off) > self.skip_thr:
+            return None
+        return 0.5 * math.atan2(off, gap * (inner(a, e[j]) - inner(a, e[k])))
 
     def apply(self, j, k, block, theta):
         self.frame[j] = _curve(1.0, 0.0, theta) @ block
@@ -577,9 +586,9 @@ def local_search_orbit(problem: OrbitProblem, x0: Element) -> Solution:
     line-searches the rotation angle on (-pi/2, pi/2) of every frame pair
     admitting a rotation generator and accepts a step only when it
     improves the value by more than ``_ACCEPT_TOL`` (relative), so the
-    steps are monotone.  A pair that already passes a first-order version
-    of the certificate at ``_SEARCH_TOL``, ordered for the sense, is
-    skipped with no objective call (``_RotationSearch.settled``).  Stops
+    steps are monotone.  A pair that passes a first-order version of the
+    certificate is scored once at its ``_RotationSearch.aligning_angle``
+    and skipped when that step would not be accepted.  Stops
     when the steps of a full sweep improve the value by at most
     ``_EPS_SWEEP`` (relative), or after ``_MAX_SWEEPS`` sweeps, in which
     case the best-so-far point is returned flagged as non-converged.  The
@@ -630,9 +639,7 @@ def local_search_orbit(problem: OrbitProblem, x0: Element) -> Solution:
                 rot = st.rotation(j, k)
                 if rot is None:
                     continue
-                block, lam_at = rot
-                if st.settled(j, k, block[1]):
-                    continue
+                block, lam_at, aligning = rot
 
                 def g(theta, lam_at=lam_at, other=other):
                     lam = lam_at(theta)
@@ -641,8 +648,11 @@ def local_search_orbit(problem: OrbitProblem, x0: Element) -> Solution:
                     rows = [np.broadcast_to(o, (len(lam), len(o))) for o in other]
                     return sense_mult * fn._values(np.concatenate(rows + [lam], axis=1))
 
+                accept = cur - _ACCEPT_TOL * abs(cur)
+                if aligning is not None and g(aligning) >= accept:
+                    continue
                 theta, gval = _line_search(g, cur, lo, hi)
-                if gval < cur - _ACCEPT_TOL * abs(cur):
+                if gval < accept:
                     st.apply(j, k, block, theta)
                     cur = gval
         trace.append((sweeps, sense_mult * cur))
