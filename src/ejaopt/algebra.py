@@ -13,7 +13,9 @@ are the diagonal entries followed by the strict upper triangle scaled by
 sqrt(2), so the trace inner product tr(x o y) is the plain dot product of
 coordinates.  For ``SpinFactor`` the trace inner product is twice the dot
 product (both eigenvalues x0 +/- |xb| contribute).  Products concatenate
-factor coordinates.
+factor coordinates.  The Jordan product kernel takes one vector and a
+``(..., dim)`` stack, so the L-operator L_x is the product of x with the
+identity basis in one call.
 
 The module provides the spectral machinery (eigenvalues, Jordan frames,
 Peirce projections), the two commutation tests (operator commutation via
@@ -54,9 +56,10 @@ class ConvergenceError(RuntimeError):
 #
 # Each descriptor is also its kind's kernel: its underscored methods, most
 # of them on flat coordinate arrays, are the only place a kind-specific
-# rule is written.  ``ProductAlgebra`` states each rule once over its
-# factors; a simple kind is its own single factor, so code written against
-# ``factors`` needs no product special case.
+# rule is written.  ``_product(u, v)`` takes one vector u and, as v, one
+# vector or a ``(..., dim)`` stack of vectors.  ``ProductAlgebra`` states
+# each rule once over its factors; a simple kind is its own single factor,
+# so code written against ``factors`` needs no product special case.
 
 
 class _Kind:
@@ -184,8 +187,8 @@ class SymMatrix(_Kind):
 
     def _decompose(self, u):
         vals, Q = self._eigh(_mat_from_sym_coords(self.n, u))
-        frame = [_sym_coords_from_mat(self.n, np.outer(q, q)) for q in Q.T]
-        return vals, frame
+        # row i is the outer product of eigenvector column i with itself
+        return vals, _sym_coords_from_mat(self.n, Q.T[:, :, None] * Q.T[:, None, :])
 
     def _unit(self):
         c = np.zeros(self.dim)
@@ -238,9 +241,8 @@ class SpinFactor(_Kind):
         return self.d
 
     def _product(self, u, v):
-        out = np.empty(self.d)
-        out[0] = u[0] * v[0] + u[1:] @ v[1:]
-        out[1:] = u[0] * v[1:] + v[0] * u[1:]
+        out = u[0] * v + v[..., :1] * u
+        out[..., 0] = u[0] * v[..., 0] + v[..., 1:] @ u[1:]
         return out
 
     def _inner(self, u, v) -> float:
@@ -370,7 +372,9 @@ class ProductAlgebra:
         return tuple(tuple(idxs) for idxs in groups.values())
 
     def _product(self, u, v):
-        return np.concatenate([f._product(u[s], v[s]) for f, s in zip(self.factors, self._slices)])
+        return np.concatenate(
+            [f._product(u[s], v[..., s]) for f, s in zip(self.factors, self._slices)], axis=-1
+        )
 
     def _inner(self, u, v) -> float:
         return sum(f._inner(u[s], v[s]) for f, s in zip(self.factors, self._slices))
@@ -584,11 +588,9 @@ def _mat_from_sym_coords(n, coords):
 
 
 def _sym_coords_from_mat(n, M):
-    c = np.empty(n * (n + 1) // 2)
-    c[:n] = np.diagonal(M)
+    """Coordinate vectors of the symmetric matrices on the last two axes."""
     iu, ju = _triu_indices(n)
-    c[n:] = _SQRT2 * M[iu, ju]
-    return c
+    return np.concatenate([np.diagonal(M, axis1=-2, axis2=-1), _SQRT2 * M[..., iu, ju]], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -766,14 +768,8 @@ def validate_frame(frame, tol=1e-8):
 def l_operator(x: Element) -> np.ndarray:
     """Matrix of L_x : y -> x o y in the canonical coordinates (symmetric)."""
     alg = x.algebra
-    d = alg.dim
-    L = np.empty((d, d))
-    probe = np.zeros(d)
-    for i in range(d):
-        probe[i] = 1.0
-        L[:, i] = alg._product(x.coords, probe)
-        probe[i] = 0.0
-    return L
+    # row i of the stacked product is x o e_i, column i of L_x
+    return alg._product(x.coords, np.eye(alg.dim)).T
 
 
 def peirce_project(p: Element, x: Element):

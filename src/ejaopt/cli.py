@@ -224,16 +224,10 @@ def cmd_solve(args) -> int:
         rng = np.random.default_rng(args.seed)
         b = problem.feasible.b
         runs = []
-        worst_gap = 0.0
-        all_cert = True
-        all_conv = True
         for i in range(args.local_search):
             x0 = apply_automorphism(random_automorphism(problem.algebra, rng), b)
             sol = local_search_orbit(problem, x0)
             gap = abs(sol.value - solution.value)
-            worst_gap = max(worst_gap, gap)
-            all_cert = all_cert and sol.certificate.passed
-            all_conv = all_conv and sol.converged
             runs.append(
                 {
                     "start": i,
@@ -253,9 +247,9 @@ def cmd_solve(args) -> int:
         report["local_search"] = {
             "starts": args.local_search,
             "runs": runs,
-            "max_gap_to_closed_form": worst_gap,
-            "all_certified": all_cert,
-            "all_converged": all_conv,
+            "max_gap_to_closed_form": max(r["gap_to_closed_form"] for r in runs),
+            "all_certified": all(r["certificate_passed"] for r in runs),
+            "all_converged": all(r["converged"] for r in runs),
         }
     _finish(report, rows, args)
     return _EXIT_OK

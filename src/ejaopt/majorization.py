@@ -26,9 +26,9 @@ class MajorizationVerdict:
 
 
 def sort_desc(u) -> np.ndarray:
-    """Entries of u in non-increasing order (stable for ties)."""
-    u = np.asarray(u, dtype=float)
-    return u[np.argsort(-u, kind="stable")]
+    """Entries of u in non-increasing order along the last axis (stable for
+    ties, so -0.0 and 0.0 keep their order)."""
+    return -np.sort(-np.asarray(u, dtype=float), axis=-1, kind="stable")
 
 
 def _prefix_sums(values) -> np.ndarray:

@@ -685,10 +685,8 @@ def _ordered_assignments(alg, spectra):
     permuting only slots with identical descriptors."""
     per_group = []
     for idxs in alg._groups:
-        seen = []
-        for perm in itertools.permutations([spectra[i] for i in idxs]):
-            if perm not in seen:
-                seen.append(perm)
+        # dict keys keep first-seen order and dedup in linear time
+        seen = list(dict.fromkeys(itertools.permutations([spectra[i] for i in idxs])))
         per_group.append((idxs, seen))
     out = []
     for combo in itertools.product(*(seen for _idxs, seen in per_group)):

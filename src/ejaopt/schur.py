@@ -19,11 +19,10 @@ from typing import Callable
 import numpy as np
 
 from .algebra import Element, eigenvalues
-from .majorization import majorizes, t_transform_sample
+from .majorization import majorizes, sort_desc, t_transform_sample
 
 STRICTLY_SCHUR_CONVEX = "strictly_schur_convex"
 SCHUR_CONVEX = "schur_convex"
-NO_CLASS = "none"
 
 
 class DomainError(ValueError):
@@ -90,10 +89,6 @@ def eval_spectral(fn: SymmetricFunction, x: Element) -> float:
     return fn(eigenvalues(x))
 
 
-def _sorted_desc_last(U):
-    return -np.sort(-U, axis=-1)
-
-
 def phi_ratios(U) -> np.ndarray:
     """Half-vector of sorted-entry ratios u_i / u_{n-i+1}, i <= floor(n/2)."""
     U = np.asarray(U, dtype=float)
@@ -101,7 +96,7 @@ def phi_ratios(U) -> np.ndarray:
         raise DomainError("phi needs strictly positive entries")
     n = U.shape[-1]
     half = n // 2
-    S = _sorted_desc_last(U)
+    S = sort_desc(U)
     return S[..., :half] / S[..., ::-1][..., :half]
 
 
@@ -167,7 +162,7 @@ def builtin(name: str, arity: int, **params) -> SymmetricFunction:
         _no_extra(name, params)
 
         def _spread_vec(U, half=half):
-            S = _sorted_desc_last(np.asarray(U, dtype=float))
+            S = sort_desc(U)
             diffs = S[..., :half] - S[..., ::-1][..., :half]
             return np.sqrt(np.sum(diffs**2, axis=-1))
 

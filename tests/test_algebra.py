@@ -36,6 +36,7 @@ from ejaopt import (
 )
 from ejaopt.algebra import (
     _jacobi_symmetric,
+    _sym_coords_from_mat,
     validate_frame,
 )
 
@@ -400,6 +401,72 @@ def test_l_operator_matches_product_probes():
         for _ in range(5):
             y = random_element(alg, rng)
             np.testing.assert_allclose(L @ y.coords, jordan_product(x, y).coords, atol=1e-12)
+
+
+STACK_KINDS = [
+    RealDiagonal(1),
+    RealDiagonal(4),
+    SymMatrix(1),
+    SymMatrix(3),
+    SymMatrix(7),
+    SpinFactor(3),
+    SpinFactor(12),
+    product_algebra(SymMatrix(2), SpinFactor(4), RealDiagonal(2)),
+]
+
+
+def probe_l_operator(x):
+    """L_x by definition: column i is x o e_i, one product per basis vector."""
+    alg = x.algebra
+    L = np.empty((alg.dim, alg.dim))
+    for i in range(alg.dim):
+        probe = np.zeros(alg.dim)
+        probe[i] = 1.0
+        L[:, i] = alg._product(x.coords, probe)
+    return L
+
+
+def test_l_operator_equals_probe_columns_exactly():
+    rng = np.random.default_rng(40)
+    for alg in STACK_KINDS:
+        for scale in (1e-12, 1.0, 1e12):
+            for _ in range(4):
+                x = random_element(alg, rng) * scale
+                assert np.array_equal(l_operator(x), probe_l_operator(x)), (alg, scale)
+
+
+def test_stacked_product_rows_match_single_calls():
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(41)
+    for alg in STACK_KINDS:
+        u = rng.standard_normal(alg.dim)
+        V = rng.standard_normal((3, 50, alg.dim))
+        P = alg._product(u, V)
+        assert P.shape == V.shape
+        # SpinFactor's stacked inner product is a gemv: the last bit may differ
+        exact = not any(isinstance(f, SpinFactor) for f in alg.factors)
+        for idx in np.ndindex(V.shape[:-1]):
+            row = alg._product(u, V[idx].copy())
+            if exact:
+                assert np.array_equal(P[idx], row), alg
+            else:
+                assert np.max(np.abs(P[idx] - row)) <= 4 * eps * np.max(np.abs(row)), alg
+        I = np.eye(alg.dim)
+        PI = alg._product(u, I)
+        for i in range(alg.dim):
+            assert np.array_equal(PI[i], alg._product(u, I[i].copy())), alg
+
+
+def test_sym_decompose_frame_rows_are_outer_products():
+    rng = np.random.default_rng(42)
+    for n in (1, 2, 3, 7):
+        alg = SymMatrix(n)
+        for _ in range(5):
+            u = rng.standard_normal(alg.dim)
+            _vals, Q = alg._eigh(sym_to_matrix(Element(alg, u)))
+            _vals, frame = alg._decompose(u)
+            ref = [_sym_coords_from_mat(n, np.outer(q, q)) for q in Q.T]
+            assert np.array_equal(frame, ref), n
 
 
 # ---------------------------------------------------------------------------

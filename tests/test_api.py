@@ -1,8 +1,10 @@
-"""The public settings of ``ejaopt``, pinned.
+"""The public names and settings of ``ejaopt``, pinned.
 
-A setting is a parameter with a default of an exported function, or a
-defaulted field of an exported dataclass other than the result types.
-Adding, removing or changing one means editing ``SETTINGS``.
+A public name is a name without a leading underscore that
+``ejaopt/__init__.py`` binds, submodules aside.  A setting is a parameter
+with a default of an exported function, or a defaulted field of an
+exported dataclass other than the result types.  Adding, removing or
+changing one means editing ``PUBLIC_NAMES`` or ``SETTINGS``.
 """
 
 import dataclasses
@@ -18,6 +20,82 @@ RESULT_TYPES = {
     "Solution",
     "SpectralDecomposition",
 }
+
+PUBLIC_NAMES = [
+    "AlgebraError",
+    "Automorphism",
+    "Certificate",
+    "ConditionReport",
+    "ConvergenceError",
+    "CounterexampleReport",
+    "DEFAULT_TOL",
+    "DomainError",
+    "EigenvalueOrbit",
+    "Element",
+    "FiniteSpectralSet",
+    "InfeasibleError",
+    "MajorizationVerdict",
+    "OrbitProblem",
+    "ProductAlgebra",
+    "RealDiagonal",
+    "Solution",
+    "SolverError",
+    "SpectralDecomposition",
+    "SpinFactor",
+    "SymMatrix",
+    "SymmetricFunction",
+    "WeakOrbit",
+    "affine_compose",
+    "algebra_from_dict",
+    "algebra_to_dict",
+    "apply_automorphism",
+    "builtin",
+    "certify",
+    "check_strict_schur_convex",
+    "condition_report",
+    "counterexample_no_strong",
+    "eigenvalues",
+    "element_from_dict",
+    "element_to_dict",
+    "eval_spectral",
+    "inner",
+    "is_simple",
+    "jordan_product",
+    "kyfan_holds",
+    "l_operator",
+    "lidskii_holds",
+    "local_search_orbit",
+    "majorizes",
+    "minimize_condition_norm_orbit",
+    "norm",
+    "operator_commute",
+    "orbit_components",
+    "peirce_project",
+    "permutation_oracle",
+    "phi",
+    "problem_from_dict",
+    "product_algebra",
+    "random_automorphism",
+    "random_element",
+    "rotation_curve",
+    "rotation_generator",
+    "solve_orbit_global",
+    "solve_problem",
+    "solve_spectral_set_global",
+    "solve_weak_orbit_global",
+    "sort_desc",
+    "spectral_decompose",
+    "strongly_operator_commute",
+    "submajorizes",
+    "sym_from_matrix",
+    "sym_to_matrix",
+    "synthesize_from_frame",
+    "t_transform_sample",
+    "trace",
+    "unit",
+    "weak_orbit_reps",
+    "zero",
+]
 
 SETTINGS = {
     ("OrbitProblem", "sense"): "min",
@@ -63,3 +141,12 @@ def _public_settings():
 
 def test_public_settings_are_pinned():
     assert _public_settings() == SETTINGS
+
+
+def test_public_names_are_pinned():
+    found = sorted(
+        name
+        for name, obj in vars(ejaopt).items()
+        if not name.startswith("_") and not inspect.ismodule(obj)
+    )
+    assert found == PUBLIC_NAMES

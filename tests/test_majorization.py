@@ -39,6 +39,22 @@ def test_sort_desc_examples():
     np.testing.assert_allclose(sort_desc([2.0, 2.0, 1.0]), [2.0, 2.0, 1.0])
 
 
+def test_sort_desc_sorts_each_row_of_a_stack():
+    rng = np.random.default_rng(43)
+    U = rng.integers(-3, 4, size=(40, 6)) * 0.5
+    U[U == 0.0] = np.where(rng.random(int(np.sum(U == 0.0))) < 0.5, -0.0, 0.0)
+    S = sort_desc(U)
+    for row, u in zip(S, U):
+        single = sort_desc(u)
+        gathered = u[np.argsort(-u, kind="stable")]
+        for ref in (single, gathered):
+            assert np.array_equal(row, ref)
+            assert np.array_equal(np.signbit(row), np.signbit(ref))
+    # ties keep their order, so the sign of zero is kept in place
+    assert np.array_equal(np.signbit(sort_desc([-0.0, 0.0])), [True, False])
+    assert np.array_equal(np.signbit(sort_desc([0.0, -0.0])), [False, True])
+
+
 def test_majorizes_examples():
     v = majorizes([2.0, 0.0], [1.0, 1.0])  # (1,1) < (2,0)
     assert v.holds and v.strict
