@@ -49,7 +49,6 @@ from .orbit import (
     InfeasibleError,
     SolverError,
     WeakOrbit,
-    _all_permutations,
     _pairings,
     counterexample_no_strong,
     local_search_orbit,
@@ -273,8 +272,8 @@ def cmd_condition(args) -> int:
     rows = []
     if alg.rank <= 9:
         # f(P lam_b + lam_a) for every pairing, columns in lam_a's order
-        kept, vals = _pairings(fn, lam_b, -lam_a)
-        for perm, val in zip(_all_permutations(alg.rank)[kept].tolist(), vals.tolist()):
+        perms, vals = _pairings(fn, lam_b, -lam_a)
+        for perm, val in zip(perms.tolist(), vals.tolist()):
             pairings.append({"pairing": perm, "value": val})
             case_id = "pairing_" + "".join(str(i) for i in perm)
             rows.append(_row(case_id, alg_id, fn.id, "min", val, "", "", val - solution.value))

@@ -23,7 +23,7 @@ import numpy as np
 
 from .algebra import DEFAULT_TOL, Element, eigenvalues, spectral_decompose
 from .orbit import InfeasibleError, Solution, _align, certify
-from .schur import phi_ratios
+from .schur import phi_ratios as phi
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,13 +39,6 @@ class ConditionReport:
         object.__setattr__(self, "kappa", k)
 
 
-def phi(u) -> np.ndarray:
-    """phi(u) = (u_1/u_n, u_2/u_{n-1}, ...) on the sorted vector, length
-    floor(n/2); the condition vector of u read as a spectrum.  Raises
-    DomainError unless every entry is positive."""
-    return phi_ratios(u)
-
-
 def condition_report(x: Element, tol=DEFAULT_TOL) -> ConditionReport:
     """Condition number, condition vector, and the sandwich bounds for x.
 
@@ -58,6 +51,7 @@ def condition_report(x: Element, tol=DEFAULT_TOL) -> ConditionReport:
     cond = float(lam[0] / lam[-1])
     kn = float(np.linalg.norm(kappa))
     half = len(lam) // 2
+    # kappa and c(x) are ratios, unchanged by scaling x: the slack needs no scale
     slack = 1e-12 * (1.0 + kn)
     bounds_ok = bool(kn / math.sqrt(half) <= cond + slack and cond <= kn + slack)
     return ConditionReport(cond=cond, kappa=kappa, kappa_norm=kn, bounds_ok=bounds_ok)

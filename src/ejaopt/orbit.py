@@ -178,17 +178,18 @@ def _all_permutations(n):
 def _pairings(fn: SymmetricFunction, lam_b, lam_a):
     """f at the pairings P lam_b - lam_a that lie in the function's domain.
 
-    Returns the indices of those P among the rows of ``_all_permutations``
-    (lexicographic order) and f at each, from one vectorised call; raises
-    DomainError when no pairing is in the domain.
+    Returns those P as rows, in lexicographic order (the cached table
+    itself when every pairing is kept), and f at each, from one vectorised
+    call; raises DomainError when no pairing is in the domain.
     """
-    cands = lam_b[_all_permutations(len(lam_b))] - lam_a[None, :]
+    perms = _all_permutations(len(lam_b))
+    cands = lam_b[perms] - lam_a[None, :]
     mask = np.asarray(fn.in_domain(cands), dtype=bool)
     if mask.all():
-        return np.arange(len(cands)), fn.fn(cands)
+        return perms, fn.fn(cands)
     if not mask.any():
         raise DomainError(f"{fn.id}: every pairing falls outside the domain")
-    return np.flatnonzero(mask), fn.fn(cands[mask])
+    return perms[mask], fn.fn(cands[mask])
 
 
 def permutation_oracle(fn: SymmetricFunction, lam_b, lam_a, sense: str = "min"):
@@ -208,9 +209,9 @@ def permutation_oracle(fn: SymmetricFunction, lam_b, lam_a, sense: str = "min"):
         raise ValueError("permutation oracle is guarded to n <= 9")
     if sense not in ("min", "max"):
         raise ValueError("sense must be 'min' or 'max'")
-    kept, vals = _pairings(fn, lam_b, lam_a)
+    perms, vals = _pairings(fn, lam_b, lam_a)
     idx = int(np.argmin(vals) if sense == "min" else np.argmax(vals))
-    return float(vals[idx]), tuple(int(i) for i in _all_permutations(n)[kept[idx]])
+    return float(vals[idx]), tuple(perms[idx].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +358,8 @@ def rotation_curve(frame, j: int, k: int, beta_j: float, beta_k: float, w: Eleme
     if j == k:
         raise ValueError("need two distinct frame members")
     ej, ek = frame[j], frame[k]
+    # w (|w|^2 = 2) and the idempotent frame members have a fixed scale, so
+    # these thresholds need no operand scale
     scale = 1.0 + norm(w)
     thr = 1e-8 * scale
     if abs(inner(w, w) - 2.0) > thr * scale:
@@ -608,8 +611,7 @@ def local_search_orbit(problem: OrbitProblem, x0: Element) -> Solution:
     # the frames just decomposed from x0 carry its eigenvalues
     lam_x0 = sort_desc(np.concatenate([st.beta for st in states]))
     lam_b = eigenvalues(feas.b)
-    scale = 1.0 + float(np.max(np.abs(lam_b)))
-    if float(np.max(np.abs(lam_b - lam_x0))) > 1e-6 * scale:
+    if float(np.max(np.abs(lam_b - lam_x0))) > 1e-6 * float(np.max(np.abs(lam_b))):
         raise InfeasibleError("x0 does not lie on the orbit of b")
     if fn.domain != "all":
         _check_orbit_domain(fn, lam_b, eigenvalues(problem.a))
@@ -828,9 +830,9 @@ def counterexample_no_strong(alg, a: Element, b: Element, fn: SymmetricFunction)
     operator commute with a while failing strong commutation, even though
     the orbit-wide minimum (over the full spectral set [b]) is attained at
     an aligned point.  ``is_counterexample`` is True when b's component
-    optimum is strictly worse than the [b]-wide optimum and no optimizer
-    of that component strongly commutes with a.  One factor gives the
-    single component [b], ``gap`` 0.0 and ``degenerate`` True.
+    optimum exceeds the [b]-wide one by more than 1e-9 of the larger and
+    no optimizer of that component strongly commutes with a.  One factor
+    gives the single component [b], ``gap`` 0.0 and ``degenerate`` True.
     """
     full = solve_orbit_global(OrbitProblem(alg, fn, a, EigenvalueOrbit(b), "min"))
     a_decs = [spectral_decompose(p) for p in split(a)]
@@ -858,7 +860,7 @@ def counterexample_no_strong(alg, a: Element, b: Element, fn: SymmetricFunction)
         )
     b_comp = next(c for c in comps if c.contains_b)
     gap = b_comp.value - full.value
-    scale = 1.0 + abs(full.value)
+    scale = max(abs(b_comp.value), abs(full.value))
     return CounterexampleReport(
         components=tuple(comps),
         spectral_set_solution=full,

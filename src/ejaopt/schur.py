@@ -8,7 +8,7 @@ majorization pairs and asserts strict decrease.
 
 Built-in names (used by problem files): ``schatten`` (with p),
 ``squared_norm``, ``cond_number``, ``cond_vector_norm``, ``spread``,
-``spread_vector_norm``, ``smoothed_max``.
+``spread_vector_norm``, ``smoothed_max`` (with eps).
 """
 
 from __future__ import annotations
@@ -90,14 +90,37 @@ def eval_spectral(fn: SymmetricFunction, x: Element) -> float:
 
 
 def phi_ratios(U) -> np.ndarray:
-    """Half-vector of sorted-entry ratios u_i / u_{n-i+1}, i <= floor(n/2)."""
+    """phi(u) = (u_1/u_n, u_2/u_{n-1}, ...) on the sorted vector, length
+    floor(n/2), along the last axis: the condition vector of u read as a
+    spectrum.  Raises DomainError unless every entry is positive."""
     U = np.asarray(U, dtype=float)
     if np.any(U <= 0.0):
         raise DomainError("phi needs strictly positive entries")
-    n = U.shape[-1]
-    half = n // 2
+    half = U.shape[-1] // 2
     S = sort_desc(U)
     return S[..., :half] / S[..., ::-1][..., :half]
+
+
+def _spread_vector_norm(U) -> np.ndarray:
+    """|(u_1 - u_n, u_2 - u_{n-1}, ...)| on the sorted vector."""
+    half = U.shape[-1] // 2
+    S = sort_desc(U)
+    diffs = S[..., :half] - S[..., ::-1][..., :half]
+    return np.sqrt(np.sum(diffs**2, axis=-1))
+
+
+# the catalog functions without parameters: name -> (domain, class, f)
+_FIXED = {
+    "squared_norm": ("all", STRICTLY_SCHUR_CONVEX, lambda U: np.sum(U * U, axis=-1)),
+    "cond_number": ("positive", SCHUR_CONVEX, lambda U: np.max(U, axis=-1) / np.min(U, axis=-1)),
+    "cond_vector_norm": (
+        "positive",
+        STRICTLY_SCHUR_CONVEX,
+        lambda U: np.sqrt(np.sum(phi_ratios(U) ** 2, axis=-1)),
+    ),
+    "spread": ("all", SCHUR_CONVEX, lambda U: np.max(U, axis=-1) - np.min(U, axis=-1)),
+    "spread_vector_norm": ("all", STRICTLY_SCHUR_CONVEX, _spread_vector_norm),
+}
 
 
 def builtin(name: str, arity: int, **params) -> SymmetricFunction:
@@ -107,90 +130,29 @@ def builtin(name: str, arity: int, **params) -> SymmetricFunction:
     """
     if arity < 1:
         raise ValueError("arity must be >= 1")
-    half = arity // 2
-
     if name == "schatten":
         p = float(params.pop("p", 2.0))
         _no_extra(name, params)
         if p < 1.0:
             raise ValueError("schatten needs p >= 1")
+        fid, domain = f"schatten_{p:g}".replace(".", "_"), "all"
         cls = STRICTLY_SCHUR_CONVEX if p > 1.0 else SCHUR_CONVEX
-        return SymmetricFunction(
-            id=f"schatten_{_fmt_p(p)}",
-            arity=arity,
-            domain="all",
-            fn=lambda U, p=p: np.sum(np.abs(U) ** p, axis=-1) ** (1.0 / p),
-            declared_class=cls,
-        )
-    if name == "squared_norm":
-        _no_extra(name, params)
-        return SymmetricFunction(
-            id="squared_norm",
-            arity=arity,
-            domain="all",
-            fn=lambda U: np.sum(U * U, axis=-1),
-            declared_class=STRICTLY_SCHUR_CONVEX,
-        )
-    if name == "cond_number":
-        _no_extra(name, params)
-        return SymmetricFunction(
-            id="cond_number",
-            arity=arity,
-            domain="positive",
-            fn=lambda U: np.max(U, axis=-1) / np.min(U, axis=-1),
-            declared_class=SCHUR_CONVEX,
-        )
-    if name == "cond_vector_norm":
-        _no_extra(name, params)
-        return SymmetricFunction(
-            id="cond_vector_norm",
-            arity=arity,
-            domain="positive",
-            fn=lambda U: np.sqrt(np.sum(phi_ratios(U) ** 2, axis=-1)),
-            declared_class=STRICTLY_SCHUR_CONVEX,
-        )
-    if name == "spread":
-        _no_extra(name, params)
-        return SymmetricFunction(
-            id="spread",
-            arity=arity,
-            domain="all",
-            fn=lambda U: np.max(U, axis=-1) - np.min(U, axis=-1),
-            declared_class=SCHUR_CONVEX,
-        )
-    if name == "spread_vector_norm":
-        _no_extra(name, params)
-
-        def _spread_vec(U, half=half):
-            S = sort_desc(U)
-            diffs = S[..., :half] - S[..., ::-1][..., :half]
-            return np.sqrt(np.sum(diffs**2, axis=-1))
-
-        return SymmetricFunction(
-            id="spread_vector_norm",
-            arity=arity,
-            domain="all",
-            fn=_spread_vec,
-            declared_class=STRICTLY_SCHUR_CONVEX,
-        )
-    if name == "smoothed_max":
+        f = lambda U: np.sum(np.abs(U) ** p, axis=-1) ** (1.0 / p)
+    elif name == "smoothed_max":
         # strictly quasi-convex symmetric representative: max + eps*|u|^2
         eps = float(params.pop("eps", 1e-3))
         _no_extra(name, params)
         if eps <= 0.0:
             raise ValueError("smoothed_max needs eps > 0")
-        return SymmetricFunction(
-            id=f"smoothed_max_{eps:g}",
-            arity=arity,
-            domain="all",
-            fn=lambda U, eps=eps: np.max(U, axis=-1) + eps * np.sum(U * U, axis=-1),
-            declared_class=STRICTLY_SCHUR_CONVEX,
-        )
-    raise ValueError(f"unknown builtin function {name!r}")
-
-
-def _fmt_p(p: float) -> str:
-    return f"{p:g}".replace(".", "_")
+        fid, domain, cls = f"smoothed_max_{eps:g}", "all", STRICTLY_SCHUR_CONVEX
+        f = lambda U: np.max(U, axis=-1) + eps * np.sum(U * U, axis=-1)
+    elif name in _FIXED:
+        _no_extra(name, params)
+        fid = name
+        domain, cls, f = _FIXED[name]
+    else:
+        raise ValueError(f"unknown builtin function {name!r}")
+    return SymmetricFunction(id=fid, arity=arity, domain=domain, fn=f, declared_class=cls)
 
 
 def _no_extra(name, params):
@@ -243,9 +205,11 @@ _MAX_RESAMPLE = 100  # draws per domain sample and per strict pair
 
 
 def _sample_in_domain(fn: SymmetricFunction, rng) -> np.ndarray:
-    for _ in range(_MAX_RESAMPLE):
+    # a positive domain may exclude small entries (a shifted function), so
+    # each retry doubles the draw's scale; the first draw is unscaled
+    for attempt in range(_MAX_RESAMPLE):
         if fn.domain == "positive":
-            v = np.exp(rng.standard_normal(fn.arity))
+            v = np.exp(rng.standard_normal(fn.arity)) * 2.0**attempt
         else:
             v = rng.standard_normal(fn.arity)
         if bool(fn.in_domain(v)):

@@ -207,6 +207,22 @@ def test_orbit_domain_probe_matches_pairing_enumeration():
                 assert got == expected, (n, fn.id, lam_b, lam_a)
 
 
+def test_pairings_return_the_kept_permutation_rows():
+    from ejaopt.orbit import _all_permutations, _pairings
+
+    lam_b, lam_a = np.array([3.0, 1.0, 0.5]), np.array([2.0, 0.25, 0.0])
+    # every pairing kept: the cached table itself, not a copy
+    perms, vals = _pairings(builtin("squared_norm", 3), lam_b, lam_a)
+    assert perms is _all_permutations(3)
+    assert vals.tolist() == [float(np.sum((lam_b[list(P)] - lam_a) ** 2)) for P in perms]
+    # some pairings outside the domain: the rows kept, in lexicographic order
+    fn = builtin("cond_number", 3)
+    perms, vals = _pairings(fn, lam_b, lam_a)
+    kept = [P for P in itertools.permutations(range(3)) if np.all(lam_b[list(P)] - lam_a > 0)]
+    assert perms.tolist() == [list(P) for P in kept]
+    assert vals.tolist() == [fn(lam_b[list(P)] - lam_a) for P in kept]
+
+
 def test_global_matches_oracle_many_kinds():
     rng = np.random.default_rng(2)
     kinds = [SymMatrix(2), SymMatrix(3), SymMatrix(5), SpinFactor(4), RealDiagonal(4),
@@ -788,6 +804,21 @@ def test_local_search_rejects_off_orbit_start():
     # same spectrum, other algebra
     with pytest.raises(SolverError):
         local_search_orbit(problem, Element(RealDiagonal(2), np.array([3.0, 0.0])))
+    # the orbit check is relative to the scale of b: at small scale an
+    # unrelated start is rejected and an automorphism of b still converges
+    alg = SymMatrix(3)
+    for t in (1e-9, 1e-12):
+        rng = np.random.default_rng(3)
+        a, b, c = (t * random_element(alg, rng) for _ in range(3))
+        problem = OrbitProblem(alg, builtin("schatten", 3, p=4), a, EigenvalueOrbit(b), "min")
+        with pytest.raises(InfeasibleError):
+            local_search_orbit(problem, c)
+        sol = local_search_orbit(problem, apply_automorphism(random_automorphism(alg, rng), b))
+        assert sol.converged
+        assert sol.value == pytest.approx(solve_orbit_global(problem).value, rel=1e-6)
+    zero_orbit = OrbitProblem(alg, builtin("schatten", 3, p=4), a, EigenvalueOrbit(zero(alg)), "min")
+    with pytest.raises(InfeasibleError):
+        local_search_orbit(zero_orbit, 1e-300 * unit(alg))
 
 
 def test_local_search_mixed_product_and_weak_orbit_feasible():
@@ -1024,6 +1055,21 @@ def test_counterexample_reference_instance():
     # component values: 0 (a's own), sqrt(2), sqrt(6)
     vals = sorted(c.value for c in rep.components)
     assert vals == pytest.approx([0.0, math.sqrt(2.0), math.sqrt(6.0)], abs=1e-12)
+
+
+def test_counterexample_verdict_is_scale_free():
+    # scaling a and b by t scales the gap by t (degree 1 or 2): the verdict
+    # must not change, and b = a is never a counterexample
+    s2 = SymMatrix(2)
+    alg = product_algebra(s2, s2)
+    from ejaopt.algebra import join
+
+    a = join(alg, [diag2(4, 3), diag2(2, 1)])
+    b = join(alg, [diag2(4, 1), diag2(3, 2)])
+    for fn in (builtin("squared_norm", 4), builtin("schatten", 4, p=2)):
+        for t in (1.0, 1e-6, 1e-12):
+            assert counterexample_no_strong(alg, t * a, t * b, fn).is_counterexample
+            assert not counterexample_no_strong(alg, t * a, t * a, fn).is_counterexample
 
 
 def test_counterexample_a_equals_b_is_not_one():

@@ -18,7 +18,7 @@ from ejaopt import (
     random_element,
     sym_from_matrix,
 )
-from ejaopt.schur import SCHUR_CONVEX, STRICTLY_SCHUR_CONVEX, phi_ratios
+from ejaopt.schur import SCHUR_CONVEX, STRICTLY_SCHUR_CONVEX, _sample_in_domain, phi_ratios
 
 ALL_BUILTINS = [
     ("schatten", {"p": 2}),
@@ -47,17 +47,40 @@ def test_builtin_values():
 
 
 def test_builtin_classes_and_domains():
-    assert builtin("schatten", 3, p=2).declared_class == STRICTLY_SCHUR_CONVEX
-    assert builtin("schatten", 3, p=1).declared_class == SCHUR_CONVEX
-    assert builtin("cond_number", 3).domain == "positive"
-    assert builtin("cond_vector_norm", 3).domain == "positive"
-    assert builtin("spread", 3).domain == "all"
-    with pytest.raises(ValueError):
-        builtin("schatten", 3, p=0.5)
-    with pytest.raises(ValueError):
-        builtin("does_not_exist", 3)
-    with pytest.raises(ValueError):
-        builtin("squared_norm", 3, p=2)
+    S, C = STRICTLY_SCHUR_CONVEX, SCHUR_CONVEX
+    catalog = [
+        ("schatten", {}, ("schatten_2", "all", S)),
+        ("schatten", {"p": 1}, ("schatten_1", "all", C)),
+        ("schatten", {"p": 1.5}, ("schatten_1_5", "all", S)),
+        ("schatten", {"p": 4}, ("schatten_4", "all", S)),
+        ("squared_norm", {}, ("squared_norm", "all", S)),
+        ("cond_number", {}, ("cond_number", "positive", C)),
+        ("cond_vector_norm", {}, ("cond_vector_norm", "positive", S)),
+        ("spread", {}, ("spread", "all", C)),
+        ("spread_vector_norm", {}, ("spread_vector_norm", "all", S)),
+        ("smoothed_max", {}, ("smoothed_max_0.001", "all", S)),
+        ("smoothed_max", {"eps": 0.5}, ("smoothed_max_0.5", "all", S)),
+    ]
+    for name, params, expected in catalog:
+        fn = builtin(name, 3, **params)
+        assert (fn.id, fn.domain, fn.declared_class) == expected, name
+        assert fn.arity == 3
+    errors = [
+        ("does_not_exist", {}, "unknown builtin function 'does_not_exist'"),
+        ("squared_norm", {"p": 2}, r"squared_norm: unexpected parameters \['p'\]"),
+        ("spread_vector_norm", {"eps": 1}, r"spread_vector_norm: unexpected parameters \['eps'\]"),
+        # extra parameters are reported before an invalid p
+        ("schatten", {"p": 0.5, "q": 1}, r"schatten: unexpected parameters \['q'\]"),
+        ("schatten", {"p": 0.5}, "schatten needs p >= 1"),
+        ("smoothed_max", {"p": 1}, r"smoothed_max: unexpected parameters \['p'\]"),
+        ("smoothed_max", {"eps": 0.0}, "smoothed_max needs eps > 0"),
+        ("smoothed_max", {"eps": -1.0}, "smoothed_max needs eps > 0"),
+    ]
+    for name, params, message in errors:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            builtin(name, 3, **params)
+    with pytest.raises(ValueError, match="^arity must be >= 1$"):
+        builtin("squared_norm", 0)
 
 
 def test_domain_violation_is_an_error():
@@ -168,6 +191,18 @@ def test_strict_checker_passes_for_strict_builtins():
         rep = check_strict_schur_convex(fn, rng, trials=300)
         assert rep.passed, f"{fn.id}: {rep.violations[:1]}"
         assert rep.min_margin > 0.0
+
+
+def test_strict_checker_samples_a_shifted_positive_domain():
+    # base(u + shift) needs every entry above -shift: later draws scale up
+    # until one lands there, while an unshifted domain keeps its first draw
+    for shift in (-2.0, -5.0, -1e6):
+        fn = affine_compose(builtin("cond_vector_norm", 4), shift=shift)
+        rep = check_strict_schur_convex(fn, np.random.default_rng(5), trials=50)
+        assert rep.passed and rep.min_margin > 0.0
+    draw = np.exp(np.random.default_rng(6).standard_normal(4))
+    v = _sample_in_domain(builtin("cond_vector_norm", 4), np.random.default_rng(6))
+    assert np.array_equal(v, draw)
 
 
 def test_cond_number_is_not_strict_witness_from_checker():
