@@ -320,13 +320,17 @@ def cmd_counterexample(args) -> int:
     rep = counterexample_no_strong(alg, a, b, fn)
     full = rep.spectral_set_solution
     b_comp = next(c for c in rep.components if c.contains_b)
-    scale = 1.0 + norm(a)
+    # values are compared with the largest component value and distances
+    # with the larger operand, so the verdicts do not depend on units; each
+    # scale is 0 only when every compared quantity is exactly 0
+    v_scale = max(abs(c.value) for c in rep.components)
+    x_scale = max(norm(a), norm(b))
     verdicts = {
-        "b_component_min_positive": rep.b_component_value > 1e-6 * scale,
+        "b_component_min_positive": rep.b_component_value > 1e-6 * v_scale,
         "b_component_strong_commutation_fails": not b_comp.any_strong_commute,
         "operator_commutation_holds_at_optimizer": b_comp.certificate.checks["operator_commute"],
-        "full_orbit_min_attained_at_shift": full.value <= 1e-9 * scale
-        and norm(full.x_star - a) <= 1e-6 * scale,
+        "full_orbit_min_attained_at_shift": full.value <= 1e-9 * v_scale
+        and norm(full.x_star - a) <= 1e-6 * x_scale,
         "is_counterexample": rep.is_counterexample,
     }
     if rep.degenerate:

@@ -380,49 +380,57 @@ def rotation_curve(frame, j: int, k: int, beta_j: float, beta_k: float, w: Eleme
 # _SCAN_POINTS angles evenly spaced on
 # (-pi/2 + _BRACKET_DELTA, pi/2 - _BRACKET_DELTA) in one stacked objective
 # call, takes angle 0 at the current value, then refines the best one with
-# Brent's method on the bracket between its scan neighbours; _BRENT_ITERS
-# caps the refinement steps (scalar objective calls), which usually stop
-# well before it.
+# Brent's method on the bracket between its scan neighbours, started from
+# their known values.  Brent stops at the angle's resolution,
+# sqrt(eps) (|theta| + 1): the values cannot place theta more finely.
+# _BRENT_ITERS caps the refinement steps (scalar objective calls), which
+# usually stop well before it.
 #
 # _EPS_SWEEP and _ACCEPT_TOL are relative to the current value |F|, with
 # no absolute floor, so the search takes the same steps when a and b are
 # scaled by a common factor.
 #
-# _SEARCH_TOL is the certificate tolerance of the returned solution.  It
-# is looser than the library default because sweep convergence is measured
-# on objective improvement: near an optimum the residual misalignment
-# scales like the square root of the improvement threshold, so demanding
-# commutation residuals at 1e-9 from a value-converged iterate is not
-# justified; 1e-6 is.  It and _ACCEPT_TOL also decide which pairs are not
-# line-searched (_RotationSearch.aligning_angle).
+# _SKIP_TOL is a search heuristic, not a tolerance of the result: a pair
+# whose first-order commutation term is within its share of _SKIP_TOL
+# |a| |x| is scored once at its aligning angle
+# (_RotationSearch.aligning_angle) and line-searched only when that step
+# gains more than _ACCEPT_TOL.  The line searches only find the valley:
+# the exact aligning step, taken whenever the value rises by at most
+# _ACCEPT_TOL, sets the final alignment.  A sweep takes it for the pairs
+# it scores, and after the sweeps a polish takes it for every pair until
+# each first-order term is within its share of _POLISH_TOL |a| |x|.  So
+# the result is certified at the library default, DEFAULT_TOL.
 _MAX_SWEEPS = 500
 _BRENT_ITERS = 60
 _SCAN_POINTS = 12
 _BRACKET_DELTA = 1e-6
 _EPS_SWEEP = 1e-11
 _ACCEPT_TOL = 1e-14
-_SEARCH_TOL = 1e-6
+_SKIP_TOL = 1e-6
+_POLISH_TOL = 1e-3 * DEFAULT_TOL
 
 _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 
-def _brent_min(g, a, b, x, fx, iters):
+def _brent_min(g, a, b, x, fx, iters, known=()):
     """Brent's minimizer of g on [a, b] from the point x with g(x) = fx.
 
     Parabolic steps through the three best points, with a golden-section
     step whenever the parabola is unreliable (Brent, *Algorithms for
-    Minimization without Derivatives*, 1973, ch. 5).  Stops when
-    |x - m| <= 2 tol - (b - a)/2 for the midpoint m, with
-    tol = sqrt(eps) |x| + 1e-10, or after ``iters`` calls of g.  Returns
+    Minimization without Derivatives*, 1973, ch. 5).  ``known`` holds up to
+    two more points (t, g(t)) already scored, so the first step can be
+    parabolic.  Stops when |x - m| <= 2 tol - (b - a)/2 for the midpoint m,
+    with tol = sqrt(eps) (|x| + 1), or after ``iters`` calls of g.  Returns
     the best point seen and its value, so the value never exceeds fx.
     """
-    w = v = x
-    fw = fv = fx
-    d = e = 0.0
+    # without known points w = v = x, so the parabola is degenerate and the
+    # first step is golden
+    (w, fw), (v, fv) = (sorted(known, key=lambda p: p[1]) + [(x, fx)] * 2)[:2]
+    d, e = 0.0, b - a
     for _ in range(iters):
         m = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(x) + 1e-10
+        tol1 = _SQRT_EPS * (abs(x) + 1.0)
         tol2 = 2.0 * tol1
         if abs(x - m) <= tol2 - 0.5 * (b - a):
             break
@@ -471,18 +479,18 @@ def _line_search(g, g0: float, lo: float, hi: float):
     values: the scan is one call.  The scan guards against the curve
     objective being bimodal on the bracket (Brent, like golden section,
     assumes unimodality); theta = 0 with value g0 is always a candidate.
-    The refinement starts from the best scan point, with its known value,
-    on the bracket between that point's scan neighbours, and never returns
-    a worse value.
+    The refinement starts from the best scan point on the bracket between
+    its scan neighbours, with the three known values, and never returns a
+    worse value.
     """
     xs = np.sort(np.append(np.linspace(lo, hi, _SCAN_POINTS), 0.0))
     vals = np.full(len(xs), g0)
     off = xs != 0.0
     vals[off] = g(xs[off])
     m = int(np.argmin(vals))
-    bl = float(xs[max(m - 1, 0)])
-    br = float(xs[min(m + 1, len(xs) - 1)])
-    return _brent_min(g, bl, br, float(xs[m]), float(vals[m]), _BRENT_ITERS)
+    lo_i, hi_i = max(m - 1, 0), min(m + 1, len(xs) - 1)
+    known = [(float(xs[i]), float(vals[i])) for i in {lo_i, hi_i} - {m}]
+    return _brent_min(g, float(xs[lo_i]), float(xs[hi_i]), float(xs[m]), float(vals[m]), _BRENT_ITERS, known)
 
 
 class _RotationSearch:
@@ -504,13 +512,10 @@ class _RotationSearch:
         self.sense_mult = sense_mult
         self.beta, frame = alg._decompose(x)
         self.frame = np.array(frame)
-        # |x|^2 = sum beta^2 on a Jordan frame; the pairs are fixed with beta
+        # a pair's share of |a| |x|: |x|^2 = sum beta^2 on a Jordan frame,
+        # and the pairs are fixed with beta
         norm_ax = math.sqrt(alg._inner(a, a)) * float(np.linalg.norm(self.beta))
-        self.skip_thr = _SEARCH_TOL * norm_ax / max(len(self.pairs()), 1)
-
-    def refresh(self):
-        """Take a fresh frame of x, keeping beta."""
-        self.frame = np.array(self.alg._decompose(self.beta @ self.frame)[1])
+        self.pair_scale = norm_ax / max(len(self.pairs()), 1)
 
     def lam(self):
         """Eigenvalues of x - a."""
@@ -531,8 +536,8 @@ class _RotationSearch:
     def rotation(self, j, k):
         """The block (e_j, w, e_k) of pair (j, k), the map theta ->
         eigenvalues of x(theta) - a (one row per angle for an array of
-        angles) and the pair's ``aligning_angle`` (None when the pair must
-        be line-searched), or None when the pair has no generator."""
+        angles) and the pair's ``aligning_angle``, or None when the pair
+        has no generator."""
         w = self.alg._rotation_generator(self.frame, j, k, self.a)
         if w is None:
             return None
@@ -549,29 +554,22 @@ class _RotationSearch:
         return block, lam_at, self.aligning_angle(j, k, w)
 
     def aligning_angle(self, j, k, w):
-        """The angle that puts pair (j, k) in line with a for the sense,
-        when the pair already passes a first-order version of the
-        certificate; else None.
+        """The size of the pair's first-order commutation term and the
+        angle that puts the pair in line with a for the sense.
 
         The pair's share of the commutator of L_a and L_x is proportional
         to (beta_j - beta_k) <a, w> (w points toward a, so <a, w> carries
-        a's whole component in the pair's Peirce space).  It passes when
-        that term is within ``skip_thr``, its share of ``_SEARCH_TOL``
-        |a| |x|.  Passing says nothing of the value where F(x - a) is small
-        next to |a| |x| (b near a), so the search scores the angle once and
-        skips the pair only when ``_ACCEPT_TOL`` rejects that step.  The
-        angle extremises <x(theta), a> = const + (beta_j - beta_k)/2
+        a's whole component in the pair's Peirce space).  The angle
+        extremises <x(theta), a> = const + (beta_j - beta_k)/2
         ((<a, e_j> - <a, e_k>) cos 2 theta + <a, w> sin 2 theta) for the
         sense; it is near +-pi/2 for a commuting but anti-ordered start, a
-        saddle, which is then searched.
+        saddle.
         """
         inner = self.alg._inner
         a, e = self.a, self.frame
         gap = self.sense_mult * (self.beta[j] - self.beta[k])
         off = gap * inner(a, w)
-        if abs(off) > self.skip_thr:
-            return None
-        return 0.5 * math.atan2(off, gap * (inner(a, e[j]) - inner(a, e[k])))
+        return abs(off), 0.5 * math.atan2(off, gap * (inner(a, e[j]) - inner(a, e[k])))
 
     def apply(self, j, k, block, theta):
         self.frame[j] = _curve(1.0, 0.0, theta) @ block
@@ -584,18 +582,22 @@ class _RotationSearch:
 def local_search_orbit(problem: OrbitProblem, x0: Element) -> Solution:
     """Pairwise-rotation descent (ascent for max) over the orbit of b.
 
-    The first sweep runs on the Jordan frames decomposed from x0; each
-    later sweep refreshes the frames of the current iterate.  A sweep
-    line-searches the rotation angle on (-pi/2, pi/2) of every frame pair
-    admitting a rotation generator and accepts a step only when it
-    improves the value by more than ``_ACCEPT_TOL`` (relative), so the
-    steps are monotone.  A pair that passes a first-order version of the
-    certificate is scored once at its ``_RotationSearch.aligning_angle``
-    and skipped when that step would not be accepted.  Stops
-    when the steps of a full sweep improve the value by at most
-    ``_EPS_SWEEP`` (relative), or after ``_MAX_SWEEPS`` sweeps, in which
-    case the best-so-far point is returned flagged as non-converged.  The
-    certificate is taken at ``_SEARCH_TOL``.
+    The search runs on the Jordan frames decomposed from x0, which every
+    step rotates in place.  A sweep line-searches the rotation angle on
+    (-pi/2, pi/2) of every frame pair admitting a rotation generator, to
+    the angle's resolution sqrt(eps), and takes the step only when it
+    improves the value by more than ``_ACCEPT_TOL`` (relative).  A pair
+    whose first-order commutation term with a is within ``_SKIP_TOL`` is
+    scored once at its ``_RotationSearch.aligning_angle`` instead, and
+    line-searched only when that step gains more.  The sweeps stop when
+    the steps of a full sweep improve the value by at most ``_EPS_SWEEP``
+    (relative), or after ``_MAX_SWEEPS`` sweeps, in which case the
+    best-so-far point is returned flagged as non-converged.  Then a polish
+    rotates each pair by its exact aligning angle until every pair's
+    first-order term is within ``_POLISH_TOL``.  An aligning step, in a
+    sweep or in the polish, is taken when the value rises by at most
+    ``_ACCEPT_TOL``, so x commutes with a to rounding and the certificate
+    is taken at ``DEFAULT_TOL``.
     """
     feas = problem.feasible
     if not isinstance(feas, (EigenvalueOrbit, WeakOrbit)):
@@ -616,32 +618,17 @@ def local_search_orbit(problem: OrbitProblem, x0: Element) -> Solution:
     if fn.domain != "all":
         _check_orbit_domain(fn, lam_b, eigenvalues(problem.a))
 
-    # f is symmetric, so the eigenvalues it scores need not be sorted
-    def signed_value():
-        return sense_mult * fn(np.concatenate([st.lam() for st in states]))
-
-    lo = -math.pi / 2.0 + _BRACKET_DELTA
-    hi = math.pi / 2.0 - _BRACKET_DELTA
-    cur = signed_value()
-    trace = [(0, sense_mult * cur)]
-    converged = False
-    sweeps = 0
-    for _sweep in range(_MAX_SWEEPS):
-        sweeps += 1
-        if sweeps > 1:
-            # the first sweep runs on the frames decomposed from x0
-            for st in states:
-                st.refresh()
-            cur = signed_value()
-        # the sweep is judged on its steps, not on the refresh's rounding
-        start = cur
+    def pair_curves():
+        """(state, j, k, block, objective on the pair's curve, first-order
+        term, aligning angle) of every pair with a generator, built from
+        the current frames."""
         for fi, st in enumerate(states):
             other = [s.lam() for i, s in enumerate(states) if i != fi]
             for (j, k) in st.pairs():
                 rot = st.rotation(j, k)
                 if rot is None:
                     continue
-                block, lam_at, aligning = rot
+                block, lam_at, (off, angle) = rot
 
                 def g(theta, lam_at=lam_at, other=other):
                     lam = lam_at(theta)
@@ -650,20 +637,51 @@ def local_search_orbit(problem: OrbitProblem, x0: Element) -> Solution:
                     rows = [np.broadcast_to(o, (len(lam), len(o))) for o in other]
                     return sense_mult * fn._values(np.concatenate(rows + [lam], axis=1))
 
-                accept = cur - _ACCEPT_TOL * abs(cur)
-                if aligning is not None and g(aligning) >= accept:
+                yield st, j, k, block, g, off, angle
+
+    lo = -math.pi / 2.0 + _BRACKET_DELTA
+    hi = math.pi / 2.0 - _BRACKET_DELTA
+    # f is symmetric, so the eigenvalues it scores need not be sorted
+    cur = sense_mult * fn(np.concatenate([st.lam() for st in states]))
+    trace = [(0, sense_mult * cur)]
+    converged = False
+    sweeps = 0
+    for _sweep in range(_MAX_SWEEPS):
+        sweeps += 1
+        start = cur
+        for st, j, k, block, g, off, angle in pair_curves():
+            accept = cur - _ACCEPT_TOL * abs(cur)
+            if off <= _SKIP_TOL * st.pair_scale:
+                gval = g(angle)
+                if gval >= accept:
+                    # no gain: take the aligning step as a polish step
+                    if gval <= cur + _ACCEPT_TOL * abs(cur):
+                        st.apply(j, k, block, angle)
+                        cur = gval
                     continue
-                theta, gval = _line_search(g, cur, lo, hi)
-                if gval < accept:
-                    st.apply(j, k, block, theta)
-                    cur = gval
+            theta, gval = _line_search(g, cur, lo, hi)
+            if gval < accept:
+                st.apply(j, k, block, theta)
+                cur = gval
         trace.append((sweeps, sense_mult * cur))
         if start - cur <= _EPS_SWEEP * abs(cur):
             converged = True
             break
+    for _round in range(_MAX_SWEEPS):
+        kept = False
+        for st, j, k, block, g, off, angle in pair_curves():
+            if off <= _POLISH_TOL * st.pair_scale:
+                continue
+            gval = g(angle)
+            if gval <= cur + _ACCEPT_TOL * abs(cur):
+                st.apply(j, k, block, angle)
+                cur = gval
+                kept = True
+        if not kept:
+            break
     x_final = join(problem.algebra, [st.x_element() for st in states])
     value = eval_spectral(fn, x_final - problem.a)
-    cert = certify(problem.a, x_final, problem.sense, tol=_SEARCH_TOL)
+    cert = certify(problem.a, x_final, problem.sense)
     return Solution(
         x_star=x_final,
         value=value,

@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from ejaopt.cli import dumps_report, main
+from ejaopt.algebra import algebra_to_dict, element_to_dict
+from ejaopt.cli import _builtin_counterexample, dumps_report, main
 
 SQRT2_PROBLEM = {
     "algebra": {"kind": "sym", "n": 2},
@@ -250,6 +251,22 @@ def test_counterexample_modified_instance_flagged(tmp_path, capsys):
     assert code == 1
     report = json.loads(out)
     assert report["verdicts"]["is_counterexample"] is False
+
+
+def test_counterexample_verdicts_do_not_depend_on_units(tmp_path, capsys):
+    # The built-in instance with a and b scaled by t.  With the thresholds
+    # 1e-6 (1 + |a|) and 1e-9 (1 + |a|), b_component_min_positive turned
+    # False at t = 1e-9 and the command exited 1.
+    code, builtin_out = run(capsys, ["counterexample", "--no-timestamp"])
+    alg, a, b = _builtin_counterexample()
+    for t in (1e-9, 1.0, 1e9):
+        doc = {"algebra": algebra_to_dict(alg), "a": element_to_dict(t * a), "b": element_to_dict(t * b)}
+        path = write(tmp_path, "cx.json", doc)
+        scaled_code, out = run(capsys, ["counterexample", "--input", path, "--no-timestamp"])
+        assert scaled_code == code == 0, t
+        assert json.loads(out)["verdicts"] == json.loads(builtin_out)["verdicts"], t
+        if t == 1.0:
+            assert out == builtin_out
 
 
 def test_counterexample_simple_algebra_warns(tmp_path, capsys):
