@@ -479,14 +479,13 @@ class Element:
     coords: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coords, dtype=float)
+        c = np.array(self.coords, dtype=float)
         if c.shape != (self.algebra.dim,):
             raise AlgebraError(
                 f"coords length {c.shape} does not match algebra dim {self.algebra.dim}"
             )
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise AlgebraError("non-finite coordinates")
-        c = c.copy()
         c.flags.writeable = False
         object.__setattr__(self, "coords", c)
 
@@ -784,6 +783,8 @@ def peirce_project(p: Element, x: Element):
     _check_same(p, x)
     alg = p.algebra
     psq = alg._product(p.coords, p.coords)
+    # an idempotent has a fixed scale (its eigenvalues are 0 and 1), so
+    # this threshold needs no operand scale
     if math.sqrt(alg._inner(psq - p.coords, psq - p.coords)) > 1e-8 * (
         1.0 + alg._inner(p.coords, p.coords)
     ):

@@ -27,7 +27,6 @@ from .algebra import (
     random_automorphism,
     random_element,
     spectral_decompose,
-    strong_commutation_gap,
     strongly_operator_commute,
     synthesize_from_frame,
     trace,
@@ -164,19 +163,16 @@ def suite_kyfan(alg, rng, trials, tol):
     return _majorization_suite(kyfan_holds, alg, rng, trials, tol)
 
 
-def _strong_equivalence_residuals(a, b):
-    """Normalized residuals of the three strong-commutation tests: the
-    inner-product identity, eigenvalue additivity under +, and sorted
-    eigenvalue subtractivity under -.  Each is scaled to its pass
-    threshold at tolerance 1, so "<= tol" is the boolean at tol."""
-    scale = 1.0 + norm(a) + norm(b)
-    ra = strong_commutation_gap(a, b) / (1.0 + norm(a) * norm(b))
-    rb = float(np.max(np.abs(eigenvalues(a + b) - (eigenvalues(a) + eigenvalues(b))))) / scale
-    rc = (
-        float(np.max(np.abs(sort_desc(eigenvalues(a) - eigenvalues(b)) - eigenvalues(a - b))))
-        / scale
+def _strong_equivalence_gaps(a, b):
+    """Gaps of the three strong-commutation tests: the inner-product
+    identity, eigenvalue additivity under +, and sorted eigenvalue
+    subtractivity under -.  lambda(a) and lambda(b) are solved once."""
+    la, lb = eigenvalues(a), eigenvalues(b)
+    return (
+        abs(inner(a, b) - float(la @ lb)),
+        float(np.max(np.abs(eigenvalues(a + b) - (la + lb)))),
+        float(np.max(np.abs(sort_desc(la - lb) - eigenvalues(a - b)))),
     )
-    return ra, rb, rc
 
 
 _GENERIC_TOL = 1e-7  # classifies the generic pairs of suite_strong_commutation_equivalence
@@ -203,15 +199,17 @@ def suite_strong_commutation_equivalence(alg, rng, trials, tol):
         beta = sort_desc(rng.standard_normal(alg.rank))
         a = synthesize_from_frame(frame, alpha, validate=False)
         b = synthesize_from_frame(frame, beta, validate=False)
-        rb = float(np.max(np.abs(eigenvalues(a + b) - (eigenvalues(a) + eigenvalues(b)))))
-        rc = float(np.max(np.abs(sort_desc(eigenvalues(a) - eigenvalues(b)) - eigenvalues(a - b))))
+        _, rb, rc = _strong_equivalence_gaps(a, b)
         worst = max(worst, rb, rc)
         failures += rb > tol or rc > tol
 
         for _attempt in range(50):
             a = random_element(alg, rng)
             b = random_element(alg, rng)
-            resid = _strong_equivalence_residuals(a, b)
+            ra, rb, rc = _strong_equivalence_gaps(a, b)
+            # each gap scaled to its pass threshold at tolerance 1
+            scale = 1.0 + norm(a) + norm(b)
+            resid = (ra / (1.0 + norm(a) * norm(b)), rb / scale, rc / scale)
             decisive_true = all(r <= 1e-3 * _GENERIC_TOL for r in resid)
             decisive_false = all(r > _GENERIC_TOL for r in resid)
             if decisive_true or decisive_false:

@@ -105,6 +105,27 @@ def test_element_validation():
         x.coords[0] = 5.0  # coords are frozen
 
 
+def test_element_owns_a_frozen_float_copy():
+    alg = RealDiagonal(3)
+    src = np.array([1.0, 2.0, 3.0])
+    x = Element(alg, src)
+    src[0] = 7.0  # a later write to the source does not reach the element
+    assert x.coords.tolist() == [1.0, 2.0, 3.0]
+    assert src.flags.writeable  # the caller's array is not frozen
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(AlgebraError):
+            Element(alg, [1.0, bad, 0.0])
+    frozen = np.array([4.0, 5.0, 6.0])
+    frozen.flags.writeable = False
+    for given in ([1, 2, 3], np.array([1, 2, 3]), np.array([1.0, 2.0, 3.0]), frozen):
+        c = Element(alg, given).coords
+        assert c.dtype == np.float64
+        assert not c.flags.writeable
+        with pytest.raises(ValueError):
+            c[1] = 0.0
+    assert Element(alg, [1, 2, 3]).coords.tolist() == [1.0, 2.0, 3.0]
+
+
 def test_element_arithmetic_algebra_mismatch():
     x = Element(RealDiagonal(2), [1.0, 2.0])
     y = Element(RealDiagonal(3), [1.0, 2.0, 3.0])
