@@ -376,7 +376,13 @@ def rotation_curve(frame, j: int, k: int, beta_j: float, beta_k: float, w: Eleme
 # Local search over pairwise rotation curves
 
 
-# Knobs of the rotation-curve search.  Each line search scores
+# Knobs of the rotation-curve search.  A sweep scores every pair once at
+# its aligning angle (_RotationSearch.aligning_angle), the exact extremiser
+# of <x(theta), a> on the pair's curve, and takes that step when it gains
+# more than _ACCEPT_TOL.  By the commutation principle an optimizer
+# extremises <x, a> over the orbit whatever F is, and for squared_norm the
+# aligning angle is the exact line minimiser.  Only a pair whose aligning
+# step gains nothing is line-searched.  Each line search scores
 # _SCAN_POINTS angles evenly spaced on
 # (-pi/2 + _BRACKET_DELTA, pi/2 - _BRACKET_DELTA) in one stacked objective
 # call, takes angle 0 at the current value, then refines the best one with
@@ -391,15 +397,14 @@ def rotation_curve(frame, j: int, k: int, beta_j: float, beta_k: float, w: Eleme
 # scaled by a common factor.
 #
 # _SKIP_TOL is a search heuristic, not a tolerance of the result: a pair
-# whose first-order commutation term is within its share of _SKIP_TOL
-# |a| |x| is scored once at its aligning angle
-# (_RotationSearch.aligning_angle) and line-searched only when that step
-# gains more than _ACCEPT_TOL.  The line searches only find the valley:
-# the exact aligning step, taken whenever the value rises by at most
-# _ACCEPT_TOL, sets the final alignment.  A sweep takes it for the pairs
-# it scores, and after the sweeps a polish takes it for every pair until
-# each first-order term is within its share of _POLISH_TOL |a| |x|.  So
-# the result is certified at the library default, DEFAULT_TOL.
+# whose aligning step gains nothing is not line-searched when its
+# first-order commutation term is within its share of _SKIP_TOL |a| |x|.
+# The line searches only find the valley: the exact aligning step, taken
+# whenever the value rises by at most _ACCEPT_TOL, sets the final
+# alignment.  A sweep takes it for such a pair as a polish step, and after
+# the sweeps a polish takes it for every pair until each first-order term
+# is within its share of _POLISH_TOL |a| |x|.  So the result is certified
+# at the library default, DEFAULT_TOL.
 _MAX_SWEEPS = 500
 _BRENT_ITERS = 60
 _SCAN_POINTS = 12
@@ -583,13 +588,13 @@ def local_search_orbit(problem: OrbitProblem, x0: Element) -> Solution:
     """Pairwise-rotation descent (ascent for max) over the orbit of b.
 
     The search runs on the Jordan frames decomposed from x0, which every
-    step rotates in place.  A sweep line-searches the rotation angle on
-    (-pi/2, pi/2) of every frame pair admitting a rotation generator, to
-    the angle's resolution sqrt(eps), and takes the step only when it
-    improves the value by more than ``_ACCEPT_TOL`` (relative).  A pair
-    whose first-order commutation term with a is within ``_SKIP_TOL`` is
-    scored once at its ``_RotationSearch.aligning_angle`` instead, and
-    line-searched only when that step gains more.  The sweeps stop when
+    step rotates in place.  A sweep scores every frame pair admitting a
+    rotation generator once at its ``_RotationSearch.aligning_angle``, and
+    takes that step when it improves the value by more than
+    ``_ACCEPT_TOL`` (relative).  Otherwise, unless the pair's first-order
+    commutation term with a is within ``_SKIP_TOL``, it line-searches the
+    angle on (-pi/2, pi/2) to the angle's resolution sqrt(eps) and takes
+    the step under the same rule.  The sweeps stop when
     the steps of a full sweep improve the value by at most ``_EPS_SWEEP``
     (relative), or after ``_MAX_SWEEPS`` sweeps, in which case the
     best-so-far point is returned flagged as non-converged.  Then a polish
@@ -651,14 +656,15 @@ def local_search_orbit(problem: OrbitProblem, x0: Element) -> Solution:
         start = cur
         for st, j, k, block, g, off, angle in pair_curves():
             accept = cur - _ACCEPT_TOL * abs(cur)
-            if off <= _SKIP_TOL * st.pair_scale:
-                gval = g(angle)
-                if gval >= accept:
-                    # no gain: take the aligning step as a polish step
-                    if gval <= cur + _ACCEPT_TOL * abs(cur):
-                        st.apply(j, k, block, angle)
-                        cur = gval
-                    continue
+            gval = g(angle)
+            if gval < accept or off <= _SKIP_TOL * st.pair_scale:
+                # a gain, or a pair that passes the first-order skip: take
+                # the aligning step, as a polish step when it gains nothing
+                if gval <= cur + _ACCEPT_TOL * abs(cur):
+                    st.apply(j, k, block, angle)
+                    cur = gval
+                continue
+            # the aligning step gains nothing: the line search is the fallback
             theta, gval = _line_search(g, cur, lo, hi)
             if gval < accept:
                 st.apply(j, k, block, theta)
