@@ -16,7 +16,6 @@ from ejaopt import (
     permutation_oracle,
     random_automorphism,
     solve_orbit_global,
-    solve_spectral_set_global,
     sym_from_matrix,
     sym_to_matrix,
 )
@@ -52,5 +51,5 @@ for i in range(3):
 
 print("\n=== finite unions of orbits (spectral sets) pick the best member ===")
 q = FiniteSpectralSet(((3.0, 0.0), (4.0, 1.0)))
-sq = solve_spectral_set_global(OrbitProblem(s2, fn, a, q, "min"))
+sq = solve_orbit_global(OrbitProblem(s2, fn, a, q, "min"))
 print("Q = {(3,0), (4,1)} -> min", sq.value, "taken on the (3,0) orbit")

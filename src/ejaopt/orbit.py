@@ -5,14 +5,14 @@ eigenvalue orbit [b], an automorphism (weak) orbit, or a finite union of
 orbits given by a list of spectra.  For strictly Schur-convex f the global
 optimum has closed form: decompose a over a Jordan frame and place the
 eigenvalues of b on that frame sorted the same way (minimization) or the
-opposite way (maximization).  The optimizer then strongly operator
-commutes with a (minimization) or with -a (maximization), and those
-commutation facts are emitted as machine-checkable certificates.
+opposite way (maximization); one solver does this for every feasible set.
+The optimizer then strongly operator commutes with a (minimization) or
+with -a (maximization), emitted as machine-checkable certificates.
 
-A derivative-free local search over pairwise rotation curves is provided
-as an independent route to the same optima on simple algebras, plus a
-harness for the product-algebra phenomenon where a weak-orbit optimizer
-only operator commutes (strong commutation fails).
+A derivative-free local search over pairwise rotation curves is an
+independent route to the same optima, one run per weak-orbit component on
+products, plus a harness for the product-algebra phenomenon where a
+weak-orbit optimizer only operator commutes (strong commutation fails).
 """
 
 from __future__ import annotations
@@ -56,14 +56,22 @@ class InfeasibleError(ValueError):
 # Problem and result types
 
 
+# A feasible set's ``_spectra(dec, sense)`` are the spectra that the closed
+# form lays on the frame of a's decomposition ``dec``, as ``_align`` takes them.
 @dataclass(frozen=True)
 class EigenvalueOrbit:
     b: Element
+
+    def _spectra(self, dec, sense):
+        return [eigenvalues(self.b)]
 
 
 @dataclass(frozen=True)
 class WeakOrbit:
     b: Element
+
+    def _spectra(self, dec, sense):
+        return _placed(dec, _ordered_assignments(dec.algebra, _factor_spectra(self.b)), sense)
 
 
 @dataclass(frozen=True)
@@ -76,6 +84,14 @@ class FiniteSpectralSet:
             "spectra",
             tuple(tuple(float(v) for v in sort_desc(np.asarray(s, dtype=float))) for s in self.spectra),
         )
+
+    def _spectra(self, dec, sense):
+        if not self.spectra:
+            raise InfeasibleError("empty spectral set")
+        spectra = [np.asarray(raw, dtype=float) for raw in self.spectra]
+        if any(len(u) != len(dec.eigenvalues) for u in spectra):
+            raise SolverError("spectral-set member length does not match rank")
+        return spectra
 
 
 @dataclass(frozen=True)
@@ -95,6 +111,8 @@ class OrbitProblem:
             )
         if self.a.algebra != self.algebra:
             raise SolverError("shift element belongs to a different algebra")
+        if not isinstance(self.feasible, (EigenvalueOrbit, WeakOrbit, FiniteSpectralSet)):
+            raise SolverError(f"unknown feasible set type {type(self.feasible).__name__}")
         b = getattr(self.feasible, "b", None)
         if b is not None and b.algebra != self.algebra:
             raise SolverError("orbit element belongs to a different algebra")
@@ -218,14 +236,6 @@ def permutation_oracle(fn: SymmetricFunction, lam_b, lam_a, sense: str = "min"):
 # Closed-form global solvers
 
 
-def _require_strict(fn: SymmetricFunction):
-    if fn.declared_class != STRICTLY_SCHUR_CONVEX:
-        raise SolverError(
-            f"{fn.id} is not declared strictly Schur-convex; the global alignment "
-            "argument needs strictness (run the local search at your own risk)"
-        )
-
-
 def _check_orbit_domain(fn: SymmetricFunction, lam_b, lam_a):
     """Feasibility of the whole orbit for a domain-restricted function.
 
@@ -237,17 +247,18 @@ def _check_orbit_domain(fn: SymmetricFunction, lam_b, lam_a):
     the smallest eigenvalue of b on a's frame member for lambda_1(a).
     Floating-point subtraction is monotone, so probing the single value
     lambda_n(b) - lambda_1(a) is exact: it accepts precisely when every
-    pairing P lam_b - lam_a lies in the domain.
+    pairing P lam_b - lam_a lies in the domain.  ``lam_a`` is sorted
+    non-increasing; ``lam_b`` may come in any order.
     """
     if fn.domain == "all":
         return
-    probe = np.full(len(lam_b), lam_b[-1] - lam_a[0])
+    probe = np.full(len(lam_b), np.min(lam_b) - lam_a[0])
     if not bool(np.all(fn.in_domain(probe))):
         raise InfeasibleError(f"{fn.id}: orbit leaves the function domain")
 
 
 def _align(dec, s, sense: str):
-    """Place the spectrum s (sorted non-increasing) on a's frame.
+    """Place the spectrum s on a's frame.
 
     Minimization puts s in the order of lambda(a), maximization in the
     reverse order.  Returns the eigenvalues of a that meet s entrywise (so
@@ -258,14 +269,42 @@ def _align(dec, s, sense: str):
     return dec.eigenvalues[::-1], synthesize_from_frame(dec.frame, s[::-1], validate=False)
 
 
-def _solve_aligned(problem: OrbitProblem, spectra) -> Solution:
-    """Best aligned point over the orbits of the given spectra (each sorted
-    non-increasing), all placed on one frame of a."""
+def _placed(dec, assignments, sense: str):
+    """One row per assignment of per-factor spectra (each sorted
+    non-increasing), laid out for ``_align`` on the frame of ``dec``: each
+    factor's spectrum lands on that factor's frame members in a's order,
+    reversed for max.  A product frame merges its factors' members by a
+    stable sort, so each factor's members keep their order, and a member
+    belongs to the one factor slice where its coordinates are nonzero.
+    """
+    slices = dec.algebra._slices
+    owner = [next(i for i, s in enumerate(slices) if c.coords[s].any()) for c in dec.frame]
+    # _align reverses a row for max, so the slots are read from the other end
+    slots = np.argsort(owner if sense == "min" else owner[::-1], kind="stable")
+    rows = np.empty((len(assignments), len(slots)))
+    rows[:, slots] = [np.concatenate(assignment) for assignment in assignments]
+    return rows
+
+
+def solve_orbit_global(problem: OrbitProblem) -> Solution:
+    """Closed-form global optimum of F(x - a) over the feasible set.
+
+    Every feasible set is a list of spectra laid on one Jordan frame of a:
+    an eigenvalue orbit [b] gives lambda(b), a finite spectral set its
+    members, and a weak orbit one spectrum per ordered assignment of b's
+    factor spectra, each factor aligned on its own frame members.
+    Minimization aligns each spectrum with the eigenvalues of a,
+    maximization anti-aligns it, and the best spectrum wins.
+    """
     fn = problem.fn
-    _require_strict(fn)
+    if fn.declared_class != STRICTLY_SCHUR_CONVEX:
+        raise SolverError(
+            f"{fn.id} is not declared strictly Schur-convex; the global alignment "
+            "argument needs strictness (run the local search at your own risk)"
+        )
     dec = spectral_decompose(problem.a)
     best = None
-    for s in spectra:
+    for s in problem.feasible._spectra(dec, problem.sense):
         _check_orbit_domain(fn, s, dec.eigenvalues)
         paired, x = _align(dec, s, problem.sense)
         value = fn(s - paired)
@@ -274,36 +313,6 @@ def _solve_aligned(problem: OrbitProblem, spectra) -> Solution:
     value, x_star = best
     cert = certify(problem.a, x_star, problem.sense)
     return Solution(x_star=x_star, value=value, certificate=cert)
-
-
-def solve_orbit_global(problem: OrbitProblem) -> Solution:
-    """Closed-form global optimum of F(x - a) over the eigenvalue orbit [b].
-
-    Minimization aligns the eigenvalues of b with those of a on a's frame;
-    maximization anti-aligns them.  The optimal value is f(lam(b) - lam(a))
-    resp. f(lam(b) + lam(-a)) on sorted vectors.  Weak orbits, of every
-    algebra, go to :func:`solve_weak_orbit_global`.
-    """
-    feas = problem.feasible
-    if isinstance(feas, WeakOrbit):
-        return solve_weak_orbit_global(problem)
-    if not isinstance(feas, EigenvalueOrbit):
-        raise SolverError("solve_orbit_global needs an eigenvalue-orbit problem")
-    return _solve_aligned(problem, [eigenvalues(feas.b)])
-
-
-def solve_spectral_set_global(problem: OrbitProblem) -> Solution:
-    """Optimum over a finite union of orbits: solve each orbit at the vector
-    level and keep the best member."""
-    feas = problem.feasible
-    if not isinstance(feas, FiniteSpectralSet):
-        raise SolverError("solve_spectral_set_global needs a FiniteSpectralSet problem")
-    if not feas.spectra:
-        raise InfeasibleError("empty spectral set")
-    spectra = [np.asarray(raw, dtype=float) for raw in feas.spectra]
-    if any(len(u) != problem.algebra.rank for u in spectra):
-        raise SolverError("spectral-set member length does not match rank")
-    return _solve_aligned(problem, spectra)
 
 
 # ---------------------------------------------------------------------------
@@ -790,43 +799,6 @@ def _canonical_assignment(alg, assignment):
     return tuple(tuple(sorted(assignment[i] for i in idxs)) for idxs in alg._groups)
 
 
-def _assignment_optimum(alg, a_decs, assignment, fn, sense):
-    """Per-factor aligned optimum over one ordered assignment sub-orbit."""
-    diffs = []
-    parts = []
-    for (dec, spec) in zip(a_decs, assignment):
-        s = sort_desc(np.asarray(spec, dtype=float))
-        paired, x = _align(dec, s, sense)
-        diffs.append(s - paired)
-        parts.append(x)
-    # f is symmetric, so the differences it scores need not be sorted
-    return fn(np.concatenate(diffs)), join(alg, parts)
-
-
-def solve_weak_orbit_global(problem: OrbitProblem) -> Solution:
-    """Global optimum of F(x - a) over the automorphism orbit of b.
-
-    The weak orbit is the union of ordered-assignment sub-orbits of b's
-    factor spectra; each sub-orbit optimum is the per-factor alignment, and
-    the best assignment wins.  One factor has one assignment, [b] itself.
-    """
-    feas = problem.feasible
-    if not isinstance(feas, WeakOrbit):
-        raise SolverError("solve_weak_orbit_global needs a weak-orbit problem")
-    fn = problem.fn
-    _require_strict(fn)
-    _check_orbit_domain(fn, eigenvalues(feas.b), eigenvalues(problem.a))
-    a_decs = [spectral_decompose(p) for p in split(problem.a)]
-    best = None
-    for assignment in _ordered_assignments(problem.algebra, _factor_spectra(feas.b)):
-        value, x = _assignment_optimum(problem.algebra, a_decs, assignment, fn, problem.sense)
-        if best is None or (value < best[0] if problem.sense == "min" else value > best[0]):
-            best = (value, x)
-    value, x_star = best
-    cert = certify(problem.a, x_star, problem.sense)
-    return Solution(x_star=x_star, value=value, certificate=cert)
-
-
 @dataclass(frozen=True)
 class ComponentReport:
     spectra: tuple
@@ -859,14 +831,15 @@ def counterexample_no_strong(alg, a: Element, b: Element, fn: SymmetricFunction)
     gives the single component [b], ``gap`` 0.0 and ``degenerate`` True.
     """
     full = solve_orbit_global(OrbitProblem(alg, fn, a, EigenvalueOrbit(b), "min"))
-    a_decs = [spectral_decompose(p) for p in split(a)]
+    dec = spectral_decompose(a)
     b_key = _canonical_assignment(alg, _factor_spectra(b))
     comps = []
     for assignment in orbit_components(alg, b):
         best = None
         any_strong = False
-        for ordered in _ordered_assignments(alg, assignment):
-            value, x = _assignment_optimum(alg, a_decs, ordered, fn, "min")
+        for s in _placed(dec, _ordered_assignments(alg, assignment), "min"):
+            paired, x = _align(dec, s, "min")
+            value = fn(s - paired)
             cert = certify(a, x, "min")
             any_strong = any_strong or cert.checks["strong_commute_with_a"]
             if best is None or value < best[0]:
@@ -927,9 +900,5 @@ def problem_from_dict(d: dict) -> OrbitProblem:
 
 
 def solve_problem(problem: OrbitProblem) -> Solution:
-    """Dispatch to the closed-form solver matching the feasible set."""
-    if isinstance(problem.feasible, EigenvalueOrbit):
-        return solve_orbit_global(problem)
-    if isinstance(problem.feasible, WeakOrbit):
-        return solve_weak_orbit_global(problem)
-    return solve_spectral_set_global(problem)
+    """The closed-form optimum of a problem, as :func:`solve_orbit_global`."""
+    return solve_orbit_global(problem)

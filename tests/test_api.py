@@ -81,8 +81,6 @@ PUBLIC_NAMES = [
     "rotation_generator",
     "solve_orbit_global",
     "solve_problem",
-    "solve_spectral_set_global",
-    "solve_weak_orbit_global",
     "sort_desc",
     "spectral_decompose",
     "strongly_operator_commute",

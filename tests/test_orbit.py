@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -35,8 +36,6 @@ from ejaopt import (
     rotation_generator,
     solve_orbit_global,
     solve_problem,
-    solve_spectral_set_global,
-    solve_weak_orbit_global,
     spectral_decompose,
     strongly_operator_commute,
     sym_from_matrix,
@@ -251,25 +250,25 @@ def test_global_matches_oracle_many_kinds():
 def test_spectral_set_examples():
     a = diag2(2, 1)
     fn = SCHATTEN2_2
-    sol = solve_spectral_set_global(
+    sol = solve_orbit_global(
         OrbitProblem(S2, fn, a, FiniteSpectralSet(((2.0, 1.0),)), "min")
     )
     assert sol.value == pytest.approx(0.0, abs=1e-14)
     assert norm(sol.x_star - a) <= 1e-12
 
-    sol = solve_spectral_set_global(
+    sol = solve_orbit_global(
         OrbitProblem(S2, fn, a, FiniteSpectralSet(((3.0, 0.0), (2.0, 1.0))), "min")
     )
     assert sol.value == pytest.approx(0.0, abs=1e-14)
 
-    sol = solve_spectral_set_global(
+    sol = solve_orbit_global(
         OrbitProblem(S2, fn, a, FiniteSpectralSet(((3.0, 0.0), (4.0, 1.0))), "min")
     )
     assert sol.value == pytest.approx(math.sqrt(2.0), abs=1e-12)  # (4,1) scores 2
     np.testing.assert_allclose(eigenvalues(sol.x_star), [3.0, 0.0], atol=1e-12)
 
     with pytest.raises(InfeasibleError):
-        solve_spectral_set_global(OrbitProblem(S2, fn, a, FiniteSpectralSet(()), "min"))
+        solve_orbit_global(OrbitProblem(S2, fn, a, FiniteSpectralSet(()), "min"))
 
 
 def test_spectral_set_members_get_sorted():
@@ -279,11 +278,11 @@ def test_spectral_set_members_get_sorted():
 
 def test_spectral_set_max_sense():
     a = diag2(2, 1)
-    sol = solve_spectral_set_global(
+    sol = solve_orbit_global(
         OrbitProblem(S2, SCHATTEN2_2, a, FiniteSpectralSet(((3.0, 0.0), (2.0, 1.0))), "max")
     )
-    # (3,0): anti value sqrt(8); (2,1): lam + lam(-a) = (1, -1) -> wait both
-    # computed against lam(-a) = (-1, -2): (2,1)+(-1,-2) = (1,-1): sqrt(2)
+    # anti-aligned against lam(-a) = (-1, -2): (3,0) gives (3,0) + (-1,-2)
+    # = (2,-2), value 2 sqrt(2); (2,1) gives (1,-1), value sqrt(2)
     assert sol.value == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-12)
 
 
@@ -801,11 +800,12 @@ def test_local_search_optimum_of_every_component_commutes():
                 a = random_element(alg, rng)
                 b = random_element(alg, rng)
                 problem = OrbitProblem(alg, fn, a, EigenvalueOrbit(b), sense)
-                a_decs = [spectral_decompose(p) for p in split(a)]
                 for comp in orbit_components(alg, b):
-                    ref, _x = orbit_module._assignment_optimum(alg, a_decs, comp, fn, sense)
                     parts = [Element(f, f._canonical(np.asarray(s))) for f, s in zip(alg.factors, comp)]
-                    x0 = apply_automorphism(random_automorphism(alg, rng), join(alg, parts))
+                    rep = join(alg, parts)
+                    # the factors differ, so the weak orbit of rep is the component
+                    ref = solve_orbit_global(OrbitProblem(alg, fn, a, WeakOrbit(rep), sense)).value
+                    x0 = apply_automorphism(random_automorphism(alg, rng), rep)
                     sol = local_search_orbit(problem, x0)
                     case = (fn.id, sense, seed, comp)
                     assert sol.value == pytest.approx(ref, rel=1e-9), case
@@ -964,7 +964,7 @@ def test_local_search_mixed_product_and_weak_orbit_feasible():
     a = random_element(alg, rng)
     b = random_element(alg, rng)
     problem = OrbitProblem(alg, fn, a, WeakOrbit(b), "min")
-    ref = solve_weak_orbit_global(problem)
+    ref = solve_orbit_global(problem)
     x0 = apply_automorphism(random_automorphism(alg, rng), b)
     sol = local_search_orbit(problem, x0)
     assert sol.converged
@@ -1157,15 +1157,59 @@ def test_solve_weak_orbit_global_product():
     b = join(alg, [diag2(4, 1), diag2(3, 2)])
     fn = builtin("schatten", 4, p=2)
     problem = OrbitProblem(alg, fn, a, WeakOrbit(b), "min")
-    sol = solve_weak_orbit_global(problem)
+    sol = solve_orbit_global(problem)
     assert sol.value == pytest.approx(math.sqrt(6.0), abs=1e-12)
-    # every entry point solves a product weak orbit the same way
-    for other in (solve_orbit_global(problem), solve_problem(problem)):
-        assert other.value == sol.value
-        assert np.array_equal(other.x_star.coords, sol.x_star.coords)
+    # solve_problem is the same solver
+    other = solve_problem(problem)
+    assert other.value == sol.value
+    assert np.array_equal(other.x_star.coords, sol.x_star.coords)
     # orbit-wide (spectral set) minimum is strictly better
     full = solve_orbit_global(OrbitProblem(alg, fn, a, EigenvalueOrbit(b), "min"))
     assert full.value == pytest.approx(0.0, abs=1e-12)
+
+
+def test_product_weak_orbit_matches_brute_force():
+    # Independent of the frame layout of the solver: enumerate every ordered
+    # assignment of b's factor spectra (a factor takes the spectrum of a
+    # factor with the same descriptor) and every per-factor permutation of
+    # it against that factor's eigenvalues of a.  a = t e and an a with ties
+    # across factors make assignments tie in value.
+    rng = np.random.default_rng(31)
+    s2 = SymMatrix(2)
+    algs = (
+        product_algebra(s2, s2, RealDiagonal(2)),
+        product_algebra(SymMatrix(3), SpinFactor(3)),
+        product_algebra(SpinFactor(4), s2, SpinFactor(4)),
+    )
+    for alg in algs:
+        n = alg.rank
+        fns = (builtin("schatten", n, p=2), builtin("schatten", n, p=3.5), builtin("squared_norm", n))
+        tied = join(alg, [Element(f, f._canonical(np.linspace(1.0, 0.0, f.rank))) for f in alg.factors])
+        shifts = (1.7 * unit(alg), tied, random_element(alg, rng))
+        for a, fn, sense, _ in itertools.product(shifts, fns, ("min", "max"), range(2)):
+            b = random_element(alg, rng)
+            b_specs = [tuple(eigenvalues(p)) for p in split(b)]
+            a_specs = [eigenvalues(p) for p in split(a)]
+            assignments = {
+                tuple(b_specs[i] for i in order)
+                for order in itertools.permutations(range(len(alg.factors)))
+                if all(alg.factors[i] == f for i, f in zip(order, alg.factors))
+            }
+            values = [
+                fn(np.concatenate([np.asarray(p) - la for p, la in zip(perms, a_specs)]))
+                for assignment in assignments
+                for perms in itertools.product(*(itertools.permutations(s) for s in assignment))
+            ]
+            ref = min(values) if sense == "min" else max(values)
+            sol = solve_orbit_global(OrbitProblem(alg, fn, a, WeakOrbit(b), sense))
+            case = (alg, fn.id, sense)
+            assert sol.value == pytest.approx(ref, rel=1e-12, abs=1e-12), case
+            x_specs = [eigenvalues(p) for p in split(sol.x_star)]
+            assert any(
+                all(np.allclose(xs, bs, rtol=0, atol=1e-12) for xs, bs in zip(x_specs, assignment))
+                for assignment in assignments
+            ), case
+            assert operator_commute(a, sol.x_star), case
 
 
 def test_counterexample_reference_instance():
@@ -1239,8 +1283,8 @@ def test_counterexample_simple_algebra_degenerates():
 
 
 def test_weak_orbit_of_one_factor_algebra_is_the_eigenvalue_orbit():
-    # a one-factor algebra takes the product code with a single assignment,
-    # which must do exactly the arithmetic of the eigenvalue-orbit solver
+    # a one-factor weak orbit places its single assignment on a's frame,
+    # which must do exactly the arithmetic of the eigenvalue orbit
     rng = np.random.default_rng(22)
     algs = (RealDiagonal(1), RealDiagonal(3), SymMatrix(1), SymMatrix(2), SymMatrix(4),
             SpinFactor(3), SpinFactor(6))
@@ -1254,7 +1298,7 @@ def test_weak_orbit_of_one_factor_algebra_is_the_eigenvalue_orbit():
             a = random_element(alg, rng)
             # lambda_n(b) > |a| >= lambda_1(a): every x - a is positive
             b = sample_pos(alg, rng) + norm(a) * unit(alg)
-            weak = solve_weak_orbit_global(OrbitProblem(alg, fn, a, WeakOrbit(b), sense))
+            weak = solve_orbit_global(OrbitProblem(alg, fn, a, WeakOrbit(b), sense))
             full = solve_orbit_global(OrbitProblem(alg, fn, a, EigenvalueOrbit(b), sense))
             assert weak.value == full.value, (alg, fn.id, sense)
             assert np.array_equal(weak.x_star.coords, full.x_star.coords)
@@ -1282,6 +1326,18 @@ def test_problem_from_dict_and_solve():
 
     doc["feasible"] = {"weak_orbit_of": {"matrix": [[3.0, 0.0], [0.0, 0.0]]}}
     assert solve_problem(problem_from_dict(doc)).value == pytest.approx(math.sqrt(2.0), abs=1e-12)
+
+
+def test_unknown_feasible_set_type_is_a_solver_error():
+    # an object with a ``b`` looks like an orbit but is no feasible set type
+    @dataclass(frozen=True)
+    class Ball:
+        b: Element
+
+    b = diag2(3, 0)
+    for run in (solve_problem, lambda problem: local_search_orbit(problem, b)):
+        with pytest.raises(SolverError, match="unknown feasible set type Ball"):
+            run(OrbitProblem(S2, SCHATTEN2_2, diag2(2, 1), Ball(b), "min"))
 
 
 def test_problem_from_dict_malformed():
