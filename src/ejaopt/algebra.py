@@ -13,9 +13,11 @@ are the diagonal entries followed by the strict upper triangle scaled by
 sqrt(2), so the trace inner product tr(x o y) is the plain dot product of
 coordinates.  For ``SpinFactor`` the trace inner product is twice the dot
 product (both eigenvalues x0 +/- |xb| contribute).  Products concatenate
-factor coordinates.  The Jordan product kernel takes one vector and a
-``(..., dim)`` stack, so the L-operator L_x is the product of x with the
-identity basis in one call.
+factor coordinates.  The kernels that ``verify`` stacks (the Jordan
+product, inner product, trace, eigenvalues and spectral decomposition)
+take ``(..., dim)`` stacks of coordinate vectors as well as single vectors,
+and every row of a stack gets the bits of its own single-vector call; the
+L-operator L_x is the product of x with the identity basis in one call.
 
 The module provides the spectral machinery (eigenvalues, Jordan frames,
 Peirce projections), the two commutation tests (operator commutation via
@@ -51,13 +53,34 @@ class ConvergenceError(RuntimeError):
     """Eigensolver exceeded its iteration cap (numerical pathology)."""
 
 
+def _dot(u, v):
+    """Dot products along the last axis: a float for two vectors, else one
+    value per row of the broadcast stacks.  A stacked matmul of vectors
+    runs the single dot's kernel, so each row gets the bits of ``u @ v``
+    (a gemv or an elementwise sum would not)."""
+    if u.ndim == 1 and v.ndim == 1:
+        return float(u @ v)
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def _reorder(a, order):
+    """``a`` permuted along the last axis of ``order``, which indexes the
+    entries of ``(..., n)`` or the rows of ``(..., n, dim)``: a[order] for
+    one order, row by row for a stack of them."""
+    if order.ndim == 1:
+        return a[order]
+    return np.take_along_axis(a, order.reshape(order.shape + (1,) * (a.ndim - order.ndim)), order.ndim - 1)
+
+
 # ---------------------------------------------------------------------------
 # Algebra descriptors
 #
 # Each descriptor is also its kind's kernel: its underscored methods, most
 # of them on flat coordinate arrays, are the only place a kind-specific
-# rule is written.  ``_product(u, v)`` takes one vector u and, as v, one
-# vector or a ``(..., dim)`` stack of vectors.  ``ProductAlgebra`` states
+# rule is written.  ``_product``, ``_inner``, ``_trace``, ``_eigvals`` and
+# ``_decompose`` act along the last axis, so their operands may be single
+# vectors or ``(..., dim)`` stacks (broadcast against each other); a frame
+# comes back as a ``(..., rank, dim)`` array.  ``ProductAlgebra`` states
 # each rule once over its factors; a simple kind is its own single factor,
 # so code written against ``factors`` needs no product special case.
 
@@ -77,10 +100,10 @@ class _Kind:
         return (slice(0, self.dim),)
 
     def _search_eigvals(self, u):
-        """Eigenvalues (non-increasing) scored by the local search, along
-        the last axis of a ``(..., dim)`` stack of coordinate vectors, so a
-        line-search scan is scored in one call; each row gets the bits of
-        its own single-vector call."""
+        """Eigenvalues (non-increasing) scored by the local search, of one
+        coordinate vector or a ``(..., dim)`` stack, so a line-search scan
+        is scored in one call: the kind's ``_eigvals``, except where a kind
+        overrides it."""
         return self._eigvals(u)
 
 
@@ -109,18 +132,18 @@ class RealDiagonal(_Kind):
     def _product(self, u, v):
         return u * v
 
-    def _inner(self, u, v) -> float:
-        return float(u @ v)
+    def _inner(self, u, v):
+        return _dot(u, v)
 
-    def _trace(self, u) -> float:
-        return float(np.sum(u))
+    def _trace(self, u):
+        return np.sum(u, axis=-1)
 
     def _eigvals(self, u):
         return -np.sort(-u)
 
     def _decompose(self, u):
-        order = np.argsort(-u, kind="stable")
-        return u[order], np.eye(self.n)[order]
+        order = np.argsort(-u, axis=-1, kind="stable")
+        return _reorder(u, order), np.eye(self.n)[order]
 
     def _unit(self):
         return np.ones(self.n)
@@ -162,17 +185,22 @@ class SymMatrix(_Kind):
     def _product(self, u, v):
         M = _mat_from_sym_coords(self.n, u)
         N = _mat_from_sym_coords(self.n, v)
-        return _sym_coords_from_mat(self.n, 0.5 * (M @ N + N @ M))
+        # in place, so a stacked product holds two fewer temporaries
+        P = M @ N
+        P += N @ M
+        P *= 0.5
+        return _sym_coords_from_mat(self.n, P)
 
-    def _inner(self, u, v) -> float:
-        return float(u @ v)
+    def _inner(self, u, v):
+        return _dot(u, v)
 
-    def _trace(self, u) -> float:
-        return float(np.sum(u[: self.n]))
+    def _trace(self, u):
+        return np.sum(u[..., : self.n], axis=-1)
 
     def _eigh(self, mat, want_vectors=True):
         """Eigenvalues (non-increasing) and eigenvector columns of a dense
-        symmetric matrix: the kind's one eigensolver call."""
+        symmetric matrix, or of each matrix of a ``(..., n, n)`` stack in
+        one stacked Jacobi call: the kind's one eigensolver call."""
         return _jacobi_symmetric(mat, want_vectors=want_vectors)
 
     def _eigvals(self, u):
@@ -181,14 +209,15 @@ class SymMatrix(_Kind):
     def _search_eigvals(self, u):
         """LAPACK eigenvalues for the local-search objective, which makes
         hundreds of eigenvalue calls per run, of a ``(..., dim)`` stack in
-        one ``eigvalsh``; Jacobi (``_eigh``) stays the eigensolver of
-        frames and certificates."""
+        one ``eigvalsh``; Jacobi (``_eigh``, stacked or not) stays the
+        eigensolver of frames, certificates and ``verify``."""
         return np.linalg.eigvalsh(_mat_from_sym_coords(self.n, u))[..., ::-1]
 
     def _decompose(self, u):
         vals, Q = self._eigh(_mat_from_sym_coords(self.n, u))
         # row i is the outer product of eigenvector column i with itself
-        return vals, _sym_coords_from_mat(self.n, Q.T[:, :, None] * Q.T[:, None, :])
+        Qt = np.swapaxes(Q, -1, -2)
+        return vals, _sym_coords_from_mat(self.n, Qt[..., :, :, None] * Qt[..., :, None, :])
 
     def _unit(self):
         c = np.zeros(self.dim)
@@ -241,42 +270,41 @@ class SpinFactor(_Kind):
         return self.d
 
     def _product(self, u, v):
-        out = u[0] * v + v[..., :1] * u
-        out[..., 0] = u[0] * v[..., 0] + v[..., 1:] @ u[1:]
+        out = u[..., :1] * v + v[..., :1] * u
+        out[..., 0] = u[..., 0] * v[..., 0] + _dot(v[..., 1:], u[..., 1:])
         return out
 
-    def _inner(self, u, v) -> float:
-        return 2.0 * float(u @ v)
+    def _inner(self, u, v):
+        return 2.0 * _dot(u, v)
 
-    def _trace(self, u) -> float:
-        return 2.0 * float(u[0])
+    def _trace(self, u):
+        return 2.0 * u[..., 0]
+
+    def _radius(self, u):
+        """|xb|, the norm of the vector part, by the one formula behind both
+        the eigenvalues and the frame: a float for one vector, else a
+        ``(..., 1)`` column."""
+        v = u[..., 1:]
+        return math.sqrt(v @ v) if u.ndim == 1 else np.sqrt(_dot(v, v))[..., None]
 
     def _eigvals(self, u):
-        r = float(np.linalg.norm(u[1:]))
-        x0 = float(u[0])
-        return np.array([x0 + r, x0 - r])
-
-    def _search_eigvals(self, u):
-        v = u[..., 1:]
-        r = np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
-        return u[..., :1] + r * _PLUS_MINUS
-
-    def _direction(self, u):
-        """Unit axis of the vector part; e_1 when it is exactly zero
-        (degenerate spectrum, where any unit direction realizes a frame).
-        Any nonzero vector part, however small, has its own axis."""
-        r = float(np.linalg.norm(u[1:]))
-        if r == 0.0:
-            v = np.zeros(self.d - 1)
-            v[0] = 1.0
-            return v
-        return u[1:] / r
+        # x0 +- |xb|; on a stack x0 + (-1) r, which is x0 - r exactly
+        r = self._radius(u)
+        return np.array([u[0] + r, u[0] - r]) if u.ndim == 1 else u[..., :1] + r * _PLUS_MINUS
 
     def _decompose(self, u):
-        v = self._direction(u)
-        cplus = np.concatenate([[0.5], 0.5 * v])
-        cminus = np.concatenate([[0.5], -0.5 * v])
-        return self._eigvals(u), [cplus, cminus]
+        """Frame members (1/2)(1, +-xb/|xb|).  The axis is e_1 when the
+        vector part is exactly zero (degenerate spectrum, where any unit
+        direction realizes a frame); any nonzero vector part, however
+        small, has its own axis."""
+        r = self._radius(u)
+        zero = r == 0.0
+        half = 0.5 * np.where(zero, _first_axis(self.d - 1), u[..., 1:] / np.where(zero, 1.0, r))
+        frame = np.empty(u.shape[:-1] + (2, self.d))
+        frame[..., 0] = 0.5
+        frame[..., 0, 1:] = half
+        frame[..., 1, 1:] = -half
+        return u[..., :1] + r * _PLUS_MINUS, frame
 
     def _unit(self):
         c = np.zeros(self.d)
@@ -373,34 +401,33 @@ class ProductAlgebra:
 
     def _product(self, u, v):
         return np.concatenate(
-            [f._product(u[s], v[..., s]) for f, s in zip(self.factors, self._slices)], axis=-1
+            [f._product(u[..., s], v[..., s]) for f, s in zip(self.factors, self._slices)], axis=-1
         )
 
-    def _inner(self, u, v) -> float:
-        return sum(f._inner(u[s], v[s]) for f, s in zip(self.factors, self._slices))
+    def _inner(self, u, v):
+        return sum(f._inner(u[..., s], v[..., s]) for f, s in zip(self.factors, self._slices))
 
-    def _trace(self, u) -> float:
-        return sum(f._trace(u[s]) for f, s in zip(self.factors, self._slices))
+    def _trace(self, u):
+        return sum(f._trace(u[..., s]) for f, s in zip(self.factors, self._slices))
 
     def _eigvals(self, u):
-        vals = np.concatenate([f._eigvals(u[s]) for f, s in zip(self.factors, self._slices)])
+        vals = np.concatenate([f._eigvals(u[..., s]) for f, s in zip(self.factors, self._slices)], axis=-1)
         return -np.sort(-vals)
 
     def _decompose(self, u):
-        """Factor decompositions merged by a stable sort, so ties keep
-        factor order."""
+        """Factor decompositions merged by a stable sort along the last
+        axis, so ties keep factor order."""
         vals = []
         members = []
         for f, s in zip(self.factors, self._slices):
-            fvals, fframe = f._decompose(u[s])
+            fvals, fframe = f._decompose(u[..., s])
             vals.append(fvals)
-            for c in fframe:
-                coords = np.zeros(self.dim)
-                coords[s] = c
-                members.append(coords)
-        vals = np.concatenate(vals)
-        order = np.argsort(-vals, kind="stable")
-        return vals[order], [members[i] for i in order]
+            placed = np.zeros(fframe.shape[:-1] + (self.dim,))
+            placed[..., s] = fframe
+            members.append(placed)
+        vals = np.concatenate(vals, axis=-1)
+        order = np.argsort(-vals, axis=-1, kind="stable")
+        return _reorder(vals, order), _reorder(np.concatenate(members, axis=-2), order)
 
     def _unit(self):
         return np.concatenate([f._unit() for f in self.factors])
@@ -541,6 +568,15 @@ def join(alg, parts) -> Element:
 
 
 @lru_cache(maxsize=None)
+def _first_axis(m):
+    """e_1 of R^m (read-only)."""
+    e = np.zeros(m)
+    e[0] = 1.0
+    e.flags.writeable = False
+    return e
+
+
+@lru_cache(maxsize=None)
 def _triu_indices(n):
     iu, ju = np.triu_indices(n, k=1)
     iu.flags.writeable = False
@@ -615,7 +651,7 @@ def norm(x: Element) -> float:
 
 def trace(x: Element) -> float:
     """tr(x), the sum of the eigenvalues (a linear functional)."""
-    return x.algebra._trace(x.coords)
+    return float(x.algebra._trace(x.coords))
 
 
 # ---------------------------------------------------------------------------
@@ -629,9 +665,13 @@ def _jacobi_symmetric(mat, want_vectors=True, off_tol=1e-13, max_sweeps=100):
     off-diagonal part drops below ``off_tol * ||mat||_F``.  Raises
     :class:`ConvergenceError` after ``max_sweeps`` sweeps.
     Returns eigenvalues sorted non-increasing and, when requested, the
-    matching orthonormal eigenvector columns.
+    matching orthonormal eigenvector columns.  A ``(..., n, n)`` stack goes
+    to ``_jacobi_stacked``, which returns ``(..., n)`` eigenvalues and
+    ``(..., n, n)`` vectors with the bits of one call per matrix.
     """
     A = np.array(mat, dtype=float)
+    if A.ndim != 2:
+        return _jacobi_stacked(A, want_vectors, off_tol, max_sweeps)
     n = A.shape[0]
     Q = np.eye(n) if want_vectors else None
     scale = float(np.linalg.norm(A))
@@ -679,6 +719,89 @@ def _jacobi_symmetric(mat, want_vectors=True, off_tol=1e-13, max_sweeps=100):
     if want_vectors:
         return vals[order], Q[:, order]
     return vals[order], None
+
+
+def _jacobi_stacked(A, want_vectors, off_tol, max_sweeps):
+    """The sweeps of ``_jacobi_symmetric`` run once over a stack of matrices.
+
+    Every matrix keeps its own threshold, skip rule and convergence test: a
+    converged matrix leaves the active set, and a rotation is applied only
+    to the matrices that do not skip the pair.  The arithmetic is the
+    single call's, elementwise, so each matrix gets its bits.  ``A`` is a
+    fresh ``(..., n, n)`` array and is overwritten.
+    """
+    lead, n = A.shape[:-2], A.shape[-1]
+    A = A.reshape((-1, n, n))
+    k = len(A)
+    Q = np.tile(np.eye(n), (k, 1, 1)) if want_vectors else None
+    flat = A.reshape(k, n * n)
+    scale = np.sqrt(_dot(flat, flat))
+    thr = off_tol * scale
+    skip = thr / (n * n)
+    active = np.flatnonzero(scale != 0.0) if n > 1 else np.arange(0)
+    for _sweep in range(max_sweeps):
+        off_sq = np.zeros(len(active))
+        for p in range(n - 1):
+            row = A[active, p, p + 1 :]
+            off_sq += 2.0 * _dot(row, row)
+        # negated tests, so that a NaN matrix runs into the cap as it does alone
+        active = active[~(np.sqrt(off_sq) <= thr[active])]
+        if not len(active):
+            break
+        S = A[active]
+        V = Q[active] if want_vectors else None
+        skip_active = skip[active]
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                rot = ~(np.abs(S[:, p, q]) <= skip_active)
+                if rot.all():
+                    _rotate(S, V, p, q)
+                elif rot.any():
+                    sub = np.flatnonzero(rot)
+                    T = S[sub]
+                    W = V[sub] if want_vectors else None
+                    _rotate(T, W, p, q)
+                    S[sub] = T
+                    if want_vectors:
+                        V[sub] = W
+        A[active] = S
+        if want_vectors:
+            Q[active] = V
+    else:
+        if len(active):
+            raise ConvergenceError(f"Jacobi sweep cap {max_sweeps} exceeded")
+    vals = np.diagonal(A, axis1=-2, axis2=-1)
+    order = np.argsort(-vals, axis=-1, kind="stable")
+    vals = np.take_along_axis(vals, order, -1).reshape(lead + (n,))
+    if want_vectors:
+        return vals, np.take_along_axis(Q, order[:, None, :], -1).reshape(lead + (n, n))
+    return vals, None
+
+
+def _rotate(A, Q, p, q):
+    """One Jacobi rotation of pair (p, q) on every matrix of the stack A
+    (and on the columns of Q), as ``_jacobi_symmetric`` applies it."""
+    apq = A[:, p, q]
+    tau = (A[:, q, q] - A[:, p, p]) / (2.0 * apq)
+    t = np.copysign(1.0, tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
+    c = 1.0 / np.sqrt(1.0 + t * t)
+    s = (t * c)[:, None]
+    c = c[:, None]
+    rp = A[:, p, :].copy()
+    rq = A[:, q, :].copy()
+    A[:, p, :] = c * rp - s * rq
+    A[:, q, :] = s * rp + c * rq
+    cp = A[:, :, p].copy()
+    cq = A[:, :, q].copy()
+    A[:, :, p] = c * cp - s * cq
+    A[:, :, q] = s * cp + c * cq
+    A[:, p, q] = 0.0
+    A[:, q, p] = 0.0
+    if Q is not None:
+        qp = Q[:, :, p].copy()
+        qq = Q[:, :, q].copy()
+        Q[:, :, p] = c * qp - s * qq
+        Q[:, :, q] = s * qp + c * qq
 
 
 def eigenvalues(x: Element) -> np.ndarray:
@@ -731,33 +854,59 @@ def synthesize_from_frame(frame, coeffs, validate=True) -> Element:
         raise AlgebraError("frame size does not match algebra rank")
     if validate:
         validate_frame(frame)
-    out = np.zeros(alg.dim)
-    for c, member in zip(coeffs, frame):
-        out += c * member.coords
-    return Element(alg, out)
+    return Element(alg, _synthesize([c.coords for c in frame], coeffs))
+
+
+def _synthesize(members, coeffs):
+    """sum_i coeffs[..., i] members[i], added in frame order.  ``members``
+    runs over the frame: one frame's member vectors, or the ``(..., dim)``
+    member slices of a stack of frames, ``np.moveaxis(frames, -2, 0)``."""
+    out = np.zeros(np.shape(members[0]))
+    for i, member in enumerate(members):
+        out += coeffs[..., i, None] * member
+    return out
 
 
 def validate_frame(frame, tol=1e-8):
     """Check the Jordan-frame invariants; raise AlgebraError on failure."""
     frame = tuple(frame)
     alg = frame[0].algebra
-    e = unit(alg)
-    total = np.zeros(alg.dim)
-    for i, c in enumerate(frame):
-        if c.algebra != alg:
-            raise AlgebraError("frame members from different algebras")
-        sq = alg._product(c.coords, c.coords)
-        if alg._inner(sq - c.coords, sq - c.coords) > tol**2:
+    if any(c.algebra != alg for c in frame):
+        raise AlgebraError("frame members from different algebras")
+    idempotent, primitive, orthogonal, sums_to_unit = _frame_checks(
+        alg, np.array([c.coords for c in frame]), tol
+    )
+    for i in range(len(frame)):
+        if not idempotent[i]:
             raise AlgebraError(f"frame member {i} is not idempotent")
-        if abs(trace(c) - 1.0) > tol:
+        if not primitive[i]:
             raise AlgebraError(f"frame member {i} is not primitive (trace != 1)")
-        total += c.coords
         for j in range(i):
-            pr = alg._product(c.coords, frame[j].coords)
-            if alg._inner(pr, pr) > tol**2:
+            if not orthogonal[i, j]:
                 raise AlgebraError(f"frame members {j},{i} are not orthogonal")
-    if np.max(np.abs(total - e.coords)) > tol:
+    if not sums_to_unit:
         raise AlgebraError("frame members do not sum to the unit")
+
+
+def _frame_checks(alg, frames, tol):
+    """The invariants ``validate_frame`` checks, for one frame given as a
+    ``(rank, dim)`` array or for a ``(..., rank, dim)`` stack: per member,
+    idempotence and unit trace; per pair of members i > j, orthogonality
+    (entry [..., i, j]; True for i <= j); per frame, that the members sum
+    to the unit."""
+    sq = alg._product(frames, frames)
+    idempotent = ~(alg._inner(sq - frames, sq - frames) > tol**2)
+    primitive = ~(np.abs(alg._trace(frames) - 1.0) > tol)
+    rank = frames.shape[-2]
+    i, j = np.tril_indices(rank, -1)
+    pr = alg._product(frames[..., i, :], frames[..., j, :])
+    orthogonal = np.ones(frames.shape[:-1] + (rank,), dtype=bool)
+    orthogonal[..., i, j] = ~(alg._inner(pr, pr) > tol**2)
+    total = np.zeros(frames.shape[:-2] + frames.shape[-1:])
+    for i in range(rank):
+        total += frames[..., i, :]
+    sums_to_unit = ~(np.max(np.abs(total - alg._unit()), axis=-1) > tol)
+    return idempotent, primitive, orthogonal, sums_to_unit
 
 
 # ---------------------------------------------------------------------------
@@ -766,9 +915,13 @@ def validate_frame(frame, tol=1e-8):
 
 def l_operator(x: Element) -> np.ndarray:
     """Matrix of L_x : y -> x o y in the canonical coordinates (symmetric)."""
-    alg = x.algebra
-    # row i of the stacked product is x o e_i, column i of L_x
-    return alg._product(x.coords, np.eye(alg.dim)).T
+    return _l_operator(x.algebra, x.coords)
+
+
+def _l_operator(alg, u):
+    """L-operator matrices of a coordinate vector or a ``(..., dim)`` stack."""
+    # row i of the stacked product is u o e_i, column i of L_u
+    return np.swapaxes(alg._product(u if u.ndim == 1 else u[..., None, :], np.eye(alg.dim)), -1, -2)
 
 
 def peirce_project(p: Element, x: Element):
@@ -782,27 +935,43 @@ def peirce_project(p: Element, x: Element):
     """
     _check_same(p, x)
     alg = p.algebra
-    psq = alg._product(p.coords, p.coords)
+    return tuple(Element(alg, c) for c in _peirce_parts(alg, p.coords, x.coords))
+
+
+def _peirce_parts(alg, p, x):
+    """Coordinates (x1, x0, xhalf) of ``peirce_project`` for coordinate
+    vectors or ``(..., dim)`` stacks; raises AlgebraError when any p is not
+    an idempotent."""
+    psq = alg._product(p, p)
     # an idempotent has a fixed scale (its eigenvalues are 0 and 1), so
     # this threshold needs no operand scale
-    if math.sqrt(alg._inner(psq - p.coords, psq - p.coords)) > 1e-8 * (
-        1.0 + alg._inner(p.coords, p.coords)
-    ):
+    if np.any(np.sqrt(alg._inner(psq - p, psq - p)) > 1e-8 * (1.0 + alg._inner(p, p))):
         raise AlgebraError("p is not an idempotent within tolerance")
-    px = alg._product(p.coords, x.coords)
-    ppx = alg._product(p.coords, px)
+    px = alg._product(p, x)
+    ppx = alg._product(p, px)
     x1 = 2.0 * ppx - px
     xh = 4.0 * (px - ppx)
-    x0 = x.coords - x1 - xh
-    return Element(alg, x1), Element(alg, x0), Element(alg, xh)
+    return x1, x - x1 - xh, xh
 
 
 def operator_commutation_residual(a: Element, b: Element) -> float:
     """Frobenius norm of the commutator [L_a, L_b]."""
     _check_same(a, b)
-    La = l_operator(a)
-    Lb = l_operator(b)
-    return float(np.linalg.norm(La @ Lb - Lb @ La))
+    return float(_commutator_norm(a.algebra, a.coords, b.coords))
+
+
+def _commutator_norm(alg, u, v):
+    """|[L_u, L_v]|_F of coordinate vectors or ``(..., dim)`` stacks."""
+    Lu = _l_operator(alg, u)
+    Lv = _l_operator(alg, v)
+    C = Lu @ Lv - Lv @ Lu
+    flat = C.reshape(C.shape[:-2] + (-1,))
+    return np.sqrt(_dot(flat, flat))
+
+
+def _norm(alg, u):
+    """``norm`` of coordinate vectors or ``(..., dim)`` stacks."""
+    return np.sqrt(np.maximum(0.0, alg._inner(u, u)))
 
 
 def operator_commute(a: Element, b: Element, tol=DEFAULT_TOL) -> bool:
@@ -810,14 +979,25 @@ def operator_commute(a: Element, b: Element, tol=DEFAULT_TOL) -> bool:
 
     Compares |[L_a, L_b]| with ``tol * |a| |b|``; verdicts do not depend on
     units."""
-    res = operator_commutation_residual(a, b)
-    return res <= tol * norm(a) * norm(b)
+    _check_same(a, b)
+    return bool(_operator_commute(a.algebra, a.coords, b.coords, tol))
+
+
+def _operator_commute(alg, u, v, tol):
+    """``operator_commute`` of coordinate vectors or ``(..., dim)`` stacks."""
+    return _commutator_norm(alg, u, v) <= tol * _norm(alg, u) * _norm(alg, v)
 
 
 def strong_commutation_gap(a: Element, b: Element) -> float:
     """|<a,b> - <lambda(a), lambda(b)>| (zero iff strong operator commutation)."""
     _check_same(a, b)
-    return abs(inner(a, b) - float(eigenvalues(a) @ eigenvalues(b)))
+    return float(_strong_gap(a.algebra, a.coords, b.coords, eigenvalues(a), eigenvalues(b)))
+
+
+def _strong_gap(alg, u, v, lam_u, lam_v):
+    """``strong_commutation_gap`` of coordinate vectors or ``(..., dim)``
+    stacks, given their eigenvalues."""
+    return np.abs(alg._inner(u, v) - _dot(lam_u, lam_v))
 
 
 def strongly_operator_commute(a: Element, b: Element, tol=DEFAULT_TOL) -> bool:
@@ -827,8 +1007,15 @@ def strongly_operator_commute(a: Element, b: Element, tol=DEFAULT_TOL) -> bool:
     which is robust to repeated eigenvalues.  Compares the gap with
     ``tol * |a| |b|``; verdicts do not depend on units.
     """
-    gap = strong_commutation_gap(a, b)
-    return gap <= tol * norm(a) * norm(b)
+    _check_same(a, b)
+    u, v = a.coords, b.coords
+    return bool(_strongly_commute(a.algebra, u, v, eigenvalues(a), eigenvalues(b), tol))
+
+
+def _strongly_commute(alg, u, v, lam_u, lam_v, tol):
+    """``strongly_operator_commute`` of coordinate vectors or stacks, given
+    their eigenvalues."""
+    return _strong_gap(alg, u, v, lam_u, lam_v) <= tol * _norm(alg, u) * _norm(alg, v)
 
 
 # ---------------------------------------------------------------------------

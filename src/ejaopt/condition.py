@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, Element, eigenvalues, spectral_decompose
+from .algebra import DEFAULT_TOL, Element, _dot, eigenvalues, spectral_decompose
 from .orbit import InfeasibleError, Solution, _align, certify
 from .schur import phi_ratios as phi
 
@@ -44,17 +44,22 @@ def condition_report(x: Element, tol=DEFAULT_TOL) -> ConditionReport:
 
     Requires x in the open cone: lambda_n(x) > tol.
     """
-    lam = eigenvalues(x)
-    if lam[-1] <= tol:
+    cond, kappa, kn, bounds_ok = _condition(eigenvalues(x), tol)
+    return ConditionReport(cond=float(cond), kappa=kappa, kappa_norm=float(kn), bounds_ok=bool(bounds_ok))
+
+
+def _condition(lam, tol):
+    """(cond, kappa, |kappa|, sandwich verdict) of ``condition_report`` from
+    eigenvalues, row by row for a ``(..., rank)`` stack."""
+    if np.any(lam[..., -1] <= tol):
         raise InfeasibleError("element is not in the open symmetric cone")
     kappa = phi(lam)
-    cond = float(lam[0] / lam[-1])
-    kn = float(np.linalg.norm(kappa))
-    half = len(lam) // 2
+    cond = lam[..., 0] / lam[..., -1]
+    kn = np.sqrt(_dot(kappa, kappa))
+    half = lam.shape[-1] // 2
     # kappa and c(x) are ratios, unchanged by scaling x: the slack needs no scale
     slack = 1e-12 * (1.0 + kn)
-    bounds_ok = bool(kn / math.sqrt(half) <= cond + slack and cond <= kn + slack)
-    return ConditionReport(cond=cond, kappa=kappa, kappa_norm=kn, bounds_ok=bounds_ok)
+    return cond, kappa, kn, (kn / math.sqrt(half) <= cond + slack) & (cond <= kn + slack)
 
 
 def minimize_condition_norm_orbit(b: Element, a: Element, tol=DEFAULT_TOL) -> Solution:

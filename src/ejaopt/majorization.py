@@ -32,19 +32,23 @@ def sort_desc(u) -> np.ndarray:
 
 
 def _prefix_sums(values) -> np.ndarray:
-    out = np.empty(len(values))
-    s = 0.0
-    comp = 0.0
-    for i, v in enumerate(values):
-        v = float(v)
-        t = s + v
-        if abs(s) >= abs(v):
-            comp += (s - t) + v
-        else:
-            comp += (v - t) + s
-        s = t
-        out[i] = s + comp
-    return out
+    """Compensated prefix sums along the last axis, row by row."""
+    values = np.asarray(values, dtype=float)
+    rows = []
+    for row in values.reshape(-1, values.shape[-1]).tolist():
+        sums = []
+        s = 0.0
+        comp = 0.0
+        for v in row:
+            t = s + v
+            if abs(s) >= abs(v):
+                comp += (s - t) + v
+            else:
+                comp += (v - t) + s
+            s = t
+            sums.append(s + comp)
+        rows.append(sums)
+    return np.array(rows).reshape(values.shape)
 
 
 def _verdict(v, u, tol, require_sum: bool) -> MajorizationVerdict:
@@ -52,16 +56,26 @@ def _verdict(v, u, tol, require_sum: bool) -> MajorizationVerdict:
     u = np.asarray(u, dtype=float)
     if v.shape != u.shape or v.ndim != 1:
         raise ValueError(f"length mismatch: {u.shape} vs {v.shape}")
+    return _to_verdict(_majorization(v, u, tol, require_sum))
+
+
+def _to_verdict(arrays) -> MajorizationVerdict:
+    holds, strict, worst, sum_gap = arrays
+    return MajorizationVerdict(bool(holds), bool(strict), float(worst), float(sum_gap))
+
+
+def _majorization(v, u, tol, require_sum: bool):
+    """(holds, strict, worst prefix gap, sum gap) of u < v, or of u <_w v
+    without ``require_sum``, for vectors or row by row for ``(..., n)``
+    stacks: the arithmetic behind every verdict of this module."""
     ud = sort_desc(u)
     vd = sort_desc(v)
-    pu = _prefix_sums(ud)
-    pv = _prefix_sums(vd)
-    gaps = pv - pu
-    worst = float(np.min(gaps))
-    sum_gap = abs(float(gaps[-1]))
-    holds = worst >= -tol and (sum_gap <= tol or not require_sum)
-    strict = bool(holds and float(np.max(np.abs(ud - vd))) > tol)
-    return MajorizationVerdict(bool(holds), strict, worst, sum_gap)
+    gaps = _prefix_sums(vd) - _prefix_sums(ud)
+    worst = gaps.min(axis=-1)
+    sum_gap = np.abs(gaps[..., -1])
+    holds = (worst >= -tol) & ((sum_gap <= tol) | (not require_sum))
+    strict = holds & (np.abs(ud - vd).max(axis=-1) > tol)
+    return holds, strict, worst, sum_gap
 
 
 def majorizes(v, u, tol=DEFAULT_TOL) -> MajorizationVerdict:
@@ -93,9 +107,21 @@ def t_transform_sample(v, rng) -> np.ndarray:
 
 def lidskii_holds(a: Element, b: Element, tol=DEFAULT_TOL) -> MajorizationVerdict:
     """Lidskii's inequality: lambda(a) - lambda(b) < lambda(a - b)."""
-    return majorizes(eigenvalues(a - b), eigenvalues(a) - eigenvalues(b), tol=tol)
+    return _to_verdict(_lidskii(eigenvalues(a), eigenvalues(b), eigenvalues(a - b), tol))
+
+
+def _lidskii(lam_a, lam_b, lam_diff, tol):
+    """``lidskii_holds`` from the eigenvalues of a, b and a - b, as
+    ``_majorization`` arrays (row by row for stacks)."""
+    return _majorization(lam_diff, lam_a - lam_b, tol, require_sum=True)
 
 
 def kyfan_holds(a: Element, b: Element, tol=DEFAULT_TOL) -> MajorizationVerdict:
     """Ky Fan's inequality: lambda(a + b) < lambda(a) + lambda(b)."""
-    return majorizes(eigenvalues(a) + eigenvalues(b), eigenvalues(a + b), tol=tol)
+    return _to_verdict(_kyfan(eigenvalues(a), eigenvalues(b), eigenvalues(a + b), tol))
+
+
+def _kyfan(lam_a, lam_b, lam_sum, tol):
+    """``kyfan_holds`` from the eigenvalues of a, b and a + b, as
+    ``_majorization`` arrays (row by row for stacks)."""
+    return _majorization(lam_a + lam_b, lam_sum, tol, require_sum=True)

@@ -57,13 +57,20 @@ class InfeasibleError(ValueError):
 
 
 # A feasible set's ``_spectra(dec, sense)`` are the spectra that the closed
-# form lays on the frame of a's decomposition ``dec``, as ``_align`` takes them.
+# form lays on the frame of a's decomposition ``dec``, as ``_align`` takes
+# them.  Its ``_groups(dec)`` label each member of that frame with the group
+# of members that a spectrum's entries cannot leave: the member's factor for
+# a weak orbit; None, one group, for sets that move eigenvalues across
+# factors.
 @dataclass(frozen=True)
 class EigenvalueOrbit:
     b: Element
 
     def _spectra(self, dec, sense):
         return [eigenvalues(self.b)]
+
+    def _groups(self, dec):
+        return None
 
 
 @dataclass(frozen=True)
@@ -72,6 +79,9 @@ class WeakOrbit:
 
     def _spectra(self, dec, sense):
         return _placed(dec, _ordered_assignments(dec.algebra, _factor_spectra(self.b)), sense)
+
+    def _groups(self, dec):
+        return _owners(dec)
 
 
 @dataclass(frozen=True)
@@ -92,6 +102,9 @@ class FiniteSpectralSet:
         if any(len(u) != len(dec.eigenvalues) for u in spectra):
             raise SolverError("spectral-set member length does not match rank")
         return spectra
+
+    def _groups(self, dec):
+        return None
 
 
 @dataclass(frozen=True)
@@ -236,7 +249,7 @@ def permutation_oracle(fn: SymmetricFunction, lam_b, lam_a, sense: str = "min"):
 # Closed-form global solvers
 
 
-def _check_orbit_domain(fn: SymmetricFunction, lam_b, lam_a):
+def _check_orbit_domain(fn: SymmetricFunction, lam_b, lam_a, groups=None):
     """Feasibility of the whole orbit for a domain-restricted function.
 
     Every x in the orbit of b must have x - a in the domain.  The built-in
@@ -245,15 +258,22 @@ def _check_orbit_domain(fn: SymmetricFunction, lam_b, lam_a):
     eigenvalue of x - a is minimized at a commuting pairing: by Weyl,
     lambda_n(x - a) >= lambda_n(b) - lambda_1(a), with equality when x puts
     the smallest eigenvalue of b on a's frame member for lambda_1(a).
-    Floating-point subtraction is monotone, so probing the single value
-    lambda_n(b) - lambda_1(a) is exact: it accepts precisely when every
-    pairing P lam_b - lam_a lies in the domain.  ``lam_a`` is sorted
-    non-increasing; ``lam_b`` may come in any order.
+    A weak orbit of a product keeps each factor's spectrum on its factor,
+    so there the bound holds factor by factor and the smallest eigenvalue
+    of x - a is the minimum over factors f of lambda_min(b_f) -
+    lambda_max(a_f).  ``groups`` labels the entries of ``lam_b`` and
+    ``lam_a`` (aligned entrywise, in any order) with their factor; None is
+    one group, the whole spectrum.  Floating-point subtraction is
+    monotone, so probing that single value is exact: it accepts precisely
+    when every realisable pairing lies in the domain.
     """
     if fn.domain == "all":
         return
-    probe = np.full(len(lam_b), np.min(lam_b) - lam_a[0])
-    if not bool(np.all(fn.in_domain(probe))):
+    if groups is None:
+        value = np.min(lam_b) - np.max(lam_a)
+    else:
+        value = min(np.min(lam_b[groups == g]) - np.max(lam_a[groups == g]) for g in np.unique(groups))
+    if not bool(np.all(fn.in_domain(np.full(len(lam_b), value)))):
         raise InfeasibleError(f"{fn.id}: orbit leaves the function domain")
 
 
@@ -269,6 +289,13 @@ def _align(dec, s, sense: str):
     return dec.eigenvalues[::-1], synthesize_from_frame(dec.frame, s[::-1], validate=False)
 
 
+def _owners(dec):
+    """The factor of each member of the frame of ``dec``: the one factor
+    slice where its coordinates are nonzero."""
+    slices = dec.algebra._slices
+    return np.array([next(i for i, s in enumerate(slices) if c.coords[s].any()) for c in dec.frame])
+
+
 def _placed(dec, assignments, sense: str):
     """One row per assignment of per-factor spectra (each sorted
     non-increasing), laid out for ``_align`` on the frame of ``dec``: each
@@ -277,8 +304,7 @@ def _placed(dec, assignments, sense: str):
     stable sort, so each factor's members keep their order, and a member
     belongs to the one factor slice where its coordinates are nonzero.
     """
-    slices = dec.algebra._slices
-    owner = [next(i for i, s in enumerate(slices) if c.coords[s].any()) for c in dec.frame]
+    owner = _owners(dec)
     # _align reverses a row for max, so the slots are read from the other end
     slots = np.argsort(owner if sense == "min" else owner[::-1], kind="stable")
     rows = np.empty((len(assignments), len(slots)))
@@ -303,9 +329,11 @@ def solve_orbit_global(problem: OrbitProblem) -> Solution:
             "argument needs strictness (run the local search at your own risk)"
         )
     dec = spectral_decompose(problem.a)
+    groups = problem.feasible._groups(dec)
     best = None
     for s in problem.feasible._spectra(dec, problem.sense):
-        _check_orbit_domain(fn, s, dec.eigenvalues)
+        # _align lays s on the frame reversed for max
+        _check_orbit_domain(fn, s if problem.sense == "min" else s[::-1], dec.eigenvalues, groups)
         paired, x = _align(dec, s, problem.sense)
         value = fn(s - paired)
         if best is None or (value < best[0] if problem.sense == "min" else value > best[0]):
@@ -630,7 +658,9 @@ def local_search_orbit(problem: OrbitProblem, x0: Element) -> Solution:
     if float(np.max(np.abs(lam_b - lam_x0))) > 1e-6 * float(np.max(np.abs(lam_b))):
         raise InfeasibleError("x0 does not lie on the orbit of b")
     if fn.domain != "all":
-        _check_orbit_domain(fn, lam_b, eigenvalues(problem.a))
+        dec = spectral_decompose(problem.a)
+        for s in feas._spectra(dec, "min"):
+            _check_orbit_domain(fn, s, dec.eigenvalues, feas._groups(dec))
 
     def pair_curves():
         """(state, j, k, block, objective on the pair's curve, first-order

@@ -6,6 +6,16 @@ trips, Lidskii and Ky Fan majorizations, the equivalence of the three
 strong-commutation characterizations, Peirce projections, the condition
 number sandwich bounds, strict Schur-convexity of the condition-vector
 norm), and reports the failure count plus the worst residual seen.
+
+A suite draws from its rng trial by trial, in a fixed order, then
+evaluates a block of trials at once on coordinate arrays with the
+algebra's stacked kernels: one stacked Jacobi call per block instead of
+one per trial.  Each row of a stacked kernel has the bits of its
+single-vector call, and the checks run the private helpers behind the
+public predicates (``lidskii_holds``, ``kyfan_holds``,
+``strong_commutation_gap``, ``operator_commute``, ``condition_report``),
+so the report does not depend on the block size.  ``jordan_identity`` and
+``phi_strict_schur`` make no eigensolve and run trial by trial.
 """
 
 from __future__ import annotations
@@ -13,30 +23,24 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import (
-    AlgebraError,
-    Element,
+    DEFAULT_TOL,
     RealDiagonal,
     SpinFactor,
     SymMatrix,
-    apply_automorphism,
-    eigenvalues,
-    inner,
+    _frame_checks,
+    _norm,
+    _operator_commute,
+    _peirce_parts,
+    _strong_gap,
+    _strongly_commute,
+    _synthesize,
     jordan_product,
     norm,
     product_algebra,
-    random_automorphism,
     random_element,
-    spectral_decompose,
-    strongly_operator_commute,
-    synthesize_from_frame,
-    trace,
-    unit,
-    validate_frame,
-    operator_commute,
-    peirce_project,
 )
-from .condition import condition_report
-from .majorization import kyfan_holds, lidskii_holds, sort_desc
+from .condition import _condition
+from .majorization import _kyfan, _lidskii, sort_desc
 from .schur import builtin, check_strict_schur_convex
 
 DEFAULT_KINDS = (
@@ -63,8 +67,14 @@ ACCEPTANCE_KINDS = (
 )
 
 
-def _random_frame(alg, rng):
-    return spectral_decompose(random_element(alg, rng)).frame
+#: Trials a suite evaluates per stacked call: memory stays bounded for any
+#: trial count, and the report does not depend on it.
+_BLOCK = 128
+
+
+def _blocks(trials):
+    """Consecutive trial index ranges of at most ``_BLOCK`` trials."""
+    return [range(i, min(i + _BLOCK, trials)) for i in range(0, trials, _BLOCK)]
 
 
 def _distinct_coeffs(n, rng):
@@ -91,62 +101,74 @@ def suite_jordan_identity(alg, rng, trials, tol):
 def suite_spectral_roundtrip(alg, rng, trials, tol):
     worst = 0.0
     failures = 0
-    for i in range(trials):
-        if i % 4 == 3:
-            # deliberately repeated eigenvalues on a generic frame
-            frame = _random_frame(alg, rng)
-            coeffs = rng.integers(-2, 3, size=alg.rank).astype(float)
-            x = synthesize_from_frame(frame, coeffs, validate=False)
-        else:
-            x = random_element(alg, rng)
-        dec = spectral_decompose(x)
-        recon = synthesize_from_frame(dec.frame, dec.eigenvalues, validate=False)
-        scale = 1.0 + norm(x)
-        resid = norm(recon - x) / scale
-        resid = max(resid, float(np.max(np.abs(dec.eigenvalues - eigenvalues(x)))) / scale)
-        resid = max(resid, abs(float(np.sum(dec.eigenvalues)) - trace(x)) / scale)
-        ok = resid <= tol
-        try:
-            validate_frame(dec.frame, tol=1e-7)
-        except AlgebraError:
-            ok = False
-        worst = max(worst, resid)
-        failures += not ok
+    for block in _blocks(trials):
+        X = np.empty((len(block), alg.dim))
+        # every fourth trial: deliberately repeated eigenvalues on a generic frame
+        repeated = [r for r, i in enumerate(block) if i % 4 == 3]
+        draws, coeffs = [], []
+        for r, i in enumerate(block):
+            if i % 4 == 3:
+                draws.append(rng.standard_normal(alg.dim))
+                coeffs.append(rng.integers(-2, 3, size=alg.rank).astype(float))
+            else:
+                X[r] = rng.standard_normal(alg.dim)
+        if repeated:
+            members = np.moveaxis(alg._decompose(np.array(draws))[1], -2, 0)
+            X[repeated] = _synthesize(members, np.array(coeffs))
+        vals, frames = alg._decompose(X)
+        scale = 1.0 + _norm(alg, X)
+        resid = _norm(alg, _synthesize(np.moveaxis(frames, -2, 0), vals) - X) / scale
+        resid = np.maximum(resid, np.max(np.abs(vals - alg._eigvals(X)), axis=-1) / scale)
+        resid = np.maximum(resid, np.abs(np.sum(vals, axis=-1) - alg._trace(X)) / scale)
+        idempotent, primitive, orthogonal, sums_to_unit = _frame_checks(alg, frames, tol=1e-7)
+        valid = idempotent.all(-1) & primitive.all(-1) & orthogonal.all((-2, -1)) & sums_to_unit
+        worst = max(worst, float(np.max(resid)))
+        failures += int(np.count_nonzero(~((resid <= tol) & valid)))
     return {"failures": failures, "worst_residual": worst}
 
 
 def suite_automorphism_invariance(alg, rng, trials, tol):
     worst = 0.0
     failures = 0
-    e = unit(alg)
-    for _ in range(trials):
-        x = random_element(alg, rng)
-        y = random_element(alg, rng)
-        A = random_automorphism(alg, rng)
-        Ax = apply_automorphism(A, x)
-        scale = 1.0 + norm(x)
-        resid = float(np.max(np.abs(eigenvalues(Ax) - eigenvalues(x)))) / scale
-        hom = norm(
-            apply_automorphism(A, jordan_product(x, y)) - jordan_product(Ax, apply_automorphism(A, y))
-        ) / (scale * (1.0 + norm(y)))
-        resid = max(resid, hom, norm(apply_automorphism(A, e) - e))
-        worst = max(worst, resid)
-        failures += resid > tol
+    e = alg._unit()
+    for block in _blocks(trials):
+        X = np.empty((len(block), alg.dim))
+        Y = np.empty_like(X)
+        autos = []
+        for r in range(len(block)):
+            X[r] = rng.standard_normal(alg.dim)
+            Y[r] = rng.standard_normal(alg.dim)
+            autos.append(alg._random_auto(rng))
+
+        def apply(U):
+            return np.array([alg._apply_auto(A, u) for A, u in zip(autos, U)])
+
+        AX = apply(X)
+        scale = 1.0 + _norm(alg, X)
+        resid = np.max(np.abs(alg._eigvals(AX) - alg._eigvals(X)), axis=-1) / scale
+        hom = _norm(alg, apply(alg._product(X, Y)) - alg._product(AX, apply(Y)))
+        hom = hom / (scale * (1.0 + _norm(alg, Y)))
+        resid = np.maximum(np.maximum(resid, hom), _norm(alg, apply([e] * len(block)) - e))
+        worst = max(worst, float(np.max(resid)))
+        failures += int(np.count_nonzero(resid > tol))
     return {"failures": failures, "worst_residual": worst}
 
 
-def _majorization_suite(holds, alg, rng, trials, tol):
-    """Failures and worst gaps of a majorization verifier over random pairs."""
+def _majorization_suite(verdicts, combine, alg, rng, trials, tol):
+    """Failures and worst gaps of a majorization verifier over random pairs
+    (a, b): ``verdicts`` takes the eigenvalues of a, b and combine(a, b)."""
     failures = 0
     worst_prefix = np.inf
     worst_sum = 0.0
-    for _ in range(trials):
-        a = random_element(alg, rng)
-        b = random_element(alg, rng)
-        v = holds(a, b, tol=tol)
-        worst_prefix = min(worst_prefix, v.worst_prefix_gap)
-        worst_sum = max(worst_sum, v.sum_gap)
-        failures += not v.holds
+    for block in _blocks(trials):
+        pairs = rng.standard_normal((len(block), 2, alg.dim))
+        A, B = pairs[:, 0], pairs[:, 1]
+        holds, _strict, prefix, sum_gap = verdicts(
+            alg._eigvals(A), alg._eigvals(B), alg._eigvals(combine(A, B)), tol
+        )
+        worst_prefix = min(worst_prefix, float(np.min(prefix)))
+        worst_sum = max(worst_sum, float(np.max(sum_gap)))
+        failures += int(np.count_nonzero(~holds))
     return {
         "failures": failures,
         "worst_residual": max(0.0, -worst_prefix, worst_sum),
@@ -156,26 +178,40 @@ def _majorization_suite(holds, alg, rng, trials, tol):
 
 
 def suite_lidskii(alg, rng, trials, tol):
-    return _majorization_suite(lidskii_holds, alg, rng, trials, tol)
+    return _majorization_suite(_lidskii, np.subtract, alg, rng, trials, tol)
 
 
 def suite_kyfan(alg, rng, trials, tol):
-    return _majorization_suite(kyfan_holds, alg, rng, trials, tol)
+    return _majorization_suite(_kyfan, np.add, alg, rng, trials, tol)
 
 
-def _strong_equivalence_gaps(a, b):
-    """Gaps of the three strong-commutation tests: the inner-product
-    identity, eigenvalue additivity under +, and sorted eigenvalue
-    subtractivity under -.  lambda(a) and lambda(b) are solved once."""
-    la, lb = eigenvalues(a), eigenvalues(b)
+def _strong_equivalence_gaps(alg, A, B):
+    """Gaps of the three strong-commutation tests, row by row: the
+    inner-product identity, eigenvalue additivity under +, and sorted
+    eigenvalue subtractivity under -.  lambda(a) and lambda(b) are solved
+    once."""
+    la, lb = alg._eigvals(A), alg._eigvals(B)
     return (
-        abs(inner(a, b) - float(la @ lb)),
-        float(np.max(np.abs(eigenvalues(a + b) - (la + lb)))),
-        float(np.max(np.abs(sort_desc(la - lb) - eigenvalues(a - b)))),
+        _strong_gap(alg, A, B, la, lb),
+        np.max(np.abs(alg._eigvals(A + B) - (la + lb)), axis=-1),
+        np.max(np.abs(sort_desc(la - lb) - alg._eigvals(A - B)), axis=-1),
     )
 
 
 _GENERIC_TOL = 1e-7  # classifies the generic pairs of suite_strong_commutation_equivalence
+
+
+def _generic_verdicts(alg, A, B, gaps):
+    """Per generic pair: whether all three residuals are decisive, and
+    whether the three characterizations agree."""
+    ra, rb, rc = gaps
+    na, nb = _norm(alg, A), _norm(alg, B)
+    # each gap scaled to its pass threshold at tolerance 1
+    scale = 1.0 + na + nb
+    resid = np.stack([ra / (1.0 + na * nb), rb / scale, rc / scale])
+    decisive = np.all(resid <= 1e-3 * _GENERIC_TOL, axis=0) | np.all(resid > _GENERIC_TOL, axis=0)
+    holds = resid <= _GENERIC_TOL
+    return decisive, (holds[0] == holds[1]) & (holds[1] == holds[2])
 
 
 def suite_strong_commutation_equivalence(alg, rng, trials, tol):
@@ -188,38 +224,55 @@ def suite_strong_commutation_equivalence(alg, rng, trials, tol):
     tolerance cannot be classified consistently by any implementation.
     Such near-threshold draws are resampled: a pair counts only when all
     three residuals are decisively below (by 1e3) or above the tolerance.
+
+    A trial draws a frame, two coefficient vectors and a generic pair, all
+    standard normal, so a block of trials is one draw.  A resample shifts
+    the stream: the trials after it in the block are dropped, and the
+    stream is replayed up to the resampling trial's first pair.
     """
+    n, dim = alg.rank, alg.dim
+    width = 3 * dim + 2 * n
     failures = 0
     worst = 0.0
     disagreements = 0
     resampled = 0
-    for _ in range(trials):
-        frame = _random_frame(alg, rng)
-        alpha = sort_desc(rng.standard_normal(alg.rank))
-        beta = sort_desc(rng.standard_normal(alg.rank))
-        a = synthesize_from_frame(frame, alpha, validate=False)
-        b = synthesize_from_frame(frame, beta, validate=False)
-        _, rb, rc = _strong_equivalence_gaps(a, b)
-        worst = max(worst, rb, rc)
-        failures += rb > tol or rc > tol
-
-        for _attempt in range(50):
-            a = random_element(alg, rng)
-            b = random_element(alg, rng)
-            ra, rb, rc = _strong_equivalence_gaps(a, b)
-            # each gap scaled to its pass threshold at tolerance 1
-            scale = 1.0 + norm(a) + norm(b)
-            resid = (ra / (1.0 + norm(a) * norm(b)), rb / scale, rc / scale)
-            decisive_true = all(r <= 1e-3 * _GENERIC_TOL for r in resid)
-            decisive_false = all(r > _GENERIC_TOL for r in resid)
-            if decisive_true or decisive_false:
+    start = 0
+    while start < trials:
+        m = min(_BLOCK, trials - start)
+        state = rng.bit_generator.state
+        D = rng.standard_normal((m, width))
+        members = np.moveaxis(alg._decompose(D[:, :dim])[1], -2, 0)
+        A = _synthesize(members, sort_desc(D[:, dim : dim + n]))
+        B = _synthesize(members, sort_desc(D[:, dim + n : dim + 2 * n]))
+        GA, GB = D[:, dim + 2 * n : 2 * dim + 2 * n], D[:, 2 * dim + 2 * n :]
+        gaps = _strong_equivalence_gaps(alg, np.concatenate([A, GA]), np.concatenate([B, GB]))
+        decisive, agree = _generic_verdicts(alg, GA, GB, [g[m:] for g in gaps])
+        # trials before the first resample are final, and so is the
+        # constructed pair of the resampling trial
+        done = int(np.argmin(decisive)) if not decisive.all() else m
+        kept = min(done + 1, m)
+        rb, rc = gaps[1][:kept], gaps[2][:kept]
+        worst = max(worst, float(np.max(np.maximum(rb, rc))))
+        failures += int(np.count_nonzero((rb > tol) | (rc > tol)))
+        disagreements += int(np.count_nonzero(~agree[:done]))
+        failures += int(np.count_nonzero(~agree[:done]))
+        start += kept
+        if done == m:
+            continue
+        rng.bit_generator.state = state
+        rng.standard_normal((done + 1) * width)
+        resampled += 1
+        for _attempt in range(1, 50):
+            pair = rng.standard_normal((1, 2, dim))
+            GA, GB = pair[:, 0], pair[:, 1]
+            decisive, agree = _generic_verdicts(alg, GA, GB, _strong_equivalence_gaps(alg, GA, GB))
+            if decisive[0]:
                 break
             resampled += 1
         else:
             failures += 1
             continue
-        bools = [r <= _GENERIC_TOL for r in resid]
-        if not (bools[0] == bools[1] == bools[2]):
+        if not agree[0]:
             disagreements += 1
             failures += 1
     return {
@@ -233,66 +286,76 @@ def suite_strong_commutation_equivalence(alg, rng, trials, tol):
 def suite_shared_frame_commutation(alg, rng, trials, tol):
     """From one shared frame: operator commutation always; strong
     commutation exactly when the coefficient orderings agree."""
+    n = alg.rank
     failures = 0
-    for _ in range(trials):
-        frame = _random_frame(alg, rng)
-        n = alg.rank
-        alpha = _distinct_coeffs(n, rng)
-        beta = _distinct_coeffs(n, rng)
-        perm = rng.permutation(n)
-        a = synthesize_from_frame(frame, alpha[perm], validate=False)
-        b_aligned = synthesize_from_frame(frame, beta[perm], validate=False)
-        b_anti = synthesize_from_frame(frame, beta[::-1][perm], validate=False)
-        ok = operator_commute(a, b_aligned, tol=1e-7) and operator_commute(a, b_anti, tol=1e-7)
-        ok = ok and strongly_operator_commute(a, b_aligned, tol=1e-7)
+    for block in _blocks(trials):
+        draws = np.empty((len(block), alg.dim))
+        alpha = np.empty((len(block), n))
+        beta = np.empty_like(alpha)
+        perm = np.empty((len(block), n), dtype=np.intp)
+        for r in range(len(block)):
+            draws[r] = rng.standard_normal(alg.dim)
+            alpha[r] = _distinct_coeffs(n, rng)
+            beta[r] = _distinct_coeffs(n, rng)
+            perm[r] = rng.permutation(n)
+        members = np.moveaxis(alg._decompose(draws)[1], -2, 0)
+        a = _synthesize(members, np.take_along_axis(alpha, perm, -1))
+        b_aligned = _synthesize(members, np.take_along_axis(beta, perm, -1))
+        b_anti = _synthesize(members, np.take_along_axis(beta[:, ::-1], perm, -1))
+        la, l_aligned, l_anti = alg._eigvals(a), alg._eigvals(b_aligned), alg._eigvals(b_anti)
+        ok = _operator_commute(alg, a, b_aligned, 1e-7) & _operator_commute(alg, a, b_anti, 1e-7)
+        ok &= _strongly_commute(alg, a, b_aligned, la, l_aligned, 1e-7)
         if n >= 2:
-            ok = ok and not strongly_operator_commute(a, b_anti, tol=1e-7)
-        failures += not ok
+            ok &= ~_strongly_commute(alg, a, b_anti, la, l_anti, 1e-7)
+        failures += int(np.count_nonzero(~ok))
     return {"failures": failures, "worst_residual": 0.0 if not failures else 1.0}
 
 
 def suite_peirce(alg, rng, trials, tol):
     failures = 0
     worst = 0.0
-    for i in range(trials):
-        frame = _random_frame(alg, rng)
-        k = int(rng.integers(0, alg.rank + 1)) if i % 8 else 0
-        coords = np.zeros(alg.dim)
-        for idx in rng.choice(alg.rank, size=k, replace=False):
-            coords = coords + frame[idx].coords
-        p = Element(alg, coords)
-        x = random_element(alg, rng)
-        x1, x0, xh = peirce_project(p, x)
-        scale = 1.0 + norm(x)
-        resid = norm(x1 + x0 + xh - x) / scale
-        resid = max(resid, norm(jordan_product(p, x1) - x1) / scale)
-        resid = max(resid, norm(jordan_product(p, x0)) / scale)
-        resid = max(resid, norm(jordan_product(p, xh) - 0.5 * xh) / scale)
-        resid = max(
-            resid,
-            max(abs(inner(x1, x0)), abs(inner(x1, xh)), abs(inner(x0, xh))) / scale**2,
-        )
-        worst = max(worst, resid)
-        failures += resid > tol
+    for block in _blocks(trials):
+        draws = np.empty((len(block), alg.dim))
+        X = np.empty_like(draws)
+        picks = []
+        for r, i in enumerate(block):
+            draws[r] = rng.standard_normal(alg.dim)
+            k = int(rng.integers(0, alg.rank + 1)) if i % 8 else 0
+            picks.append(rng.choice(alg.rank, size=k, replace=False))
+            X[r] = rng.standard_normal(alg.dim)
+        frames = alg._decompose(draws)[1]
+        P = np.zeros_like(X)
+        for r, idx in enumerate(picks):
+            for j in idx:
+                P[r] = P[r] + frames[r, j]
+        x1, x0, xh = _peirce_parts(alg, P, X)
+        scale = 1.0 + _norm(alg, X)
+        resid = _norm(alg, x1 + x0 + xh - X) / scale
+        resid = np.maximum(resid, _norm(alg, alg._product(P, x1) - x1) / scale)
+        resid = np.maximum(resid, _norm(alg, alg._product(P, x0)) / scale)
+        resid = np.maximum(resid, _norm(alg, alg._product(P, xh) - 0.5 * xh) / scale)
+        cross = np.abs([alg._inner(x1, x0), alg._inner(x1, xh), alg._inner(x0, xh)]).max(axis=0)
+        # Python's float power (libm pow), whose last bit can differ from s * s
+        resid = np.maximum(resid, cross / np.array([s**2 for s in scale.tolist()]))
+        worst = max(worst, float(np.max(resid)))
+        failures += int(np.count_nonzero(resid > tol))
     return {"failures": failures, "worst_residual": worst}
 
 
 def suite_condition_bounds(alg, rng, trials, tol):
     failures = 0
     worst = 0.0
-    e = unit(alg)
-    for _ in range(trials):
-        x = random_element(alg, rng)
-        smallest = float(np.exp(rng.standard_normal()))
-        x = x + (smallest - float(eigenvalues(x)[-1])) * e
-        rep = condition_report(x)
-        half = alg.rank // 2
-        viol = max(
-            rep.kappa_norm / np.sqrt(half) - rep.cond,
-            rep.cond - rep.kappa_norm,
-        )
-        worst = max(worst, viol)
-        failures += not rep.bounds_ok
+    e = alg._unit()
+    half = alg.rank // 2
+    for block in _blocks(trials):
+        # per trial: x, then the log of the smallest eigenvalue to shift it to
+        draws = rng.standard_normal((len(block), alg.dim + 1))
+        X = draws[:, :-1]
+        X = X + (np.exp(draws[:, -1]) - alg._eigvals(X)[:, -1])[:, None] * e
+        cond, _kappa, kappa_norm, bounds_ok = _condition(alg._eigvals(X), DEFAULT_TOL)
+        viol = np.maximum(kappa_norm / np.sqrt(half) - cond, cond - kappa_norm)
+        worst = max(worst, float(np.max(viol)))
+        failures += int(np.count_nonzero(~bounds_ok))
     return {"failures": failures, "worst_residual": max(0.0, worst)}
 
 

@@ -291,6 +291,76 @@ def test_jacobi_iteration_cap():
     M = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(ConvergenceError):
         _jacobi_symmetric(M, max_sweeps=0)
+    # on a stack the cap holds for every matrix: one sweep does not settle
+    # the 4 x 4 matrices; the 2 x 2 one needs a rotation sweep and a check
+    rng = np.random.default_rng(12)
+    M4 = rng.standard_normal((3, 4, 4))
+    with pytest.raises(ConvergenceError):
+        _jacobi_symmetric(M4 + np.swapaxes(M4, 1, 2), max_sweeps=1)
+    _jacobi_symmetric(np.array([M, np.zeros((2, 2))]), max_sweeps=2)
+
+
+def jacobi_test_stack(n, rng):
+    """Random, graded (diag(10^-k) conjugated), clustered, exactly repeated
+    (diagonal and conjugated) spectra and the zero matrix: matrices that
+    converge in zero sweeps next to ones that take the most."""
+    def conjugated(spectrum):
+        Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        M = Q @ np.diag(spectrum) @ Q.T
+        return 0.5 * (M + M.T)
+
+    mats = []
+    for _ in range(4):
+        M = rng.standard_normal((n, n))
+        mats += [
+            M + M.T,
+            conjugated(10.0 ** -np.arange(0, 3 * n, 3)),
+            conjugated(1.0 + 1e-10 * rng.standard_normal(n)),
+            np.diag(rng.integers(-2, 3, size=n).astype(float)),
+            conjugated(rng.integers(-2, 3, size=n).astype(float)),
+            np.zeros((n, n)),
+        ]
+    return np.array(mats)
+
+
+def test_stacked_jacobi_rows_equal_single_calls():
+    rng = np.random.default_rng(13)
+    for n in range(1, 8):
+        S = jacobi_test_stack(n, rng)
+        for want_vectors in (True, False):
+            vals, Q = _jacobi_symmetric(S, want_vectors=want_vectors)
+            assert vals.shape == (len(S), n)
+            for M, row_vals, row_Q in zip(S, vals, Q if want_vectors else [None] * len(S)):
+                single_vals, single_Q = _jacobi_symmetric(M, want_vectors=want_vectors)
+                # bit for bit, down to the sign of a zero
+                assert row_vals.tobytes() == single_vals.tobytes(), n
+                if want_vectors:
+                    assert row_Q.tobytes() == single_Q.tobytes(), n
+        # any leading shape; a stack of one takes the stacked sweep too
+        vals, Q = _jacobi_symmetric(S[:6].reshape(2, 3, n, n))
+        assert vals.shape == (2, 3, n) and Q.shape == (2, 3, n, n)
+        assert np.array_equal(vals.reshape(6, n), _jacobi_symmetric(S[:6])[0])
+        assert np.array_equal(_jacobi_symmetric(S[:1])[0][0], _jacobi_symmetric(S[0])[0])
+
+
+def test_stacked_eigvals_and_decompose_rows_equal_single_calls():
+    from ejaopt.verify import DEFAULT_KINDS
+
+    rng = np.random.default_rng(14)
+    for label, alg in DEFAULT_KINDS + (("mixed", KINDS[-1]),):
+        U = rng.standard_normal((12, alg.dim))
+        U[0] = 0.0
+        U[1] = alg._unit()
+        U[2] = U[3] = 1e-12 * U[3]
+        vals = alg._eigvals(U)
+        dvals, frames = alg._decompose(U)
+        assert vals.shape == dvals.shape == (12, alg.rank)
+        assert frames.shape == (12, alg.rank, alg.dim)
+        for u, row_vals, row_dvals, row_frame in zip(U, vals, dvals, frames):
+            single_dvals, single_frame = alg._decompose(u.copy())
+            assert row_vals.tobytes() == alg._eigvals(u.copy()).tobytes(), label
+            assert row_dvals.tobytes() == single_dvals.tobytes(), label
+            assert row_frame.tobytes() == np.asarray(single_frame).tobytes(), label
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +447,10 @@ def test_frame_tie_order_is_pinned():
         dec = spectral_decompose(x)
         np.testing.assert_array_equal(dec.eigenvalues, vals)
         np.testing.assert_array_equal([c.coords for c in dec.frame], frame)
+        # the same order for each row of a stacked decomposition
+        stack_vals, stack_frames = x.algebra._decompose(np.array([x.coords, 2.0 * x.coords]))
+        np.testing.assert_array_equal(stack_vals, [vals, 2.0 * np.array(vals)])
+        np.testing.assert_array_equal(stack_frames, [frame, frame])
 
 
 def test_spin_degenerate_direction_is_fixed():
@@ -457,21 +531,17 @@ def test_l_operator_equals_probe_columns_exactly():
 
 
 def test_stacked_product_rows_match_single_calls():
-    eps = np.finfo(float).eps
     rng = np.random.default_rng(41)
     for alg in STACK_KINDS:
         u = rng.standard_normal(alg.dim)
         V = rng.standard_normal((3, 50, alg.dim))
         P = alg._product(u, V)
         assert P.shape == V.shape
-        # SpinFactor's stacked inner product is a gemv: the last bit may differ
-        exact = not any(isinstance(f, SpinFactor) for f in alg.factors)
+        U = rng.standard_normal(V.shape)
+        PU = alg._product(U, V)
         for idx in np.ndindex(V.shape[:-1]):
-            row = alg._product(u, V[idx].copy())
-            if exact:
-                assert np.array_equal(P[idx], row), alg
-            else:
-                assert np.max(np.abs(P[idx] - row)) <= 4 * eps * np.max(np.abs(row)), alg
+            assert np.array_equal(P[idx], alg._product(u, V[idx].copy())), alg
+            assert np.array_equal(PU[idx], alg._product(U[idx].copy(), V[idx].copy())), alg
         I = np.eye(alg.dim)
         PI = alg._product(u, I)
         for i in range(alg.dim):

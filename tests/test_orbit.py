@@ -206,6 +206,41 @@ def test_orbit_domain_probe_matches_pairing_enumeration():
                 assert got == expected, (n, fn.id, lam_b, lam_a)
 
 
+def test_weak_orbit_domain_probe_is_per_factor():
+    # a weak orbit keeps each factor's spectrum on its factor, so the probe
+    # pairs lambda_min(b_f) with lambda_max(a_f) factor by factor; an
+    # eigenvalue orbit may move b's eigenvalues across factors and keeps
+    # the whole-spectrum probe
+    def spin3(hi, lo):
+        return Element(SpinFactor(3), [0.5 * (hi + lo), 0.5 * (hi - lo), 0.0])
+
+    alg = product_algebra(SymMatrix(2), SpinFactor(3))
+    fn = builtin("cond_vector_norm", 4)
+    a = join(alg, [diag2(0, 0), spin3(10, 9)])
+    b = join(alg, [diag2(2, 2), spin3(20, 19)])
+    for sense in ("min", "max"):
+        # every x of the weak orbit has lambda(x - a) >= 2
+        ref, _assignments = weak_orbit_brute_force(alg, fn, a, b, sense)
+        problem = OrbitProblem(alg, fn, a, WeakOrbit(b), sense)
+        assert solve_orbit_global(problem).value == pytest.approx(ref, rel=1e-12)
+        assert local_search_orbit(problem, b).value == pytest.approx(ref, rel=1e-9)
+        with pytest.raises(InfeasibleError):
+            solve_orbit_global(OrbitProblem(alg, fn, a, EigenvalueOrbit(b), sense))
+        # the spin factor's 9.5 - 10 leaves the domain
+        out = join(alg, [diag2(2, 2), spin3(11, 9.5)])
+        for run in (solve_orbit_global, lambda p: local_search_orbit(p, out)):
+            with pytest.raises(InfeasibleError):
+                run(OrbitProblem(alg, fn, a, WeakOrbit(out), sense))
+    # identical factors may swap spectra: (1, 1) lands on the factor of (5, 5)
+    s22 = product_algebra(SymMatrix(2), SymMatrix(2))
+    a = join(s22, [diag2(0, 0), diag2(5, 5)])
+    b = join(s22, [diag2(1, 1), diag2(6, 6)])
+    fn = builtin("cond_vector_norm", 4)
+    for run in (solve_orbit_global, lambda p: local_search_orbit(p, b)):
+        with pytest.raises(InfeasibleError):
+            run(OrbitProblem(s22, fn, a, WeakOrbit(b), "min"))
+
+
 def test_pairings_return_the_kept_permutation_rows():
     from ejaopt.orbit import _all_permutations, _pairings
 
@@ -1168,6 +1203,26 @@ def test_solve_weak_orbit_global_product():
     assert full.value == pytest.approx(0.0, abs=1e-12)
 
 
+def weak_orbit_brute_force(alg, fn, a, b, sense):
+    """Optimum of f(x - a) over the weak orbit of b, by enumerating every
+    ordered assignment of b's factor spectra (a factor takes the spectrum of
+    a factor with the same descriptor) and every per-factor permutation of
+    it against that factor's eigenvalues of a; also the assignments."""
+    b_specs = [tuple(eigenvalues(p)) for p in split(b)]
+    a_specs = [eigenvalues(p) for p in split(a)]
+    assignments = {
+        tuple(b_specs[i] for i in order)
+        for order in itertools.permutations(range(len(alg.factors)))
+        if all(alg.factors[i] == f for i, f in zip(order, alg.factors))
+    }
+    values = [
+        fn(np.concatenate([np.asarray(p) - la for p, la in zip(perms, a_specs)]))
+        for assignment in assignments
+        for perms in itertools.product(*(itertools.permutations(s) for s in assignment))
+    ]
+    return (min(values) if sense == "min" else max(values)), assignments
+
+
 def test_product_weak_orbit_matches_brute_force():
     # Independent of the frame layout of the solver: enumerate every ordered
     # assignment of b's factor spectra (a factor takes the spectrum of a
@@ -1188,19 +1243,7 @@ def test_product_weak_orbit_matches_brute_force():
         shifts = (1.7 * unit(alg), tied, random_element(alg, rng))
         for a, fn, sense, _ in itertools.product(shifts, fns, ("min", "max"), range(2)):
             b = random_element(alg, rng)
-            b_specs = [tuple(eigenvalues(p)) for p in split(b)]
-            a_specs = [eigenvalues(p) for p in split(a)]
-            assignments = {
-                tuple(b_specs[i] for i in order)
-                for order in itertools.permutations(range(len(alg.factors)))
-                if all(alg.factors[i] == f for i, f in zip(order, alg.factors))
-            }
-            values = [
-                fn(np.concatenate([np.asarray(p) - la for p, la in zip(perms, a_specs)]))
-                for assignment in assignments
-                for perms in itertools.product(*(itertools.permutations(s) for s in assignment))
-            ]
-            ref = min(values) if sense == "min" else max(values)
+            ref, assignments = weak_orbit_brute_force(alg, fn, a, b, sense)
             sol = solve_orbit_global(OrbitProblem(alg, fn, a, WeakOrbit(b), sense))
             case = (alg, fn.id, sense)
             assert sol.value == pytest.approx(ref, rel=1e-12, abs=1e-12), case

@@ -1,19 +1,28 @@
 import numpy as np
+import pytest
 
+import ejaopt.verify as verify_module
 from ejaopt.algebra import (
     SymMatrix,
     eigenvalues,
+    norm,
     random_element,
+    spectral_decompose,
     strong_commutation_gap,
     synthesize_from_frame,
 )
 from ejaopt.majorization import sort_desc
 from ejaopt.verify import (
     DEFAULT_KINDS,
-    _random_frame,
+    SUITES,
     _strong_equivalence_gaps,
     suite_strong_commutation_equivalence,
 )
+
+# the suites that evaluate blocks of trials with stacked kernels
+STACKED_SUITES = [
+    (name, fn) for name, fn in SUITES if name not in ("jordan_identity", "phi_strict_schur")
+]
 
 
 def fresh_gaps(a, b):
@@ -29,28 +38,34 @@ def fresh_gaps(a, b):
 def test_strong_equivalence_gaps_equal_fresh_solves_bit_for_bit():
     for ki, (label, alg) in enumerate(DEFAULT_KINDS):
         rng = np.random.default_rng([7, ki])
+        pairs = []
         for _ in range(10):
-            frame = _random_frame(alg, rng)
+            frame = spectral_decompose(random_element(alg, rng)).frame
             constructed = [
                 synthesize_from_frame(frame, sort_desc(rng.standard_normal(alg.rank)), validate=False)
                 for _ in range(2)
             ]
             generic = [random_element(alg, rng) for _ in range(2)]
-            for a, b in (constructed, generic):
-                assert _strong_equivalence_gaps(a, b) == fresh_gaps(a, b), label
+            pairs += [constructed, generic]
+        A = np.array([a.coords for a, _ in pairs])
+        B = np.array([b.coords for _, b in pairs])
+        stacked = _strong_equivalence_gaps(alg, A, B)
+        for row, (a, b) in enumerate(pairs):
+            assert tuple(float(g[row]) for g in stacked) == fresh_gaps(a, b), label
 
 
 def test_strong_commutation_equivalence_solves_each_spectrum_once(monkeypatch):
     # Per trial: one decomposition for the shared frame, then lambda of a,
     # b, a + b and a - b for the constructed pair and for every generic
     # draw.  Solving lambda(a) and lambda(b) afresh for each of the three
-    # tests would make 7 per trial and 8 per draw.
+    # tests would make 7 per trial and 8 per draw.  A stacked call solves
+    # one matrix per row.
     eigh = SymMatrix._eigh
     solves = 0
 
     def counted_eigh(self, mat, want_vectors=True):
         nonlocal solves
-        solves += 1
+        solves += int(np.prod(np.shape(mat)[:-2]))
         return eigh(self, mat, want_vectors)
 
     monkeypatch.setattr(SymMatrix, "_eigh", counted_eigh)
@@ -58,3 +73,68 @@ def test_strong_commutation_equivalence_solves_each_spectrum_once(monkeypatch):
     out = suite_strong_commutation_equivalence(SymMatrix(3), np.random.default_rng(3), trials, 1e-9)
     assert out["failures"] == 0
     assert solves == 5 * trials + 4 * (trials + out["resampled"])
+
+
+@pytest.mark.parametrize("name, suite", STACKED_SUITES)
+def test_suites_do_not_depend_on_the_block_size(monkeypatch, name, suite):
+    # block size 1 evaluates trial by trial; 7 leaves a partial last block
+    trials = 30
+    for ki, (label, alg) in enumerate(DEFAULT_KINDS):
+        outs = []
+        for block in (1, 7, verify_module._BLOCK):
+            monkeypatch.setattr(verify_module, "_BLOCK", block)
+            outs.append(suite(alg, np.random.default_rng([5, ki]), trials, 1e-9))
+        assert outs[0] == outs[1] == outs[2], (name, label)
+
+
+def reference_strong_equivalence(alg, rng, trials, tol, generic_tol):
+    """The suite trial by trial on Elements through the public eigenvalue
+    and norm calls, resampling as it goes."""
+    failures = worst = disagreements = resampled = 0
+    for _ in range(trials):
+        frame = spectral_decompose(random_element(alg, rng)).frame
+        alpha = sort_desc(rng.standard_normal(alg.rank))
+        beta = sort_desc(rng.standard_normal(alg.rank))
+        a = synthesize_from_frame(frame, alpha, validate=False)
+        b = synthesize_from_frame(frame, beta, validate=False)
+        _, rb, rc = fresh_gaps(a, b)
+        worst = max(worst, rb, rc)
+        failures += rb > tol or rc > tol
+        for _attempt in range(50):
+            a = random_element(alg, rng)
+            b = random_element(alg, rng)
+            ra, rb, rc = fresh_gaps(a, b)
+            scale = 1.0 + norm(a) + norm(b)
+            resid = (ra / (1.0 + norm(a) * norm(b)), rb / scale, rc / scale)
+            if all(r <= 1e-3 * generic_tol for r in resid) or all(r > generic_tol for r in resid):
+                break
+            resampled += 1
+        else:
+            failures += 1
+            continue
+        bools = [r <= generic_tol for r in resid]
+        if not (bools[0] == bools[1] == bools[2]):
+            disagreements += 1
+            failures += 1
+    return {"failures": failures, "worst_residual": worst, "disagreements": disagreements,
+            "resampled": resampled}
+
+
+def test_strong_equivalence_resamples_as_a_trial_by_trial_run(monkeypatch):
+    # At a generic tolerance of 0.3 a good share of the generic pairs fall
+    # in the boundary layer, so blocks are cut and replayed often; at 10
+    # no pair is decisive and every trial uses up its 50 attempts.
+    kinds = [(label, alg) for label, alg in DEFAULT_KINDS if label in ("diag4", "sym3", "spin4", "sym2xsym2")]
+    for generic_tol, trials in ((0.3, 20), (10.0, 2)):
+        monkeypatch.setattr(verify_module, "_GENERIC_TOL", generic_tol)
+        for ki, (label, alg) in enumerate(kinds):
+            rng_ref = np.random.default_rng([9, ki])
+            ref = reference_strong_equivalence(alg, rng_ref, trials, 1e-9, generic_tol)
+            assert ref["resampled"] > 0, label
+            for block in (1, 7, 128):
+                monkeypatch.setattr(verify_module, "_BLOCK", block)
+                rng = np.random.default_rng([9, ki])
+                got = suite_strong_commutation_equivalence(alg, rng, trials, 1e-9)
+                assert got == ref, (label, generic_tol, block)
+                # the suite leaves the stream where the trial-by-trial run does
+                assert rng.bit_generator.state == rng_ref.bit_generator.state
