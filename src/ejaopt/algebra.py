@@ -106,6 +106,13 @@ class _Kind:
         overrides it."""
         return self._eigvals(u)
 
+    def _random_autos(self, rng, m, lead):
+        """``m`` trials of ``lead`` standard normals followed by one
+        ``_random_auto`` draw, in stream order: the ``(m, lead)`` normals and
+        the automorphism data as one stack for ``_apply_auto``."""
+        normals, autos = _draw_autos(self, rng, m, lead)
+        return normals, np.array(autos)
+
 
 @dataclass(frozen=True)
 class RealDiagonal(_Kind):
@@ -149,7 +156,7 @@ class RealDiagonal(_Kind):
         return np.ones(self.n)
 
     def _apply_auto(self, perm, u):
-        return u[perm]
+        return _reorder(u, perm)
 
     def _random_auto(self, rng):
         return rng.permutation(self.n)
@@ -226,10 +233,13 @@ class SymMatrix(_Kind):
 
     def _apply_auto(self, Q, u):
         M = _mat_from_sym_coords(self.n, u)
-        return _sym_coords_from_mat(self.n, Q @ M @ Q.T)
+        return _sym_coords_from_mat(self.n, Q @ M @ np.swapaxes(Q, -1, -2))
 
     def _random_auto(self, rng):
-        return _haar_orthogonal(self.n, rng)
+        return _haar_orthogonal(rng.standard_normal((self.n, self.n)))
+
+    def _random_autos(self, rng, m, lead):
+        return _haar_block(self.n, rng, m, lead)
 
     def _to_dict(self) -> dict:
         return {"kind": "sym", "n": self.n}
@@ -312,13 +322,15 @@ class SpinFactor(_Kind):
         return c
 
     def _apply_auto(self, Q, u):
-        out = np.empty(self.d)
-        out[0] = u[0]
-        out[1:] = Q @ u[1:]
+        out = u.copy()
+        out[..., 1:] = (Q @ u[..., 1:, None])[..., 0]
         return out
 
     def _random_auto(self, rng):
-        return _haar_orthogonal(self.d - 1, rng)
+        return _haar_orthogonal(rng.standard_normal((self.d - 1, self.d - 1)))
+
+    def _random_autos(self, rng, m, lead):
+        return _haar_block(self.d - 1, rng, m, lead)
 
     def _to_dict(self) -> dict:
         return {"kind": "spin", "d": self.d}
@@ -433,10 +445,16 @@ class ProductAlgebra:
         return np.concatenate([f._unit() for f in self.factors])
 
     def _apply_auto(self, data, u):
+        """Slot i maps the coordinates of factor ``src[i]`` (an identical
+        factor, so of the same dim) by its factor automorphism.  A stack of
+        data holds one stack per slot and a ``(..., factors)`` source array."""
         autos, src = data
-        return np.concatenate(
-            [f._apply_auto(t.data, u[self._slices[i]]) for f, t, i in zip(self.factors, autos, src)]
-        )
+        starts = np.array([s.start for s in self._slices])[np.asarray(src)]
+        parts = [
+            f._apply_auto(a, np.take_along_axis(u, starts[..., i, None] + np.arange(f.dim), -1))
+            for i, (f, a) in enumerate(zip(self.factors, autos))
+        ]
+        return np.concatenate(parts, axis=-1)
 
     def _random_auto(self, rng):
         src = np.arange(len(self.factors))
@@ -444,8 +462,12 @@ class ProductAlgebra:
             perm = rng.permutation(len(idxs))
             idxs = np.array(idxs)
             src[idxs] = idxs[perm]
-        autos = tuple(Automorphism(f, f._random_auto(rng)) for f in self.factors)
-        return autos, tuple(int(i) for i in src)
+        return tuple(f._random_auto(rng) for f in self.factors), tuple(int(i) for i in src)
+
+    def _random_autos(self, rng, m, lead):
+        normals, autos = _draw_autos(self, rng, m, lead)
+        slots = tuple(np.array(col) for col in zip(*(a for a, _ in autos)))
+        return normals, (slots, np.array([s for _, s in autos]))
 
     def _to_dict(self) -> dict:
         return {"kind": "product", "factors": [f._to_dict() for f in self.factors]}
@@ -1029,8 +1051,8 @@ class Automorphism:
     ``data`` is kind-specific: a permutation of coordinates for
     RealDiagonal, an orthogonal matrix Q acting by x -> QxQ^T for
     SymMatrix, an orthogonal matrix acting on the vector part for
-    SpinFactor, and for products a tuple of per-slot factor automorphisms
-    together with a source permutation of isomorphic factors.
+    SpinFactor, and for products a tuple of per-slot factor automorphism
+    data together with a source permutation of isomorphic factors.
     """
 
     algebra: object
@@ -1043,10 +1065,26 @@ def apply_automorphism(auto: Automorphism, x: Element) -> Element:
     return Element(x.algebra, x.algebra._apply_auto(auto.data, x.coords))
 
 
-def _haar_orthogonal(n, rng) -> np.ndarray:
-    M = rng.standard_normal((n, n))
+def _haar_orthogonal(M):
+    """Haar orthogonal matrices from the standard normal matrices on the
+    last two axes: Q of the QR factorization, columns signed by R's diagonal."""
     Q, R = np.linalg.qr(M)
-    return Q * np.sign(np.diagonal(R))
+    return Q * np.sign(np.diagonal(R, axis1=-2, axis2=-1))[..., None, :]
+
+
+def _haar_block(k, rng, m, lead):
+    """``_random_autos`` of a kind whose automorphism is one Haar orthogonal
+    k x k matrix: every draw is standard normal, so the block is one draw,
+    sliced so that each trial keeps its order."""
+    D = rng.standard_normal((m, lead + k * k))
+    return D[:, :lead], _haar_orthogonal(D[:, lead:].reshape(m, k, k))
+
+
+def _draw_autos(alg, rng, m, lead):
+    """The draws of ``_random_autos`` trial by trial: the ``(m, lead)``
+    normals and a list of automorphism data."""
+    draws = [(rng.standard_normal(lead), alg._random_auto(rng)) for _ in range(m)]
+    return np.array([d for d, _ in draws]), [a for _, a in draws]
 
 
 def random_element(alg, rng) -> Element:

@@ -3,6 +3,7 @@ import pytest
 
 from ejaopt import (
     AlgebraError,
+    Automorphism,
     ConvergenceError,
     Element,
     ProductAlgebra,
@@ -738,6 +739,68 @@ def test_product_automorphism_swaps_only_isomorphic_factors():
     for _ in range(50):
         seen.add(random_automorphism(alg2, rng).data[1])
     assert seen == {(0, 1), (1, 0)}
+    # slot i takes the coordinates of factor src[i], one call or a stack
+    eye = np.eye(2)
+    X = rng.standard_normal((2, alg2.dim))
+    swap = Automorphism(alg2, ((eye, eye), (1, 0)))
+    close = dict(rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(apply_automorphism(swap, Element(alg2, X[0])).coords, np.roll(X[0], 3), **close)
+    stacked = ((np.stack([eye, eye]), np.stack([eye, eye])), np.array([[1, 0], [0, 1]]))
+    np.testing.assert_allclose(alg2._apply_auto(stacked, X), [np.roll(X[0], 3), X[1]], **close)
+
+
+def auto_row(alg, data, r):
+    """Trial r of a stack of automorphism data, in the single-call form."""
+    if len(alg.factors) == 1:
+        return data[r]
+    slots, src = data
+    return tuple(s[r] for s in slots), tuple(int(i) for i in src[r])
+
+
+def auto_bytes(alg, data):
+    """Single-call automorphism data, compared bit for bit."""
+    if len(alg.factors) == 1:
+        return data.tobytes()
+    slots, src = data
+    return tuple(s.tobytes() for s in slots), src
+
+
+def test_stacked_automorphisms_equal_single_calls():
+    from ejaopt.verify import DEFAULT_KINDS
+
+    # every verify kind, and a product whose identical factors trade places
+    # while its distinct factor stays put
+    mixed = product_algebra(SymMatrix(2), SymMatrix(2), SpinFactor(4))
+    for ki, alg in enumerate([alg for _, alg in DEFAULT_KINDS] + [mixed]):
+        m, lead = 40, 2 * alg.dim
+        rng_block = np.random.default_rng([23, ki])
+        normals, autos = alg._random_autos(rng_block, m, lead)
+        # the block draw is the stream of m trials of lead normals and one
+        # random_automorphism call, and leaves the generator where they do
+        rng = np.random.default_rng([23, ki])
+        singles = []
+        for r in range(m):
+            assert normals[r].tobytes() == rng.standard_normal(lead).tobytes(), alg
+            singles.append(random_automorphism(alg, rng))
+            assert auto_bytes(alg, auto_row(alg, autos, r)) == auto_bytes(alg, singles[-1].data), alg
+        assert rng_block.bit_generator.state == rng.bit_generator.state, alg
+        if alg is mixed:
+            assert {auto_row(alg, autos, r)[1] for r in range(m)} == {(0, 1, 2), (1, 0, 2)}
+        # a stack of automorphisms applied to a stack: each row has the
+        # bits of apply_automorphism
+        U = rng.standard_normal((m, alg.dim))
+        stacked = alg._apply_auto(autos, U)
+        for auto, u, row in zip(singles, U, stacked):
+            assert row.tobytes() == apply_automorphism(auto, Element(alg, u)).coords.tobytes(), alg
+
+
+def test_single_haar_draws_keep_their_stream():
+    # one QR of an n x n standard normal draw, columns signed by diag(R)
+    for alg, k in ((SymMatrix(3), 3), (SpinFactor(5), 4)):
+        rng, ref = np.random.default_rng(24), np.random.default_rng(24)
+        Q, R = np.linalg.qr(ref.standard_normal((k, k)))
+        assert random_automorphism(alg, rng).data.tobytes() == (Q * np.sign(np.diag(R))).tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 # ---------------------------------------------------------------------------

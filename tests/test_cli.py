@@ -2,9 +2,14 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ejaopt
 from ejaopt.algebra import algebra_to_dict, element_to_dict
 from ejaopt.cli import _builtin_counterexample, dumps_report, main
 
@@ -69,6 +74,18 @@ def test_verify_determinism(tmp_path):
         assert main(argv + ["--no-timestamp", "--out", str(out1)]) == 0
         assert main(argv + ["--no-timestamp", "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes(), argv[0]
+
+
+def test_python_m_ejaopt_runs_the_cli(capsys):
+    # an uninstalled checkout runs the CLI as `PYTHONPATH=src python -m ejaopt`
+    src = str(Path(ejaopt.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["verify", "--trials", "3", "--no-timestamp"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "ejaopt", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == run(capsys, argv)[1]
 
 
 def test_unwritable_out_path_exit_2(capsys):

@@ -3,26 +3,32 @@ import pytest
 
 import ejaopt.verify as verify_module
 from ejaopt.algebra import (
+    SpinFactor,
     SymMatrix,
+    apply_automorphism,
     eigenvalues,
+    jordan_product,
     norm,
+    product_algebra,
+    random_automorphism,
     random_element,
     spectral_decompose,
     strong_commutation_gap,
     synthesize_from_frame,
+    unit,
 )
 from ejaopt.majorization import sort_desc
 from ejaopt.verify import (
     DEFAULT_KINDS,
     SUITES,
     _strong_equivalence_gaps,
+    suite_automorphism_invariance,
+    suite_jordan_identity,
     suite_strong_commutation_equivalence,
 )
 
 # the suites that evaluate blocks of trials with stacked kernels
-STACKED_SUITES = [
-    (name, fn) for name, fn in SUITES if name not in ("jordan_identity", "phi_strict_schur")
-]
+STACKED_SUITES = [(name, fn) for name, fn in SUITES if name != "phi_strict_schur"]
 
 
 def fresh_gaps(a, b):
@@ -138,3 +144,57 @@ def test_strong_equivalence_resamples_as_a_trial_by_trial_run(monkeypatch):
                 assert got == ref, (label, generic_tol, block)
                 # the suite leaves the stream where the trial-by-trial run does
                 assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+def reference_jordan_identity(alg, rng, trials, tol):
+    """The suite trial by trial on Elements."""
+    failures = worst = 0
+    for _ in range(trials):
+        x = random_element(alg, rng)
+        y = random_element(alg, rng)
+        xx = jordan_product(x, x)
+        lhs = jordan_product(jordan_product(x, y), xx)
+        rhs = jordan_product(x, jordan_product(y, xx))
+        resid = norm(lhs - rhs) / ((1.0 + norm(x)) ** 2 * (1.0 + norm(y)))
+        worst = max(worst, resid)
+        failures += resid > tol
+    return {"failures": failures, "worst_residual": worst}
+
+
+def reference_automorphism_invariance(alg, rng, trials, tol):
+    """The suite trial by trial on Elements: each trial draws x, y and then
+    one automorphism."""
+    failures = worst = 0
+    e = unit(alg)
+    for _ in range(trials):
+        x = random_element(alg, rng)
+        y = random_element(alg, rng)
+        auto = random_automorphism(alg, rng)
+        ax = apply_automorphism(auto, x)
+        resid = float(np.max(np.abs(eigenvalues(ax) - eigenvalues(x)))) / (1.0 + norm(x))
+        ay = apply_automorphism(auto, y)
+        hom = norm(apply_automorphism(auto, jordan_product(x, y)) - jordan_product(ax, ay))
+        hom = hom / ((1.0 + norm(x)) * (1.0 + norm(y)))
+        resid = max(resid, hom, norm(apply_automorphism(auto, e) - e))
+        worst = max(worst, resid)
+        failures += resid > tol
+    return {"failures": failures, "worst_residual": worst}
+
+
+@pytest.mark.parametrize(
+    "suite, reference",
+    [
+        (suite_jordan_identity, reference_jordan_identity),
+        (suite_automorphism_invariance, reference_automorphism_invariance),
+    ],
+)
+def test_stacked_suites_equal_a_trial_by_trial_run(monkeypatch, suite, reference):
+    kinds = DEFAULT_KINDS + (("sym2xsym2xspin4", product_algebra(SymMatrix(2), SymMatrix(2), SpinFactor(4))),)
+    for ki, (label, alg) in enumerate(kinds):
+        rng_ref = np.random.default_rng([11, ki])
+        ref = reference(alg, rng_ref, 30, 1e-9)
+        for block in (1, 7, 128):
+            monkeypatch.setattr(verify_module, "_BLOCK", block)
+            rng = np.random.default_rng([11, ki])
+            assert suite(alg, rng, 30, 1e-9) == ref, (label, block)
+            assert rng.bit_generator.state == rng_ref.bit_generator.state, (label, block)
