@@ -24,8 +24,8 @@ Peirce projections), the two commutation tests (operator commutation via
 L-operator matrices, strong commutation via the inner-product identity
 <a,b> = <lambda(a),lambda(b)>), and automorphism sampling for
 property-style validation.  Each descriptor class carries its kind's
-kernels, down to the rotation generator and the eigenvalue routine that
-the orbit local search (``orbit.local_search_orbit``) builds on.
+kernels, down to the rotation generator and the basis in which the orbit
+local search (``orbit.local_search_orbit``) holds its frame.
 """
 
 from __future__ import annotations
@@ -99,12 +99,63 @@ class _Kind:
     def _slices(self):
         return (slice(0, self.dim),)
 
-    def _search_eigvals(self, u):
-        """Eigenvalues (non-increasing) scored by the local search, of one
-        coordinate vector or a ``(..., dim)`` stack, so a line-search scan
-        is scored in one call: the kind's ``_eigvals``, except where a kind
-        overrides it."""
+    def _check_eigvals(self, u):
+        """Eigenvalues (non-increasing) by a second route, for ``verify``
+        to check ``_eigvals`` and ``_decompose`` against: LAPACK on
+        SymMatrix, independent of their Jacobi sweep; a kind with a closed
+        form has only that one."""
         return self._eigvals(u)
+
+    # The local search (``orbit._RotationSearch``) holds x = sum beta_i e_i
+    # on a Jordan frame, and the shift a, in a basis its kind chooses, and
+    # reaches them only through the ``_search_*`` hooks.  Here the frame is
+    # its members' coordinate rows and a its coordinates; ``SymMatrix``
+    # carries eigenvector columns instead.
+
+    def _search_basis(self, u, a):
+        """(beta, frame, a) of a search started at x = u: the eigenvalues
+        of x, its frame and a, in the search's basis."""
+        beta, frame = self._decompose(u)
+        return beta, frame, a
+
+    def _search_lam(self, beta, frame, a):
+        """Eigenvalues of x - a."""
+        return self._eigvals(beta @ frame - a)
+
+    def _search_pair(self, beta, frame, a, j, k):
+        """<a, e_j> - <a, e_k>, <a, w> and the curve data of pair (j, k),
+        with w the pair's generator pointed toward a; None without one."""
+        w = self._rotation_generator(frame, j, k, a)
+        if w is None:
+            return None
+        rest = beta.copy()
+        rest[j] = rest[k] = 0.0
+        inner = self._inner
+        block = np.array([frame[j], w, frame[k]])
+        return inner(a, frame[j]) - inner(a, frame[k]), inner(a, w), (rest @ frame - a, block)
+
+    def _search_curve(self, pair, coeffs):
+        """Eigenvalues (non-increasing) of x(theta) - a on the pair's curve,
+        from the coefficients of (e_j, w, e_k) in x(theta) that
+        ``orbit._curve`` gives: one angle, or one row per angle of a stack,
+        so a line-search scan is scored in one call."""
+        base, block = pair
+        return self._eigvals(base + coeffs @ block)
+
+    def _search_turn(self, frame, a, j, k, pair, rows):
+        """Step the pair along its curve, in place: ``rows`` holds the
+        coefficients of e_j(theta) and e_k(theta) on (e_j, w, e_k)."""
+        block = pair[1]
+        frame[j] = rows[0] @ block
+        frame[k] = rows[1] @ block
+
+    def _search_coords(self, beta, frame):
+        """Coordinates of x."""
+        return beta @ frame
+
+    def _random_auto(self, rng):
+        """Automorphism data of one ``_draw_auto`` draw."""
+        return self._autos_from(self._draw_auto(rng))
 
     def _random_autos(self, rng, m, lead):
         """``m`` trials of ``lead`` standard normals followed by one
@@ -158,8 +209,11 @@ class RealDiagonal(_Kind):
     def _apply_auto(self, perm, u):
         return _reorder(u, perm)
 
-    def _random_auto(self, rng):
+    def _draw_auto(self, rng):
         return rng.permutation(self.n)
+
+    def _autos_from(self, draws):
+        return draws
 
     def _to_dict(self) -> dict:
         return {"kind": "diag", "n": self.n}
@@ -213,12 +267,8 @@ class SymMatrix(_Kind):
     def _eigvals(self, u):
         return self._eigh(_mat_from_sym_coords(self.n, u), want_vectors=False)[0]
 
-    def _search_eigvals(self, u):
-        """LAPACK eigenvalues for the local-search objective, which makes
-        hundreds of eigenvalue calls per run, of a ``(..., dim)`` stack in
-        one ``eigvalsh``; Jacobi (``_eigh``, stacked or not) stays the
-        eigensolver of frames, certificates and ``verify``."""
-        return np.linalg.eigvalsh(_mat_from_sym_coords(self.n, u))[..., ::-1]
+    def _check_eigvals(self, u):
+        return _eigvalsh(_mat_from_sym_coords(self.n, u))
 
     def _decompose(self, u):
         vals, Q = self._eigh(_mat_from_sym_coords(self.n, u))
@@ -235,8 +285,11 @@ class SymMatrix(_Kind):
         M = _mat_from_sym_coords(self.n, u)
         return _sym_coords_from_mat(self.n, Q @ M @ np.swapaxes(Q, -1, -2))
 
-    def _random_auto(self, rng):
-        return _haar_orthogonal(rng.standard_normal((self.n, self.n)))
+    def _draw_auto(self, rng):
+        return rng.standard_normal((self.n, self.n))
+
+    def _autos_from(self, draws):
+        return _haar_orthogonal(draws)
 
     def _random_autos(self, rng, m, lead):
         return _haar_block(self.n, rng, m, lead)
@@ -251,6 +304,48 @@ class SymMatrix(_Kind):
         qj = self._rank_one_axis(frame[j])
         qk = self._rank_one_axis(frame[k])
         return _sym_coords_from_mat(self.n, np.outer(qj, qk) + np.outer(qk, qj))
+
+    # The local search runs in the basis of x's eigenvector columns Q, with
+    # a as B = Q^T A Q: member e_i is q_i q_i^T and the generator of pair
+    # (j, k) is q_j q_k^T + q_k q_j^T, so <a, e_j> = B_jj, <a, w> = 2 B_jk,
+    # x(theta) - a is diag(beta) - B with the (j, k) block moved, and a step
+    # rotates columns j, k of Q and rows and columns j, k of B (the
+    # Jacobi-method view; Golub & Van Loan, *Matrix Computations*, 8.5).
+    # The objective's many eigenvalue calls go to LAPACK (``_eigvalsh``);
+    # Jacobi (``_eigh``) stays the eigensolver of frames, certificates and
+    # ``verify``, which checks it against LAPACK (``_check_eigvals``).
+
+    def _search_basis(self, u, a):
+        beta, Q = self._eigh(_mat_from_sym_coords(self.n, u))
+        return beta, Q, Q.T @ _mat_from_sym_coords(self.n, a) @ Q
+
+    def _search_lam(self, beta, Q, B):
+        return _eigvalsh(np.diag(beta) - B)
+
+    def _search_pair(self, beta, Q, B, j, k):
+        rest = beta.copy()
+        rest[j] = rest[k] = 0.0
+        return B[j, j] - B[k, k], 2.0 * B[j, k], ((np.diag(rest) - B).ravel(), _pair_block(self.n, j, k))
+
+    def _search_curve(self, pair, coeffs):
+        base, block = pair
+        return _eigvalsh((base + coeffs @ block).reshape(coeffs.shape[:-1] + (self.n, self.n)))
+
+    def _search_turn(self, Q, B, j, k, pair, rows):
+        # the rotation whose column j is the axis (c, s) of e_j(theta), whose
+        # coefficients are (c^2, c s, s^2); c >= 0 on |theta| <= pi/2
+        cc, cs, ss = rows[0]
+        c, s = math.sqrt(cc), math.copysign(math.sqrt(ss), cs)
+        # as an n x n rotation: at these sizes three small matmuls take less
+        # time than the row and column updates of the plane
+        R = np.eye(self.n)
+        R[j, j] = R[k, k] = c
+        R[k, j], R[j, k] = s, -s
+        Q[:] = Q @ R
+        B[:] = R.T @ B @ R
+
+    def _search_coords(self, beta, Q):
+        return _sym_coords_from_mat(self.n, (Q * beta) @ Q.T)
 
     def _rank_one_axis(self, c):
         M = _mat_from_sym_coords(self.n, c)
@@ -326,8 +421,11 @@ class SpinFactor(_Kind):
         out[..., 1:] = (Q @ u[..., 1:, None])[..., 0]
         return out
 
-    def _random_auto(self, rng):
-        return _haar_orthogonal(rng.standard_normal((self.d - 1, self.d - 1)))
+    def _draw_auto(self, rng):
+        return rng.standard_normal((self.d - 1, self.d - 1))
+
+    def _autos_from(self, draws):
+        return _haar_orthogonal(draws)
 
     def _random_autos(self, rng, m, lead):
         return _haar_block(self.d - 1, rng, m, lead)
@@ -426,6 +524,10 @@ class ProductAlgebra:
         vals = np.concatenate([f._eigvals(u[..., s]) for f, s in zip(self.factors, self._slices)], axis=-1)
         return -np.sort(-vals)
 
+    def _check_eigvals(self, u):
+        vals = np.concatenate([f._check_eigvals(u[..., s]) for f, s in zip(self.factors, self._slices)], axis=-1)
+        return -np.sort(-vals)
+
     def _decompose(self, u):
         """Factor decompositions merged by a stable sort along the last
         axis, so ties keep factor order."""
@@ -456,18 +558,29 @@ class ProductAlgebra:
         ]
         return np.concatenate(parts, axis=-1)
 
-    def _random_auto(self, rng):
+    def _draw_auto(self, rng):
+        """A permutation of each group of identical factors, then each
+        factor's ``_draw_auto``: the factor draws and the source of each
+        slot."""
         src = np.arange(len(self.factors))
         for idxs in self._groups:
             perm = rng.permutation(len(idxs))
             idxs = np.array(idxs)
             src[idxs] = idxs[perm]
-        return tuple(f._random_auto(rng) for f in self.factors), tuple(int(i) for i in src)
+        return tuple(f._draw_auto(rng) for f in self.factors), tuple(int(i) for i in src)
+
+    def _random_auto(self, rng):
+        draws, src = self._draw_auto(rng)
+        return tuple(f._autos_from(d) for f, d in zip(self.factors, draws)), src
 
     def _random_autos(self, rng, m, lead):
-        normals, autos = _draw_autos(self, rng, m, lead)
-        slots = tuple(np.array(col) for col in zip(*(a for a, _ in autos)))
-        return normals, (slots, np.array([s for _, s in autos]))
+        """The draws trial by trial, as the permutations are interleaved with
+        the normals, then one stacked ``_autos_from`` per slot (one QR call
+        for a SymMatrix or SpinFactor slot)."""
+        trials = [(rng.standard_normal(lead), *self._draw_auto(rng)) for _ in range(m)]
+        slots = zip(*(draws for _normals, draws, _src in trials))
+        autos = tuple(f._autos_from(np.array(col)) for f, col in zip(self.factors, slots))
+        return np.array([t[0] for t in trials]), (autos, np.array([t[2] for t in trials]))
 
     def _to_dict(self) -> dict:
         return {"kind": "product", "factors": [f._to_dict() for f in self.factors]}
@@ -635,6 +748,24 @@ def _sym_gather(n):
     idx.flags.writeable = False
     div.flags.writeable = False
     return idx, div
+
+
+def _eigvalsh(M):
+    """LAPACK eigenvalues (non-increasing) of the symmetric matrices on the
+    last two axes, each matrix of a stack with the bits of its own call."""
+    return np.linalg.eigvalsh(M)[..., ::-1]
+
+
+@lru_cache(maxsize=None)
+def _pair_block(n, j, k):
+    """Frame members e_j, e_k and generator w of pair (j, k) in the basis
+    of a frame's own columns, as flat n x n matrices: E_jj, E_jk + E_kj and
+    E_kk (read-only)."""
+    block = np.zeros((3, n, n))
+    block[0, j, j] = block[1, j, k] = block[1, k, j] = block[2, k, k] = 1.0
+    block = block.reshape(3, n * n)
+    block.flags.writeable = False
+    return block
 
 
 def _mat_from_sym_coords(n, coords):
@@ -1081,8 +1212,9 @@ def _haar_block(k, rng, m, lead):
 
 
 def _draw_autos(alg, rng, m, lead):
-    """The draws of ``_random_autos`` trial by trial: the ``(m, lead)``
-    normals and a list of automorphism data."""
+    """The draws of ``_random_autos`` trial by trial, each automorphism
+    made on its own: the ``(m, lead)`` normals and a list of automorphism
+    data."""
     draws = [(rng.standard_normal(lead), alg._random_auto(rng)) for _ in range(m)]
     return np.array([d for d, _ in draws]), [a for _, a in draws]
 

@@ -540,20 +540,19 @@ class _RotationSearch:
 
     Holds x = sum_i beta_i e_i on a Jordan frame {e_i} of the factor with
     the coefficients beta fixed, so x stays on its orbit, the shift a and
-    the sign of the sense (+1 for min, -1 for max).
-    Every kind is served by the same code: the frame comes from the kind's
-    ``_decompose``, the generator of pair (j, k) from its
-    ``_rotation_generator`` (pointed toward a), and the rotation is
-    ``_curve`` on the block (e_j, w, e_k) both when a pair is scored and
-    when it is applied, so a step is scored on the point it realises.
+    the sign of the sense (+1 for min, -1 for max).  The frame and a are
+    held in the basis the kind's ``_search_basis`` chooses (the members'
+    coordinates and a's, or for SymMatrix x's eigenvector columns Q and
+    Q^T A Q), and every kind is served by the same code through the kind's
+    ``_search_*`` hooks: the generator of pair (j, k) points toward a, and
+    the rotation is ``_curve`` on (e_j, w, e_k) both when a pair is scored
+    and when it is applied, so a step is scored on the point it realises.
     """
 
     def __init__(self, alg, x, a, sense_mult):
         self.alg = alg
-        self.a = a
         self.sense_mult = sense_mult
-        self.beta, frame = alg._decompose(x)
-        self.frame = np.array(frame)
+        self.beta, self.frame, self.a = alg._search_basis(x, a)
         # a pair's share of |a| |x|: |x|^2 = sum beta^2 on a Jordan frame,
         # and the pairs are fixed with beta
         norm_ax = math.sqrt(alg._inner(a, a)) * float(np.linalg.norm(self.beta))
@@ -561,7 +560,7 @@ class _RotationSearch:
 
     def lam(self):
         """Eigenvalues of x - a."""
-        return self.alg._search_eigvals(self.beta @ self.frame - self.a)
+        return self.alg._search_lam(self.beta, self.frame, self.a)
 
     def pairs(self):
         """Frame pairs with distinct coefficients: between equal ones every
@@ -576,28 +575,25 @@ class _RotationSearch:
         ]
 
     def rotation(self, j, k):
-        """The block (e_j, w, e_k) of pair (j, k), the map theta ->
-        eigenvalues of x(theta) - a (one row per angle for an array of
-        angles) and the pair's ``aligning_angle``, or None when the pair
-        has no generator."""
-        w = self.alg._rotation_generator(self.frame, j, k, self.a)
-        if w is None:
+        """The curve data of pair (j, k), the map theta -> eigenvalues of
+        x(theta) - a (one row per angle for an array of angles) and the
+        pair's ``aligning_angle``, or None when the pair has no generator."""
+        pair = self.alg._search_pair(self.beta, self.frame, self.a, j, k)
+        if pair is None:
             return None
-        block = np.array([self.frame[j], w, self.frame[k]])
-        rest = self.beta.copy()
-        rest[[j, k]] = 0.0
-        base = rest @ self.frame - self.a
+        a_gap, a_w, data = pair
         bj, bk = self.beta[j], self.beta[k]
-        eigvals = self.alg._search_eigvals
+        curve = self.alg._search_curve
 
         def lam_at(theta):
-            return eigvals(base + _curve(bj, bk, theta) @ block)
+            return curve(data, _curve(bj, bk, theta))
 
-        return block, lam_at, self.aligning_angle(j, k, w)
+        return data, lam_at, self.aligning_angle(j, k, a_gap, a_w)
 
-    def aligning_angle(self, j, k, w):
+    def aligning_angle(self, j, k, a_gap, a_w):
         """The size of the pair's first-order commutation term and the
-        angle that puts the pair in line with a for the sense.
+        angle that puts the pair in line with a for the sense, from
+        a_gap = <a, e_j> - <a, e_k> and a_w = <a, w>.
 
         The pair's share of the commutator of L_a and L_x is proportional
         to (beta_j - beta_k) <a, w> (w points toward a, so <a, w> carries
@@ -607,18 +603,17 @@ class _RotationSearch:
         sense; it is near +-pi/2 for a commuting but anti-ordered start, a
         saddle.
         """
-        inner = self.alg._inner
-        a, e = self.a, self.frame
         gap = self.sense_mult * (self.beta[j] - self.beta[k])
-        off = gap * inner(a, w)
-        return abs(off), 0.5 * math.atan2(off, gap * (inner(a, e[j]) - inner(a, e[k])))
+        off = gap * a_w
+        return abs(off), 0.5 * math.atan2(off, gap * a_gap)
 
-    def apply(self, j, k, block, theta):
-        self.frame[j] = _curve(1.0, 0.0, theta) @ block
-        self.frame[k] = _curve(0.0, 1.0, theta) @ block
+    def apply(self, j, k, data, theta):
+        # the coefficients of e_j(theta) and e_k(theta) on (e_j, w, e_k)
+        rows = (_curve(1.0, 0.0, theta), _curve(0.0, 1.0, theta))
+        self.alg._search_turn(self.frame, self.a, j, k, data, rows)
 
     def x_element(self) -> Element:
-        return Element(self.alg, self.beta @ self.frame)
+        return Element(self.alg, self.alg._search_coords(self.beta, self.frame))
 
 
 def local_search_orbit(problem: OrbitProblem, x0: Element) -> Solution:
@@ -663,16 +658,16 @@ def local_search_orbit(problem: OrbitProblem, x0: Element) -> Solution:
             _check_orbit_domain(fn, s, dec.eigenvalues, feas._groups(dec))
 
     def pair_curves():
-        """(state, j, k, block, objective on the pair's curve, first-order
-        term, aligning angle) of every pair with a generator, built from
-        the current frames."""
+        """(state, j, k, curve data, objective on the pair's curve,
+        first-order term, aligning angle) of every pair with a generator,
+        built from the current frames."""
         for fi, st in enumerate(states):
             other = [s.lam() for i, s in enumerate(states) if i != fi]
             for (j, k) in st.pairs():
                 rot = st.rotation(j, k)
                 if rot is None:
                     continue
-                block, lam_at, (off, angle) = rot
+                data, lam_at, (off, angle) = rot
 
                 def g(theta, lam_at=lam_at, other=other):
                     lam = lam_at(theta)
@@ -681,7 +676,7 @@ def local_search_orbit(problem: OrbitProblem, x0: Element) -> Solution:
                     rows = [np.broadcast_to(o, (len(lam), len(o))) for o in other]
                     return sense_mult * fn._values(np.concatenate(rows + [lam], axis=1))
 
-                yield st, j, k, block, g, off, angle
+                yield st, j, k, data, g, off, angle
 
     lo = -math.pi / 2.0 + _BRACKET_DELTA
     hi = math.pi / 2.0 - _BRACKET_DELTA
@@ -693,20 +688,20 @@ def local_search_orbit(problem: OrbitProblem, x0: Element) -> Solution:
     for _sweep in range(_MAX_SWEEPS):
         sweeps += 1
         start = cur
-        for st, j, k, block, g, off, angle in pair_curves():
+        for st, j, k, data, g, off, angle in pair_curves():
             accept = cur - _ACCEPT_TOL * abs(cur)
             gval = g(angle)
             if gval < accept or off <= _SKIP_TOL * st.pair_scale:
                 # a gain, or a pair that passes the first-order skip: take
                 # the aligning step, as a polish step when it gains nothing
                 if gval <= cur + _ACCEPT_TOL * abs(cur):
-                    st.apply(j, k, block, angle)
+                    st.apply(j, k, data, angle)
                     cur = gval
                 continue
             # the aligning step gains nothing: the line search is the fallback
             theta, gval = _line_search(g, cur, lo, hi)
             if gval < accept:
-                st.apply(j, k, block, theta)
+                st.apply(j, k, data, theta)
                 cur = gval
         trace.append((sweeps, sense_mult * cur))
         if start - cur <= _EPS_SWEEP * abs(cur):
@@ -714,12 +709,12 @@ def local_search_orbit(problem: OrbitProblem, x0: Element) -> Solution:
             break
     for _round in range(_MAX_SWEEPS):
         kept = False
-        for st, j, k, block, g, off, angle in pair_curves():
+        for st, j, k, data, g, off, angle in pair_curves():
             if off <= _POLISH_TOL * st.pair_scale:
                 continue
             gval = g(angle)
             if gval <= cur + _ACCEPT_TOL * abs(cur):
-                st.apply(j, k, block, angle)
+                st.apply(j, k, data, angle)
                 cur = gval
                 kept = True
         if not kept:

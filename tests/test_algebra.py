@@ -36,10 +36,13 @@ from ejaopt import (
     zero,
 )
 from ejaopt.algebra import (
+    _draw_autos,
     _jacobi_symmetric,
     _sym_coords_from_mat,
     validate_frame,
 )
+from ejaopt import algebra as algebra_module
+from ejaopt.orbit import _curve
 
 KINDS = [
     RealDiagonal(4),
@@ -256,24 +259,57 @@ def test_eigenvalue_sum_is_trace():
             assert float(np.sum(lam)) == pytest.approx(trace(x), abs=1e-9 * (1 + norm(x)))
 
 
-def test_search_eigvals_rows_match_single_calls():
-    # a (..., dim) stack is scored in one call, each row with the bits of
+def test_check_eigvals_rows_match_single_calls():
+    # a (..., dim) stack is checked in one call, each row with the bits of
     # its own single-vector call
     rng = np.random.default_rng(23)
     for alg in (RealDiagonal(1), RealDiagonal(4), SymMatrix(1), SymMatrix(3), SymMatrix(5),
-                SpinFactor(3), SpinFactor(5), SpinFactor(12)):
+                SpinFactor(3), SpinFactor(5), SpinFactor(12), product_algebra(SymMatrix(2), SpinFactor(3))):
         for scale in (1e-12, 1.0, 1e12):
             U = scale * rng.standard_normal((3, 4, alg.dim))
             U[0, 0, 1:] = 0.0
-            stacked = alg._search_eigvals(U)
+            stacked = alg._check_eigvals(U)
             assert stacked.shape == (3, 4, alg.rank)
             for idx in np.ndindex(3, 4):
-                single = alg._search_eigvals(U[idx])
+                single = alg._check_eigvals(U[idx])
                 assert single.shape == (alg.rank,)
                 np.testing.assert_array_equal(stacked[idx], single)
                 assert np.all(np.diff(single) <= 0.0)
                 expect = eigenvalues(Element(alg, U[idx]))
                 assert np.max(np.abs(single - expect)) <= 1e-13 * (scale + np.max(np.abs(expect)))
+
+
+def test_search_curve_rows_match_single_calls():
+    # SymMatrix scores a pair's curve in the basis of x's eigenvector
+    # columns Q: a (..., 3) stack of curve coefficients is one eigvalsh
+    # call, each row with the bits of its own single call, and each row is
+    # the spectrum of x(theta) - a built densely from the columns of Q
+    rng = np.random.default_rng(23)
+    for alg in (SymMatrix(2), SymMatrix(3), SymMatrix(5)):
+        n = alg.n
+        for scale in (1e-12, 1.0, 1e12):
+            u, a = scale * rng.standard_normal((2, alg.dim))
+            beta, Q, B = alg._search_basis(u, a)
+            A = sym_to_matrix(Element(alg, a))
+            assert np.max(np.abs(B - Q.T @ A @ Q)) <= 1e-14 * n * np.linalg.norm(A)
+            lam = alg._search_lam(beta, Q, B)
+            expect = eigenvalues(Element(alg, u - a))
+            assert np.max(np.abs(lam - expect)) <= 1e-13 * (scale + np.max(np.abs(expect)))
+            for j, k in sorted({(0, 1), (0, n - 1), (n - 2, n - 1)}):
+                _gap, _w, pair = alg._search_pair(beta, Q, B, j, k)
+                coeffs = _curve(beta[j], beta[k], rng.uniform(-1.5, 1.5, size=12)).reshape(3, 4, 3)
+                stacked = alg._search_curve(pair, coeffs)
+                assert stacked.shape == (3, 4, n)
+                for idx in np.ndindex(3, 4):
+                    single = alg._search_curve(pair, coeffs[idx])
+                    np.testing.assert_array_equal(stacked[idx], single)
+                    assert np.all(np.diff(single) <= 0.0)
+                    c0, c1, c2 = coeffs[idx]
+                    qj, qk = Q[:, j], Q[:, k]
+                    rest = sum(beta[i] * np.outer(Q[:, i], Q[:, i]) for i in range(n) if i not in (j, k))
+                    X = rest + c0 * np.outer(qj, qj) + c1 * (np.outer(qj, qk) + np.outer(qk, qj)) + c2 * np.outer(qk, qk)
+                    expect = eigenvalues(sym_from_matrix(alg, X - A))
+                    assert np.max(np.abs(single - expect)) <= 1e-13 * (scale + np.max(np.abs(expect)))
 
 
 def test_jacobi_matches_numpy():
@@ -792,6 +828,37 @@ def test_stacked_automorphisms_equal_single_calls():
         stacked = alg._apply_auto(autos, U)
         for auto, u, row in zip(singles, U, stacked):
             assert row.tobytes() == apply_automorphism(auto, Element(alg, u)).coords.tobytes(), alg
+
+
+def test_product_block_automorphisms_equal_trial_draws(monkeypatch):
+    # a product draws each trial's factor permutation and factor draws in
+    # stream order, then factors each slot with one stacked QR: bit for bit
+    # the automorphisms of _draw_autos, made trial by trial, with the
+    # generator left where it leaves it
+    haar = algebra_module._haar_orthogonal
+    calls = []
+
+    def counted_haar(M):
+        calls.append(M.shape)
+        return haar(M)
+
+    monkeypatch.setattr(algebra_module, "_haar_orthogonal", counted_haar)
+    for ki, (alg, qr_slots) in enumerate((
+        (product_algebra(SymMatrix(2), SymMatrix(2)), 2),
+        (product_algebra(SymMatrix(3), RealDiagonal(3), SpinFactor(4), RealDiagonal(3), SymMatrix(3)), 3),
+    )):
+        m, lead = 40, 2 * alg.dim
+        rng_block, rng = np.random.default_rng([25, ki]), np.random.default_rng([25, ki])
+        calls.clear()
+        normals, (slots, src) = alg._random_autos(rng_block, m, lead)
+        assert len(calls) == qr_slots and all(shape[0] == m for shape in calls), calls
+        ref_normals, ref_autos = _draw_autos(alg, rng, m, lead)
+        assert normals.tobytes() == ref_normals.tobytes()
+        assert [tuple(row) for row in src.tolist()] == [ref_src for _, ref_src in ref_autos]
+        for i, slot in enumerate(slots):
+            assert slot.tobytes() == np.array([ref[i] for ref, _ in ref_autos]).tobytes(), (alg, i)
+        assert rng_block.bit_generator.state == rng.bit_generator.state
+        assert len({tuple(row) for row in src.tolist()}) > 1
 
 
 def test_single_haar_draws_keep_their_stream():

@@ -46,7 +46,7 @@ from ejaopt import (
     zero,
 )
 from ejaopt import orbit as orbit_module
-from ejaopt.algebra import Element, join, split, strong_commutation_gap
+from ejaopt.algebra import Element, inner, join, split, strong_commutation_gap
 from ejaopt.majorization import sort_desc
 from ejaopt.orbit import _brent_min, _RotationSearch
 from ejaopt.schur import SymmetricFunction, affine_compose
@@ -427,9 +427,24 @@ def test_rotation_generator_spin_toward_nearly_parallel_shift():
         rotation_curve(dec.frame, 0, 1, dec.eigenvalues[0], dec.eigenvalues[1], w, 0.4)
 
 
+def search_frame(st, j, k, toward):
+    """The frame of a search state as Elements and the generator of its
+    pair (j, k): on SymMatrix those of the state's own eigenvector columns
+    Q (q_i q_i^T and q_j q_k^T + q_k q_j^T), on the other kinds the
+    state's coordinate rows and rotation_generator pointed toward
+    ``toward``."""
+    f = st.alg
+    if isinstance(f, SymMatrix):
+        Q = st.frame
+        frame = [sym_from_matrix(f, np.outer(q, q)) for q in Q.T]
+        return frame, sym_from_matrix(f, np.outer(Q[:, j], Q[:, k]) + np.outer(Q[:, k], Q[:, j]))
+    frame = [Element(f, c) for c in st.frame]
+    return frame, rotation_generator(frame, j, k, toward=toward)
+
+
 def test_search_state_scores_the_rotation_curve():
     # the local search scores and applies each rotation with the formula of
-    # rotation_curve, on the generator rotation_generator returns
+    # rotation_curve, and a step lands on the point it was scored at
     rng = np.random.default_rng(14)
     for alg in (SymMatrix(3), SpinFactor(5), product_algebra(SymMatrix(2), SpinFactor(4))):
         b = random_element(alg, rng)
@@ -442,10 +457,14 @@ def test_search_state_scores_the_rotation_curve():
             beta = st.beta
             assert st.pairs()
             for j, k in st.pairs():
-                frame = [Element(f, c) for c in st.frame]
-                w = rotation_generator(frame, j, k, toward=af)
-                block, lam_at, _aligning = st.rotation(j, k)
-                np.testing.assert_array_equal(block[1], w.coords)
+                frame, w = search_frame(st, j, k, af)
+                a_gap, a_w, data = f._search_pair(beta, st.frame, st.a, j, k)
+                # the aligning data are <a, e_j> - <a, e_k> and <a, w>
+                assert abs(a_gap - (inner(af, frame[j]) - inner(af, frame[k]))) <= 1e-13 * scale**2
+                assert abs(a_w - inner(af, w)) <= 1e-13 * scale**2
+                _data, lam_at, _aligning = st.rotation(j, k)
+                if not isinstance(f, SymMatrix):
+                    np.testing.assert_array_equal(data[1][1], w.coords)
                 rest = sum(
                     (beta[i] * frame[i] for i in range(f.rank) if i not in (j, k)),
                     start=zero(f),
@@ -454,8 +473,11 @@ def test_search_state_scores_the_rotation_curve():
                     curve = rotation_curve(frame, j, k, beta[j], beta[k], w, theta)
                     expect = eigenvalues(curve + rest - af)
                     assert np.max(np.abs(lam_at(theta) - expect)) <= 1e-12 * scale
-                st.apply(j, k, block, rng.uniform(-1.5, 1.5))
+                theta = rng.uniform(-1.5, 1.5)
+                target = rotation_curve(frame, j, k, beta[j], beta[k], w, theta) + rest
+                st.apply(j, k, data, theta)
                 moved = st.x_element()
+                assert norm(moved - target) <= 1e-12 * scale
                 assert np.max(np.abs(eigenvalues(moved) - eigenvalues(bf))) <= 1e-12 * scale
                 assert np.max(np.abs(st.lam() - eigenvalues(moved - af))) <= 1e-12 * scale
 
@@ -664,7 +686,12 @@ def test_local_search_eigensolves_per_run(monkeypatch):
     # A SymMatrix run decomposes x0 once, carries its frame across sweeps,
     # and solves lambda(b), lambda(x* - a) and the two operands of certify:
     # 5 Jacobi solves, whatever the sweep count.  Refreshing the frame on
-    # every sweep but the first made it sweeps + 4.
+    # every sweep but the first made it sweeps + 4.  The frame is carried as
+    # eigenvector columns, so no pair rebuilds a rank-one axis.
+    def no_axis(self, c):
+        raise AssertionError("the local search rebuilt a rank-one axis")
+
+    monkeypatch.setattr(SymMatrix, "_rank_one_axis", no_axis)
     for alg, runs in search_set_counts(monkeypatch).items():
         for run in runs:
             expect = 5 if isinstance(alg, SymMatrix) else 0
@@ -850,20 +877,39 @@ def test_local_search_optimum_of_every_component_commutes():
 def test_local_search_frames_stay_on_the_orbit(monkeypatch):
     # The frames carry across sweeps, rotated in place by every step taken.
     # 50 forced sweeps, each taking the aligning step of every pair, must
-    # keep x on the orbit of b.
+    # keep x on the orbit of b, and a SymMatrix state its basis: Q stays
+    # orthonormal and B = Q^T A Q, both to a small multiple of eps (at most
+    # 7.5 and 2.7 eps here, 17.5 and 4.3 over 120 seeded runs that add
+    # SymMatrix(5)).
     monkeypatch.setattr(orbit_module, "_EPS_SWEEP", -math.inf)
     monkeypatch.setattr(orbit_module, "_MAX_SWEEPS", 50)
+    states = []
+    init = _RotationSearch.__init__
+
+    def recording(st, alg, x, a, sense_mult):
+        init(st, alg, x, a, sense_mult)
+        states.append((st, a))
+
+    monkeypatch.setattr(_RotationSearch, "__init__", recording)
     rng = np.random.default_rng(44)
     for alg in (SymMatrix(4), product_algebra(SymMatrix(3), SpinFactor(4))):
         fn = builtin("schatten", alg.rank, p=4)
         a = random_element(alg, rng)
         b = random_element(alg, rng)
         x0 = apply_automorphism(random_automorphism(alg, rng), b)
+        states.clear()
         sol = local_search_orbit(OrbitProblem(alg, fn, a, EigenvalueOrbit(b), "min"), x0)
         assert sol.iterations == 50 and not sol.converged
         lam_b = eigenvalues(b)
         drift = np.max(np.abs(eigenvalues(sol.x_star) - lam_b))
         assert drift <= 1e-13 * np.max(np.abs(lam_b)), (alg, drift)
+        sym = [(st, af) for st, af in states if isinstance(st.alg, SymMatrix)]
+        assert len(sym) == 1
+        for st, af in sym:
+            Q, B = st.frame, st.a
+            A = sym_to_matrix(Element(st.alg, af))
+            assert np.linalg.norm(Q.T @ Q - np.eye(st.alg.n)) <= 32 * EPS, alg
+            assert np.linalg.norm(B - Q.T @ A @ Q) <= 32 * EPS * np.linalg.norm(A), alg
 
 
 def test_line_search_scan_scores_like_scalar_calls(monkeypatch):
@@ -891,7 +937,9 @@ def test_line_search_scan_scores_like_scalar_calls(monkeypatch):
         return line_search(g, g0, lo, hi)
 
     monkeypatch.setattr(orbit_module, "_line_search", checking)
-    monkeypatch.setattr(_RotationSearch, "aligning_angle", lambda st, j, k, w: (aligning_angle(st, j, k, w)[0], 0.0))
+    monkeypatch.setattr(
+        _RotationSearch, "aligning_angle", lambda st, j, k, *terms: (aligning_angle(st, j, k, *terms)[0], 0.0)
+    )
     monkeypatch.setattr(orbit_module, "_POLISH_TOL", math.inf)
     rng = np.random.default_rng(33)
     for alg in (SymMatrix(3), SpinFactor(5), product_algebra(SymMatrix(2), SpinFactor(4))):

@@ -81,6 +81,43 @@ def test_strong_commutation_equivalence_solves_each_spectrum_once(monkeypatch):
     assert solves == 5 * trials + 4 * (trials + out["resampled"])
 
 
+def test_spectral_roundtrip_checks_eigenvalues_without_jacobi(monkeypatch):
+    # Per block, one stacked Jacobi decomposition of the repeated-eigenvalue
+    # draws and one of the trials (one per SymMatrix factor of a product);
+    # the eigenvalue term checks them against LAPACK, where a third Jacobi
+    # call compared the sweep with itself.
+    eigh = SymMatrix._eigh
+    calls = 0
+
+    def counted_eigh(self, mat, want_vectors=True):
+        nonlocal calls
+        calls += 1
+        return eigh(self, mat, want_vectors)
+
+    monkeypatch.setattr(SymMatrix, "_eigh", counted_eigh)
+    for alg, per_block in ((SymMatrix(3), 2), (product_algebra(SymMatrix(2), SymMatrix(2)), 4)):
+        for trials, blocks in ((20, 1), (300, 3)):
+            calls = 0
+            out = verify_module.suite_spectral_roundtrip(alg, np.random.default_rng(4), trials, 1e-9)
+            assert out["failures"] == 0
+            assert calls == per_block * blocks, (alg, trials, calls)
+
+
+def test_spectral_roundtrip_catches_a_misordered_eigensolver(monkeypatch):
+    # An eigensolver that returns its eigenpairs in ascending order still
+    # synthesizes x from its frame; only the second eigenvalue route sees
+    # the order.  Checked against another Jacobi call, every trial passed.
+    eigh = SymMatrix._eigh
+
+    def ascending(self, mat, want_vectors=True):
+        vals, vecs = eigh(self, mat, want_vectors)
+        return vals[..., ::-1], None if vecs is None else vecs[..., ::-1]
+
+    monkeypatch.setattr(SymMatrix, "_eigh", ascending)
+    out = verify_module.suite_spectral_roundtrip(SymMatrix(3), np.random.default_rng(0), 50, 1e-9)
+    assert out["failures"] == 50
+
+
 @pytest.mark.parametrize("name, suite", STACKED_SUITES)
 def test_suites_do_not_depend_on_the_block_size(monkeypatch, name, suite):
     # block size 1 evaluates trial by trial; 7 leaves a partial last block
