@@ -32,23 +32,19 @@ def sort_desc(u) -> np.ndarray:
 
 
 def _prefix_sums(values) -> np.ndarray:
-    """Compensated prefix sums along the last axis, row by row."""
+    """Compensated prefix sums along the last axis, for every row at once.
+
+    ``np.cumsum`` adds in order, so the running sums s_k and their
+    compensations are the ones a scalar loop over each row would make.
+    """
     values = np.asarray(values, dtype=float)
-    rows = []
-    for row in values.reshape(-1, values.shape[-1]).tolist():
-        sums = []
-        s = 0.0
-        comp = 0.0
-        for v in row:
-            t = s + v
-            if abs(s) >= abs(v):
-                comp += (s - t) + v
-            else:
-                comp += (v - t) + s
-            s = t
-            sums.append(s + comp)
-        rows.append(sums)
-    return np.array(rows).reshape(values.shape)
+    zero = np.zeros(values.shape[:-1] + (1,))
+    sums = np.cumsum(np.concatenate([zero, values], axis=-1), axis=-1)
+    prev, s = sums[..., :-1], sums[..., 1:]
+    # Neumaier: (larger - s_k) + smaller is the rounding error of s_k
+    larger = np.abs(prev) >= np.abs(values)
+    err = (np.where(larger, prev, values) - s) + np.where(larger, values, prev)
+    return s + np.cumsum(np.concatenate([zero, err], axis=-1), axis=-1)[..., 1:]
 
 
 def _verdict(v, u, tol, require_sum: bool) -> MajorizationVerdict:
@@ -88,6 +84,17 @@ def submajorizes(v, u, tol=DEFAULT_TOL) -> MajorizationVerdict:
     return _verdict(v, u, tol, require_sum=False)
 
 
+def _t_transform(U, i, j, t) -> np.ndarray:
+    """Row r of the ``(m, n)`` stack U with entries (i[r], j[r]) replaced by
+    their t[r]-mixtures, as a new stack."""
+    rows = np.arange(len(U))
+    ui, uj = U[rows, i], U[rows, j]
+    out = U.copy()
+    out[rows, i] = t * ui + (1.0 - t) * uj
+    out[rows, j] = (1.0 - t) * ui + t * uj
+    return out
+
+
 def t_transform_sample(v, rng) -> np.ndarray:
     """One averaging step: replace (v_i, v_j) by their t-mixtures.
 
@@ -99,10 +106,7 @@ def t_transform_sample(v, rng) -> np.ndarray:
         raise ValueError("need length >= 2")
     i, j = rng.choice(len(v), size=2, replace=False)
     t = float(rng.uniform(0.0, 1.0))
-    u = v.copy()
-    u[i] = t * v[i] + (1.0 - t) * v[j]
-    u[j] = (1.0 - t) * v[i] + t * v[j]
-    return u
+    return _t_transform(v[None], [i], [j], np.array([t]))[0]
 
 
 def lidskii_holds(a: Element, b: Element, tol=DEFAULT_TOL) -> MajorizationVerdict:

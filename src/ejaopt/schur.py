@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .algebra import Element, eigenvalues
-from .majorization import majorizes, sort_desc, t_transform_sample
+from .majorization import _majorization, _t_transform, sort_desc
 
 STRICTLY_SCHUR_CONVEX = "strictly_schur_convex"
 SCHUR_CONVEX = "schur_convex"
@@ -201,52 +201,93 @@ class StrictnessReport:
     min_margin: float  # min over trials of f(v) - f(u)
 
 
-_MAX_RESAMPLE = 100  # draws per domain sample and per strict pair
+_MAX_RESAMPLE = 100  # draws per trial
+
+#: Trials evaluated per stacked call, here and in every ``verify`` suite:
+#: memory stays bounded for any trial count, and no result depends on it.
+_BLOCK = 128
 
 
-def _sample_in_domain(fn: SymmetricFunction, rng) -> np.ndarray:
-    # a positive domain may exclude small entries (a shifted function), so
-    # each retry doubles the draw's scale; the first draw is unscaled
-    for attempt in range(_MAX_RESAMPLE):
-        if fn.domain == "positive":
-            v = np.exp(rng.standard_normal(fn.arity)) * 2.0**attempt
-        else:
-            v = rng.standard_normal(fn.arity)
-        if bool(fn.in_domain(v)):
-            return v
-    raise DomainError(f"{fn.id}: could not sample the domain in {_MAX_RESAMPLE} attempts")
+def _draw_pairs(fn: SymmetricFunction, D, scale=1.0):
+    """(v, u) stacks from rows of ``4n + 9`` normals laid out as
+    ``check_strict_schur_convex`` states, one row per trial."""
+    n = fn.arity
+    V = D[:, :n]
+    if fn.domain == "positive":
+        V = np.exp(V) * scale
+    depth = 1 + np.argmax(D[:, n : n + 3], axis=1)
+    U = V
+    for k in range(3):
+        step = D[:, n + 3 + k * (n + 2) : n + 3 + (k + 1) * (n + 2)]
+        ij = np.argsort(step[:, :n], axis=1, kind="stable")[:, :2]
+        t = (np.arctan2(step[:, n + 1], step[:, n]) + np.pi) / (2.0 * np.pi)
+        U = np.where((depth > k)[:, None], _t_transform(U, ij[:, 0], ij[:, 1], t), U)
+    return V, U
+
+
+def _usable(fn: SymmetricFunction, V, U) -> np.ndarray:
+    """Per row: u strictly majorized by v, both inside the domain."""
+    strict = _majorization(V, U, 1e-12, True)[1]
+    return strict & fn.in_domain(V) & fn.in_domain(U)
 
 
 def check_strict_schur_convex(fn: SymmetricFunction, rng, trials=1000) -> StrictnessReport:
     """Falsify strict Schur-convexity on random strict majorization pairs.
 
-    Samples v in the domain, builds u strictly majorized by v via one to
-    three composed t-transforms (which stay inside the positive orthant),
-    and checks f(u) < f(v).  Domain-escaping or non-strict samples are
-    discarded and resampled, at most ``_MAX_RESAMPLE`` times.
+    Each trial samples v in the domain, builds u strictly majorized by v
+    via one to three composed t-transforms (which stay inside the positive
+    orthant), and checks f(u) < f(v).  A trial takes one row of ``4n + 9``
+    standard normals, so a block of trials is one draw, checked and
+    evaluated as stacks.  The row holds
+
+    - v: n normals, exponentiated on a positive domain;
+    - the chain depth: 1 + the argmax of 3 normals, uniform on {1, 2, 3};
+    - per step (three, of which the first ``depth`` apply): n keys and two
+      normals z.  The step mixes the entries at the two smallest keys with
+      t = (atan2(z_2, z_1) + pi) / 2 pi, uniform on [0, 1).
+
+    A pair that is not strict or leaves the domain is redrawn: the trials
+    before it in the block are kept, the stream is replayed up to its row,
+    and that trial alone draws a row per attempt, v scaled by 2**attempt
+    on a positive domain (a shifted domain may exclude small entries), at
+    most ``_MAX_RESAMPLE`` rows per trial.  So the report does not depend
+    on the block size.
     """
+    n = fn.arity
+    if n < 2:
+        raise ValueError(f"{fn.id}: strict majorization pairs need arity >= 2")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    width = 4 * n + 9
     violations = []
     min_margin = np.inf
-    for _ in range(trials):
-        for _attempt in range(_MAX_RESAMPLE):
-            v = _sample_in_domain(fn, rng)
-            u = v
-            for _k in range(int(rng.integers(1, 4))):
-                u = t_transform_sample(u, rng)
-            verdict = majorizes(v, u, tol=1e-12)
-            if verdict.strict and bool(fn.in_domain(u)):
-                break
-        else:
-            raise DomainError(f"{fn.id}: could not build a strict in-domain pair")
-        margin = fn(v) - fn(u)
-        min_margin = min(min_margin, margin)
-        if margin <= 0.0:
-            violations.append((u, v, fn(u), fn(v)))
+    start = 0
+    while start < trials:
+        m = min(_BLOCK, trials - start)
+        state = rng.bit_generator.state
+        V, U = _draw_pairs(fn, rng.standard_normal((m, width)))
+        ok = _usable(fn, V, U)
+        done = m if ok.all() else int(np.argmin(ok))
+        if done < m:
+            # the rejected trial redraws on its own, from just past its row
+            rng.bit_generator.state = state
+            rng.standard_normal((done + 1) * width)
+            for attempt in range(1, _MAX_RESAMPLE):
+                v, u = _draw_pairs(fn, rng.standard_normal((1, width)), 2.0**attempt)
+                if _usable(fn, v, u)[0]:
+                    break
+            else:
+                raise DomainError(f"{fn.id}: could not build a strict in-domain pair")
+            V, U = np.concatenate([V[:done], v]), np.concatenate([U[:done], u])
+        fv, fu = fn._values(V), fn._values(U)
+        margins = fv - fu
+        min_margin = min(min_margin, float(np.min(margins)))
+        for r in np.flatnonzero(margins <= 0.0):
+            violations.append((U[r].copy(), V[r].copy(), float(fu[r]), float(fv[r])))
+        start += len(V)
     return StrictnessReport(
         passed=not violations,
         trials=trials,
         violations=tuple(violations),
-        min_margin=float(min_margin),
+        min_margin=min_margin,
     )

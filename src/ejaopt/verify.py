@@ -16,8 +16,8 @@ public predicates (``lidskii_holds``, ``kyfan_holds``,
 ``strong_commutation_gap``, ``operator_commute``, ``condition_report``),
 so the report does not depend on the block size.  Automorphisms are
 applied as stacks too, and a kind whose automorphism draw is all normals
-draws a block's x, y and automorphisms at once.  Only ``phi_strict_schur``
-runs trial by trial: its draws depend on each trial's majorization verdict.
+draws a block's x, y and automorphisms at once.  ``phi_strict_schur`` runs
+``check_strict_schur_convex``, which stacks its trials the same way.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .algebra import (
 )
 from .condition import _condition
 from .majorization import _kyfan, _lidskii, sort_desc
-from .schur import builtin, check_strict_schur_convex
+from .schur import _BLOCK, builtin, check_strict_schur_convex
 
 DEFAULT_KINDS = (
     ("diag4", RealDiagonal(4)),
@@ -64,11 +64,6 @@ ACCEPTANCE_KINDS = (
     ("spin4", SpinFactor(4)),
     ("sym2xsym2", product_algebra(SymMatrix(2), SymMatrix(2))),
 )
-
-
-#: Trials a suite evaluates per stacked call: memory stays bounded for any
-#: trial count, and the report does not depend on it.
-_BLOCK = 128
 
 
 def _blocks(trials):

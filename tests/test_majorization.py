@@ -150,6 +150,38 @@ def test_prefix_sums_are_compensated():
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-9)
 
 
+def compensated_prefix_sums(row):
+    """Neumaier's compensated prefix sums of one row, in Python floats."""
+    sums, s, comp = [], 0.0, 0.0
+    for v in row:
+        t = s + v
+        comp += (s - t) + v if abs(s) >= abs(v) else (v - t) + s
+        s = t
+        sums.append(s + comp)
+    return sums
+
+
+def test_prefix_sums_rows_equal_single_calls_bit_for_bit():
+    # a stack is summed for all rows at once, and each row must keep the
+    # bits of its own call and of the scalar recurrence, signed zeros and
+    # cancelling large entries included
+    rng = np.random.default_rng(5)
+    stacks = [
+        rng.standard_normal((40, 6)) * np.exp(rng.uniform(0, 30, size=(40, 6))),
+        rng.standard_normal((3, 4, 5)),
+        np.array([[-0.0, -0.0, 0.0], [0.0, -0.0, -0.0], [1e16, 1.0, -1e16]]),
+        np.array([[1e16, 1.0, -1e16, 1.0, 1e-16], [-1.0, 1e16, 3.0, -1e16, 0.5]]),
+    ]
+    for stack in stacks:
+        got = _prefix_sums(stack)
+        assert got.shape == stack.shape
+        for idx in np.ndindex(stack.shape[:-1]):
+            single = _prefix_sums(stack[idx])
+            want = np.array(compensated_prefix_sums(stack[idx].tolist()))
+            assert got[idx].tobytes() == single.tobytes() == want.tobytes(), idx
+    assert _prefix_sums(np.empty((0, 4))).shape == (0, 4)
+
+
 def test_equal_sum_smaller_norm_pairs_are_strictly_majorized():
     # for 2-vectors with equal sums, a strictly smaller Euclidean norm
     # forces strict majorization

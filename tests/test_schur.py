@@ -18,7 +18,8 @@ from ejaopt import (
     random_element,
     sym_from_matrix,
 )
-from ejaopt.schur import SCHUR_CONVEX, STRICTLY_SCHUR_CONVEX, _sample_in_domain, phi_ratios
+import ejaopt.schur as schur_module
+from ejaopt.schur import SCHUR_CONVEX, STRICTLY_SCHUR_CONVEX, phi_ratios
 
 ALL_BUILTINS = [
     ("schatten", {"p": 2}),
@@ -194,15 +195,115 @@ def test_strict_checker_passes_for_strict_builtins():
 
 
 def test_strict_checker_samples_a_shifted_positive_domain():
-    # base(u + shift) needs every entry above -shift: later draws scale up
-    # until one lands there, while an unshifted domain keeps its first draw
+    # base(u + shift) needs every entry above -shift: redraws scale up
+    # until one lands there
     for shift in (-2.0, -5.0, -1e6):
         fn = affine_compose(builtin("cond_vector_norm", 4), shift=shift)
         rep = check_strict_schur_convex(fn, np.random.default_rng(5), trials=50)
         assert rep.passed and rep.min_margin > 0.0
-    draw = np.exp(np.random.default_rng(6).standard_normal(4))
-    v = _sample_in_domain(builtin("cond_vector_norm", 4), np.random.default_rng(6))
-    assert np.array_equal(v, draw)
+
+
+class DrawRecorder:
+    """An rng whose normal draws are recorded by size."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.bit_generator = rng.bit_generator
+        self.sizes = []
+
+    def standard_normal(self, size):
+        self.sizes.append(size)
+        return self.rng.standard_normal(size)
+
+
+def test_strict_checker_draws_one_block_on_an_unshifted_domain():
+    # every first pair is strict and in the domain, so nothing is replayed,
+    # and each v is exp of the first n normals of its trial's row
+    for n in (4, 5, 6):
+        rng = DrawRecorder(np.random.default_rng(6))
+        rep = check_strict_schur_convex(builtin("cond_number", n), rng, trials=100)
+        assert rng.sizes == [(100, 4 * n + 9)], n
+        ref = np.random.default_rng(6)
+        v_rows = np.exp(ref.standard_normal((100, 4 * n + 9))[:, :n])
+        assert rng.bit_generator.state == ref.bit_generator.state, n
+        assert rep.violations, n
+        for _u, v, _fu, _fv in rep.violations:
+            assert any(np.array_equal(v, row) for row in v_rows), n
+
+
+def reference_strict_check(fn, rng, trials):
+    """The checker trial by trial: each attempt draws one row of 4n + 9
+    normals and builds its pair as the docstring lays the row out."""
+    n = fn.arity
+    violations = []
+    min_margin = np.inf
+    for _ in range(trials):
+        for attempt in range(100):
+            row = rng.standard_normal(4 * n + 9)
+            v = np.exp(row[:n]) * 2.0**attempt if fn.domain == "positive" else row[:n]
+            u = v.copy()
+            for k in range(1 + int(np.argmax(row[n : n + 3]))):
+                step = row[n + 3 + k * (n + 2) : n + 3 + (k + 1) * (n + 2)]
+                i, j = np.argsort(step[:n], kind="stable")[:2]
+                t = (np.arctan2(step[n + 1], step[n]) + np.pi) / (2.0 * np.pi)
+                u[i], u[j] = t * u[i] + (1.0 - t) * u[j], (1.0 - t) * u[i] + t * u[j]
+            if majorizes(v, u, tol=1e-12).strict and fn.in_domain(v) and fn.in_domain(u):
+                break
+        fu, fv = fn(u), fn(v)
+        min_margin = min(min_margin, fv - fu)
+        if fv - fu <= 0.0:
+            violations.append((u, v, fu, fv))
+    return violations, min_margin
+
+
+def test_strict_checker_equals_a_trial_by_trial_run(monkeypatch):
+    # block size 1 evaluates trial by trial; 7 leaves a partial last block.
+    # Shifted domains reject and redraw pairs; cond_number and spread find
+    # violations.
+    fns = [
+        builtin("cond_vector_norm", 4),
+        builtin("cond_number", 4),
+        builtin("spread", 3),
+        builtin("squared_norm", 2),
+        affine_compose(builtin("cond_vector_norm", 3), shift=-2.0),
+        affine_compose(builtin("cond_number", 5), shift=-5.0),
+        affine_compose(builtin("cond_vector_norm", 4), shift=-1e6),
+    ]
+    for k, fn in enumerate(fns):
+        rng_ref = np.random.default_rng([7, k])
+        want, want_margin = reference_strict_check(fn, rng_ref, 40)
+        for block in (1, 7, 128):
+            monkeypatch.setattr(schur_module, "_BLOCK", block)
+            rng = np.random.default_rng([7, k])
+            rep = check_strict_schur_convex(fn, rng, trials=40)
+            assert rep.min_margin == want_margin, (fn.id, block)
+            assert len(rep.violations) == len(want), (fn.id, block)
+            for got, ref in zip(rep.violations, want):
+                assert got[0].tobytes() == ref[0].tobytes() and got[1].tobytes() == ref[1].tobytes()
+                assert got[2:] == ref[2:]
+            assert rng.bit_generator.state == rng_ref.bit_generator.state, (fn.id, block)
+
+
+def test_strict_checker_violations_are_row_copies():
+    # a violation keeps its own two vectors, not views of the whole block
+    rep = check_strict_schur_convex(builtin("cond_number", 4), np.random.default_rng(4), trials=300)
+    assert rep.violations
+    for u, v, fu, fv in rep.violations:
+        assert u.base is None and v.base is None
+        assert u.shape == v.shape == (4,)
+        assert type(fu) is float and type(fv) is float
+
+
+def test_strict_checker_needs_two_entries():
+    # an arity-1 function has no strict majorization pair: it fails before
+    # drawing anything
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="arity >= 2"):
+        check_strict_schur_convex(builtin("squared_norm", 1), rng, trials=10)
+    assert rng.bit_generator.state == state
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        check_strict_schur_convex(builtin("squared_norm", 2), rng, trials=0)
 
 
 def test_cond_number_is_not_strict_witness_from_checker():

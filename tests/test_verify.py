@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import ejaopt.schur as schur_module
 import ejaopt.verify as verify_module
 from ejaopt.algebra import (
     SpinFactor,
@@ -26,9 +27,6 @@ from ejaopt.verify import (
     suite_jordan_identity,
     suite_strong_commutation_equivalence,
 )
-
-# the suites that evaluate blocks of trials with stacked kernels
-STACKED_SUITES = [(name, fn) for name, fn in SUITES if name != "phi_strict_schur"]
 
 
 def fresh_gaps(a, b):
@@ -118,16 +116,21 @@ def test_spectral_roundtrip_catches_a_misordered_eigensolver(monkeypatch):
     assert out["failures"] == 50
 
 
-@pytest.mark.parametrize("name, suite", STACKED_SUITES)
+@pytest.mark.parametrize("name, suite", SUITES)
 def test_suites_do_not_depend_on_the_block_size(monkeypatch, name, suite):
     # block size 1 evaluates trial by trial; 7 leaves a partial last block
     trials = 30
     for ki, (label, alg) in enumerate(DEFAULT_KINDS):
-        outs = []
+        outs, states = [], []
         for block in (1, 7, verify_module._BLOCK):
+            # one block size, read by the suites and by the strictness checker
             monkeypatch.setattr(verify_module, "_BLOCK", block)
-            outs.append(suite(alg, np.random.default_rng([5, ki]), trials, 1e-9))
+            monkeypatch.setattr(schur_module, "_BLOCK", block)
+            rng = np.random.default_rng([5, ki])
+            outs.append(suite(alg, rng, trials, 1e-9))
+            states.append(rng.bit_generator.state)
         assert outs[0] == outs[1] == outs[2], (name, label)
+        assert states[0] == states[1] == states[2], (name, label)
 
 
 def reference_strong_equivalence(alg, rng, trials, tol, generic_tol):
