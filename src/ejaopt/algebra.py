@@ -261,7 +261,8 @@ class SymMatrix(_Kind):
     def _eigh(self, mat, want_vectors=True):
         """Eigenvalues (non-increasing) and eigenvector columns of a dense
         symmetric matrix, or of each matrix of a ``(..., n, n)`` stack in
-        one stacked Jacobi call: the kind's one eigensolver call."""
+        one stacked Jacobi call: the kind's eigensolver of spectra, frames
+        and certificates."""
         return _jacobi_symmetric(mat, want_vectors=want_vectors)
 
     def _eigvals(self, u):
@@ -311,12 +312,15 @@ class SymMatrix(_Kind):
     # x(theta) - a is diag(beta) - B with the (j, k) block moved, and a step
     # rotates columns j, k of Q and rows and columns j, k of B (the
     # Jacobi-method view; Golub & Van Loan, *Matrix Computations*, 8.5).
-    # The objective's many eigenvalue calls go to LAPACK (``_eigvalsh``);
-    # Jacobi (``_eigh``) stays the eigensolver of frames, certificates and
-    # ``verify``, which checks it against LAPACK (``_check_eigvals``).
+    # The search computes on LAPACK alone: x0's frame (``_lapack_eigh``),
+    # the objective's eigenvalues and the final value (``_eigvalsh``).  Jacobi
+    # (``_eigh``) checks it: lambda(b) against x0's LAPACK spectrum, and both
+    # operands of ``orbit.certify``.  It also stays the eigensolver of
+    # ``spectral_decompose`` and ``verify``, which checks it against LAPACK
+    # (``_check_eigvals``).
 
     def _search_basis(self, u, a):
-        beta, Q = self._eigh(_mat_from_sym_coords(self.n, u))
+        beta, Q = _lapack_eigh(_mat_from_sym_coords(self.n, u))
         return beta, Q, Q.T @ _mat_from_sym_coords(self.n, a) @ Q
 
     def _search_lam(self, beta, Q, B):
@@ -754,6 +758,13 @@ def _eigvalsh(M):
     """LAPACK eigenvalues (non-increasing) of the symmetric matrices on the
     last two axes, each matrix of a stack with the bits of its own call."""
     return np.linalg.eigvalsh(M)[..., ::-1]
+
+
+def _lapack_eigh(M):
+    """LAPACK eigenvalues (non-increasing) and eigenvector columns of a
+    symmetric matrix: ``_eigvalsh`` with the vectors, in the same order."""
+    vals, Q = np.linalg.eigh(M)
+    return vals[::-1], Q[:, ::-1]
 
 
 @lru_cache(maxsize=None)

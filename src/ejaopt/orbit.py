@@ -41,7 +41,7 @@ from .algebra import (
     synthesize_from_frame,
 )
 from .majorization import sort_desc
-from .schur import STRICTLY_SCHUR_CONVEX, DomainError, SymmetricFunction, eval_spectral, from_config
+from .schur import STRICTLY_SCHUR_CONVEX, DomainError, SymmetricFunction, from_config
 
 
 class SolverError(ValueError):
@@ -543,36 +543,31 @@ class _RotationSearch:
     the sign of the sense (+1 for min, -1 for max).  The frame and a are
     held in the basis the kind's ``_search_basis`` chooses (the members'
     coordinates and a's, or for SymMatrix x's eigenvector columns Q and
-    Q^T A Q), and every kind is served by the same code through the kind's
-    ``_search_*`` hooks: the generator of pair (j, k) points toward a, and
-    the rotation is ``_curve`` on (e_j, w, e_k) both when a pair is scored
-    and when it is applied, so a step is scored on the point it realises.
+    Q^T A Q, from one LAPACK ``eigh`` of x), and every kind is served by the
+    same code through the kind's ``_search_*`` hooks: the generator of pair
+    (j, k) points toward a, and the rotation is ``_curve`` on (e_j, w, e_k)
+    both when a pair is scored and when it is applied, so a step is scored
+    on the point it realises.  ``pairs`` holds the frame pairs with distinct
+    coefficients (between equal ones every rotation leaves x where it is);
+    beta never changes, so neither do they.
     """
 
     def __init__(self, alg, x, a, sense_mult):
         self.alg = alg
         self.sense_mult = sense_mult
         self.beta, self.frame, self.a = alg._search_basis(x, a)
-        # a pair's share of |a| |x|: |x|^2 = sum beta^2 on a Jordan frame,
-        # and the pairs are fixed with beta
-        norm_ax = math.sqrt(alg._inner(a, a)) * float(np.linalg.norm(self.beta))
-        self.pair_scale = norm_ax / max(len(self.pairs()), 1)
+        b = self.beta
+        scale = float(np.max(np.abs(b)))
+        self.pairs = [
+            (j, k) for j in range(len(b) - 1) for k in range(j + 1, len(b)) if abs(b[j] - b[k]) > 1e-14 * scale
+        ]
+        # a pair's share of |a| |x|: |x|^2 = sum beta^2 on a Jordan frame
+        norm_ax = math.sqrt(alg._inner(a, a)) * float(np.linalg.norm(b))
+        self.pair_scale = norm_ax / max(len(self.pairs), 1)
 
     def lam(self):
         """Eigenvalues of x - a."""
         return self.alg._search_lam(self.beta, self.frame, self.a)
-
-    def pairs(self):
-        """Frame pairs with distinct coefficients: between equal ones every
-        rotation leaves x where it is."""
-        b = self.beta
-        scale = float(np.max(np.abs(b)))
-        return [
-            (j, k)
-            for j in range(len(b) - 1)
-            for k in range(j + 1, len(b))
-            if abs(b[j] - b[k]) > 1e-14 * scale
-        ]
 
     def rotation(self, j, k):
         """The curve data of pair (j, k), the map theta -> eigenvalues of
@@ -635,6 +630,12 @@ def local_search_orbit(problem: OrbitProblem, x0: Element) -> Solution:
     sweep or in the polish, is taken when the value rises by at most
     ``_ACCEPT_TOL``, so x commutes with a to rounding and the certificate
     is taken at ``DEFAULT_TOL``.
+
+    The search computes on its kinds' own routes: on SymMatrix, x0's frame
+    comes from one LAPACK ``eigh`` and every eigenvalue it scores, the
+    returned value included, from LAPACK ``eigvalsh``.  The independent
+    eigensolver (Jacobi on SymMatrix) checks it: lambda(b) against x0's
+    spectrum, and both operands of ``certify``.
     """
     feas = problem.feasible
     if not isinstance(feas, (EigenvalueOrbit, WeakOrbit)):
@@ -647,7 +648,8 @@ def local_search_orbit(problem: OrbitProblem, x0: Element) -> Solution:
         _RotationSearch(f, xf.coords, af.coords, sense_mult)
         for f, xf, af in zip(problem.algebra.factors, split(x0), split(problem.a))
     ]
-    # the frames just decomposed from x0 carry its eigenvalues
+    # the frames just decomposed from x0 carry its eigenvalues, checked
+    # against b's from the independent route
     lam_x0 = sort_desc(np.concatenate([st.beta for st in states]))
     lam_b = eigenvalues(feas.b)
     if float(np.max(np.abs(lam_b - lam_x0))) > 1e-6 * float(np.max(np.abs(lam_b))):
@@ -663,7 +665,7 @@ def local_search_orbit(problem: OrbitProblem, x0: Element) -> Solution:
         built from the current frames."""
         for fi, st in enumerate(states):
             other = [s.lam() for i, s in enumerate(states) if i != fi]
-            for (j, k) in st.pairs():
+            for (j, k) in st.pairs:
                 rot = st.rotation(j, k)
                 if rot is None:
                     continue
@@ -720,7 +722,9 @@ def local_search_orbit(problem: OrbitProblem, x0: Element) -> Solution:
         if not kept:
             break
     x_final = join(problem.algebra, [st.x_element() for st in states])
-    value = eval_spectral(fn, x_final - problem.a)
+    # sorted as eigenvalues() sorts a product's, so on kinds whose search
+    # route is their eigenvalue map the value has the bits of F(x* - a)
+    value = fn(sort_desc(np.concatenate([st.lam() for st in states])))
     cert = certify(problem.a, x_final, problem.sense)
     return Solution(
         x_star=x_final,

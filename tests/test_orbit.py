@@ -455,8 +455,8 @@ def test_search_state_scores_the_rotation_curve():
             scale = 1.0 + norm(xf) + norm(af)
             st = _RotationSearch(f, xf.coords, af.coords, 1.0)
             beta = st.beta
-            assert st.pairs()
-            for j, k in st.pairs():
+            assert st.pairs
+            for j, k in st.pairs:
                 frame, w = search_frame(st, j, k, af)
                 a_gap, a_w, data = f._search_pair(beta, st.frame, st.a, j, k)
                 # the aligning data are <a, e_j> - <a, e_k> and <a, w>
@@ -499,7 +499,7 @@ def test_aligning_step_is_the_line_minimiser_of_squared_norm():
                 for xf, af in zip(split(x), split(a)):
                     fn = builtin("squared_norm", xf.algebra.rank)
                     st = _RotationSearch(xf.algebra, xf.coords, af.coords, mult)
-                    for j, k in st.pairs():
+                    for j, k in st.pairs:
                         _block, lam_at, (_off, angle) = st.rotation(j, k)
                         aligned = mult * fn(lam_at(angle))
                         on_grid = mult * fn._values(lam_at(grid))
@@ -597,12 +597,13 @@ def counting_search(monkeypatch):
     """``local_search_orbit`` with counters: returns run(problem, x0) ->
     (solution, counts) for one run, counting its ``SymmetricFunction``
     calls, objective points (stacked scan rows plus scalar calls), line
-    searches and Jacobi solves."""
+    searches, Jacobi solves and LAPACK ``eigh`` calls."""
     call = SymmetricFunction.__call__
     values = SymmetricFunction._values
     eigh = SymMatrix._eigh
+    lapack_eigh = np.linalg.eigh
     line_search = orbit_module._line_search
-    keys = ("calls", "points", "lines", "solves")
+    keys = ("calls", "points", "lines", "solves", "eighs")
     counts = dict.fromkeys(keys, 0)
 
     def counted_call(self, u):
@@ -617,6 +618,10 @@ def counting_search(monkeypatch):
         counts["solves"] += 1
         return eigh(self, mat, want_vectors)
 
+    def counted_lapack_eigh(M):
+        counts["eighs"] += 1
+        return lapack_eigh(M)
+
     def counted_line_search(*args):
         counts["lines"] += 1
         return line_search(*args)
@@ -624,6 +629,7 @@ def counting_search(monkeypatch):
     monkeypatch.setattr(SymmetricFunction, "__call__", counted_call)
     monkeypatch.setattr(SymmetricFunction, "_values", counted_values)
     monkeypatch.setattr(SymMatrix, "_eigh", counted_eigh)
+    monkeypatch.setattr(np.linalg, "eigh", counted_lapack_eigh)
     monkeypatch.setattr(orbit_module, "_line_search", counted_line_search)
 
     def run(problem, x0):
@@ -634,26 +640,30 @@ def counting_search(monkeypatch):
     return run
 
 
-def search_set_counts(monkeypatch):
-    """Per-run counts of the local search on its count set, keyed by algebra.
-
-    The set: SymMatrix(3), SymMatrix(4) and SpinFactor(5); ``schatten``
-    p=4 and ``squared_norm``; min and max; three seed-31 draws of (a, b,
-    start) each.  Every run must converge.
-    """
-    run = counting_search(monkeypatch)
-    rng = np.random.default_rng(31)
-    per_kind = {}
-    for alg in (SymMatrix(3), SymMatrix(4), SpinFactor(5)):
+def search_set(algs=(SymMatrix(3), SymMatrix(4), SpinFactor(5)), seed=31):
+    """(problem, start) of the local search's count set: the algebras;
+    ``schatten`` p=4 and ``squared_norm``; min and max; three draws of
+    (a, b, start) each."""
+    rng = np.random.default_rng(seed)
+    for alg in algs:
         for fn in (builtin("schatten", alg.rank, p=4), builtin("squared_norm", alg.rank)):
             for sense in ("min", "max"):
                 for _ in range(3):
                     a = random_element(alg, rng)
                     b = random_element(alg, rng)
                     x0 = apply_automorphism(random_automorphism(alg, rng), b)
-                    sol, counts = run(OrbitProblem(alg, fn, a, EigenvalueOrbit(b), sense), x0)
-                    assert sol.converged
-                    per_kind.setdefault(alg, []).append(counts)
+                    yield OrbitProblem(alg, fn, a, EigenvalueOrbit(b), sense), x0
+
+
+def search_set_counts(monkeypatch):
+    """Per-run counts of the local search on its count set, keyed by algebra.
+    Every run must converge."""
+    run = counting_search(monkeypatch)
+    per_kind = {}
+    for problem, x0 in search_set():
+        sol, counts = run(problem, x0)
+        assert sol.converged
+        per_kind.setdefault(problem.algebra, []).append(counts)
     return per_kind
 
 
@@ -683,19 +693,49 @@ def test_local_search_objective_calls_per_run(monkeypatch):
 
 def test_local_search_eigensolves_per_run(monkeypatch):
     # A count, on the set of test_local_search_objective_calls_per_run.
-    # A SymMatrix run decomposes x0 once, carries its frame across sweeps,
-    # and solves lambda(b), lambda(x* - a) and the two operands of certify:
-    # 5 Jacobi solves, whatever the sweep count.  Refreshing the frame on
-    # every sweep but the first made it sweeps + 4.  The frame is carried as
-    # eigenvector columns, so no pair rebuilds a rank-one axis.
+    # A SymMatrix run decomposes x0 once, with LAPACK eigh, carries its frame
+    # across sweeps, and takes its value from the eigvalsh of its own basis.
+    # Jacobi only checks it: lambda(b) and the two operands of certify, 3
+    # solves whatever the sweep count.  Decomposing x0 and evaluating
+    # F(x* - a) with Jacobi made it 5; refreshing the frame on every sweep
+    # but the first made it sweeps + 4.  The frame is carried as eigenvector
+    # columns, so no pair rebuilds a rank-one axis.
     def no_axis(self, c):
         raise AssertionError("the local search rebuilt a rank-one axis")
 
     monkeypatch.setattr(SymMatrix, "_rank_one_axis", no_axis)
     for alg, runs in search_set_counts(monkeypatch).items():
         for run in runs:
-            expect = 5 if isinstance(alg, SymMatrix) else 0
-            assert run["solves"] == expect, (alg, run)
+            sym = isinstance(alg, SymMatrix)
+            assert run["solves"] == (3 if sym else 0), (alg, run)
+            assert run["eighs"] == (1 if sym else 0), (alg, run)
+
+
+def test_local_search_value_is_the_value_of_its_point():
+    # The search reports F at its own spectrum of x* - a (LAPACK eigvalsh in
+    # a SymMatrix frame's basis); it must be the value of the point it
+    # returns, by the library's eigenvalue map (Jacobi on SymMatrix).  On
+    # kinds whose search spectrum is their eigenvalue map it has the same
+    # bits.  Cases: the count set, a mixed product and a positive-domain
+    # function, with b lifted so that every x - a on the orbit is positive.
+    rng = np.random.default_rng(33)
+    mixed = product_algebra(SymMatrix(3), SpinFactor(3))
+    cases = list(search_set()) + list(search_set((mixed,), seed=34))
+    for alg in (SymMatrix(4), SpinFactor(5), mixed):
+        fn = builtin("cond_vector_norm", alg.rank)
+        for sense in ("min", "max"):
+            a = random_element(alg, rng)
+            b = random_element(alg, rng)
+            b = b + float(eigenvalues(a)[0] - eigenvalues(b)[-1] + 1.0) * unit(alg)
+            x0 = apply_automorphism(random_automorphism(alg, rng), b)
+            cases.append((OrbitProblem(alg, fn, a, EigenvalueOrbit(b), sense), x0))
+    for problem, x0 in cases:
+        sol = local_search_orbit(problem, x0)
+        ref = eval_spectral(problem.fn, sol.x_star - problem.a)
+        case = (problem.algebra, problem.fn.id, problem.sense)
+        assert abs(sol.value - ref) <= 1e-12 * (1.0 + abs(sol.value)), (case, sol.value, ref)
+        if problem.algebra == SpinFactor(5):
+            assert sol.value == ref, case
 
 
 def test_local_search_skips_pairs_that_pass_the_certificate(monkeypatch):
@@ -781,7 +821,7 @@ def test_local_search_stops_at_a_zero_optimum():
 def test_local_search_is_scale_free():
     # Scaling a and b by t scales the problem, so every run must converge,
     # certify and meet the closed form at every t.  With (1 + |.|) floors in
-    # the sweep stop, the step accept, the tie test of pairs() and the spin
+    # the sweep stop, the step accept, the tie test of pairs and the spin
     # plane's cut-off, 25 of these 72 runs, all at t <= 1e-6, stopped early:
     # converged, but with a failed certificate and a relative value gap up
     # to 3.1.
