@@ -49,9 +49,9 @@ from .orbit import (
     InfeasibleError,
     SolverError,
     WeakOrbit,
+    _local_searches,
     _pairings,
     counterexample_no_strong,
-    local_search_orbit,
     problem_from_dict,
     solve_problem,
 )
@@ -222,10 +222,9 @@ def cmd_solve(args) -> int:
             raise _Usage("--local-search needs an orbit problem")
         rng = np.random.default_rng(args.seed)
         b = problem.feasible.b
+        starts = [apply_automorphism(random_automorphism(problem.algebra, rng), b) for _ in range(args.local_search)]
         runs = []
-        for i in range(args.local_search):
-            x0 = apply_automorphism(random_automorphism(problem.algebra, rng), b)
-            sol = local_search_orbit(problem, x0)
+        for i, sol in enumerate(_local_searches(problem, starts)):
             gap = abs(sol.value - solution.value)
             runs.append(
                 {

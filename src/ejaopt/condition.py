@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import DEFAULT_TOL, Element, _dot, eigenvalues, spectral_decompose
-from .orbit import InfeasibleError, Solution, _align, certify
+from .orbit import InfeasibleError, Solution, _align, _certify
 from .schur import phi_ratios as phi
 
 
@@ -88,5 +88,5 @@ def minimize_condition_norm_orbit(b: Element, a: Element, tol=DEFAULT_TOL) -> So
     paired, x_star = _align(dec, lam_b, "max")
     shifted = lam_b + paired  # entries lam_i(b) + lam_{n-i+1}(a)
     value = float(np.linalg.norm(phi(shifted)))
-    cert = certify(a, x_star, sense="max", tol=tol)
+    cert = _certify(a, x_star, "max", tol, lam_a)
     return Solution(x_star=x_star, value=value, certificate=cert)

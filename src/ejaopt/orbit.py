@@ -167,10 +167,19 @@ def certify(a: Element, x: Element, sense: str = "min", tol=DEFAULT_TOL) -> Cert
     Every residual is bilinear in (a, x), so each check compares it with
     ``tol * |a| |x|``: scaling a and x by any t > 0 leaves every verdict
     unchanged.
+
+    Callers that already hold lambda(a), as the library's solvers do from
+    their decomposition of a, pass it to the same checks through
+    ``_certify``: a decomposition's eigenvalues have the bits of
+    ``eigenvalues(a)``.  lambda(x) is always solved fresh; it is the check.
     """
+    return _certify(a, x, sense, tol, eigenvalues(a))
+
+
+def _certify(a: Element, x: Element, sense: str, tol, lam_a) -> Certificate:
+    """``certify`` with lambda(a) from the caller's decomposition of a."""
     res_op = operator_commutation_residual(a, x)
-    # one eigensolve each for a and x: lambda(-a) is -lambda(a) reversed
-    lam_a = eigenvalues(a)
+    # one eigensolve, for x: lambda(-a) is -lambda(a) reversed
     lam_x = eigenvalues(x)
     ax = inner(a, x)
     gap_a = abs(ax - float(lam_a @ lam_x))
@@ -322,13 +331,17 @@ def solve_orbit_global(problem: OrbitProblem) -> Solution:
     Minimization aligns each spectrum with the eigenvalues of a,
     maximization anti-aligns it, and the best spectrum wins.
     """
+    return _solve_on(problem, spectral_decompose(problem.a))
+
+
+def _solve_on(problem: OrbitProblem, dec) -> Solution:
+    """``solve_orbit_global`` on ``dec``, a decomposition of problem.a."""
     fn = problem.fn
     if fn.declared_class != STRICTLY_SCHUR_CONVEX:
         raise SolverError(
             f"{fn.id} is not declared strictly Schur-convex; the global alignment "
             "argument needs strictness (run the local search at your own risk)"
         )
-    dec = spectral_decompose(problem.a)
     groups = problem.feasible._groups(dec)
     best = None
     for s in problem.feasible._spectra(dec, problem.sense):
@@ -339,7 +352,7 @@ def solve_orbit_global(problem: OrbitProblem) -> Solution:
         if best is None or (value < best[0] if problem.sense == "min" else value > best[0]):
             best = (value, x)
     value, x_star = best
-    cert = certify(problem.a, x_star, problem.sense)
+    cert = _certify(problem.a, x_star, problem.sense, DEFAULT_TOL, dec.eigenvalues)
     return Solution(x_star=x_star, value=value, certificate=cert)
 
 
@@ -634,30 +647,58 @@ def local_search_orbit(problem: OrbitProblem, x0: Element) -> Solution:
     The search computes on its kinds' own routes: on SymMatrix, x0's frame
     comes from one LAPACK ``eigh`` and every eigenvalue it scores, the
     returned value included, from LAPACK ``eigvalsh``.  The independent
-    eigensolver (Jacobi on SymMatrix) checks it: lambda(b) against x0's
-    spectrum, and both operands of ``certify``.
+    eigensolver (Jacobi on SymMatrix) checks it.  Once per problem it
+    solves lambda(b), which x0's spectrum is checked against, and lambda(a)
+    for the certificate; per start it solves only lambda(x*) in the
+    certificate.  So a SymMatrix run makes 3 Jacobi solves, and N starts of
+    one problem through ``_local_searches`` make 2 + N.  When F has a
+    restricted domain, lambda(a) comes from a's decomposition and the
+    orbit's domain check solves lambda(b) once more, still once per problem.
     """
+    return _local_searches(problem, [x0])[0]
+
+
+def _local_searches(problem: OrbitProblem, starts) -> list:
+    """``local_search_orbit(problem, x0)`` for each x0 in ``starts``, with
+    the eigensolves that depend only on the problem made once: lambda(b),
+    lambda(a) or a's decomposition, and the orbit's domain check.  Every
+    start is checked before any search runs, so a bad start raises as it
+    does alone."""
     feas = problem.feasible
     if not isinstance(feas, (EigenvalueOrbit, WeakOrbit)):
         raise SolverError("local search needs an orbit problem")
-    if x0.algebra != problem.algebra:
-        raise SolverError("start element belongs to a different algebra")
-    fn = problem.fn
     sense_mult = 1.0 if problem.sense == "min" else -1.0
-    states = [
-        _RotationSearch(f, xf.coords, af.coords, sense_mult)
-        for f, xf, af in zip(problem.algebra.factors, split(x0), split(problem.a))
-    ]
-    # the frames just decomposed from x0 carry its eigenvalues, checked
-    # against b's from the independent route
-    lam_x0 = sort_desc(np.concatenate([st.beta for st in states]))
     lam_b = eigenvalues(feas.b)
-    if float(np.max(np.abs(lam_b - lam_x0))) > 1e-6 * float(np.max(np.abs(lam_b))):
-        raise InfeasibleError("x0 does not lie on the orbit of b")
-    if fn.domain != "all":
+    runs = []
+    for x0 in starts:
+        if x0.algebra != problem.algebra:
+            raise SolverError("start element belongs to a different algebra")
+        states = [
+            _RotationSearch(f, xf.coords, af.coords, sense_mult)
+            for f, xf, af in zip(problem.algebra.factors, split(x0), split(problem.a))
+        ]
+        # the frames just decomposed from x0 carry its eigenvalues, checked
+        # against b's from the independent route
+        lam_x0 = sort_desc(np.concatenate([st.beta for st in states]))
+        if float(np.max(np.abs(lam_b - lam_x0))) > 1e-6 * float(np.max(np.abs(lam_b))):
+            raise InfeasibleError("x0 does not lie on the orbit of b")
+        runs.append(states)
+    fn = problem.fn
+    if fn.domain == "all":
+        lam_a = eigenvalues(problem.a)
+    else:
         dec = spectral_decompose(problem.a)
+        lam_a = dec.eigenvalues
         for s in feas._spectra(dec, "min"):
-            _check_orbit_domain(fn, s, dec.eigenvalues, feas._groups(dec))
+            _check_orbit_domain(fn, s, lam_a, feas._groups(dec))
+    return [_search(problem, states, lam_a) for states in runs]
+
+
+def _search(problem: OrbitProblem, states, lam_a) -> Solution:
+    """The sweeps and the polish of ``local_search_orbit`` on the search
+    states of one start, certified with lambda(a) from the caller."""
+    fn = problem.fn
+    sense_mult = states[0].sense_mult
 
     def pair_curves():
         """(state, j, k, curve data, objective on the pair's curve,
@@ -725,7 +766,7 @@ def local_search_orbit(problem: OrbitProblem, x0: Element) -> Solution:
     # sorted as eigenvalues() sorts a product's, so on kinds whose search
     # route is their eigenvalue map the value has the bits of F(x* - a)
     value = fn(sort_desc(np.concatenate([st.lam() for st in states])))
-    cert = certify(problem.a, x_final, problem.sense)
+    cert = _certify(problem.a, x_final, problem.sense, DEFAULT_TOL, lam_a)
     return Solution(
         x_star=x_final,
         value=value,
@@ -859,8 +900,9 @@ def counterexample_no_strong(alg, a: Element, b: Element, fn: SymmetricFunction)
     no optimizer of that component strongly commutes with a.  One factor
     gives the single component [b], ``gap`` 0.0 and ``degenerate`` True.
     """
-    full = solve_orbit_global(OrbitProblem(alg, fn, a, EigenvalueOrbit(b), "min"))
+    # one decomposition of a serves the [b]-wide solve and every placement
     dec = spectral_decompose(a)
+    full = _solve_on(OrbitProblem(alg, fn, a, EigenvalueOrbit(b), "min"), dec)
     b_key = _canonical_assignment(alg, _factor_spectra(b))
     comps = []
     for assignment in orbit_components(alg, b):
@@ -869,7 +911,7 @@ def counterexample_no_strong(alg, a: Element, b: Element, fn: SymmetricFunction)
         for s in _placed(dec, _ordered_assignments(alg, assignment), "min"):
             paired, x = _align(dec, s, "min")
             value = fn(s - paired)
-            cert = certify(a, x, "min")
+            cert = _certify(a, x, "min", DEFAULT_TOL, dec.eigenvalues)
             any_strong = any_strong or cert.checks["strong_commute_with_a"]
             if best is None or value < best[0]:
                 best = (value, x, cert)

@@ -24,6 +24,7 @@ from ejaopt import (
     eigenvalues,
     eval_spectral,
     local_search_orbit,
+    minimize_condition_norm_orbit,
     norm,
     operator_commute,
     orbit_components,
@@ -46,7 +47,7 @@ from ejaopt import (
     zero,
 )
 from ejaopt import orbit as orbit_module
-from ejaopt.algebra import Element, inner, join, split, strong_commutation_gap
+from ejaopt.algebra import DEFAULT_TOL, Element, inner, join, split, strong_commutation_gap
 from ejaopt.majorization import sort_desc
 from ejaopt.orbit import _brent_min, _RotationSearch
 from ejaopt.schur import SymmetricFunction, affine_compose
@@ -593,17 +594,20 @@ def test_local_search_spin_sweeps_never_raise_the_value():
                         assert nxt <= prev + 1e-13 * (1.0 + abs(prev)), (d, fn.id, sense, vals)
 
 
-def counting_search(monkeypatch):
-    """``local_search_orbit`` with counters: returns run(problem, x0) ->
-    (solution, counts) for one run, counting its ``SymmetricFunction``
-    calls, objective points (stacked scan rows plus scalar calls), line
-    searches, Jacobi solves and LAPACK ``eigh`` calls."""
+def counting_search(monkeypatch, solver=local_search_orbit):
+    """``solver`` with counters: returns run(*args) -> (result, counts) for
+    one call of ``solver(*args)``, by default one ``local_search_orbit``
+    run, counting its ``SymmetricFunction`` calls, objective points
+    (stacked scan rows plus scalar calls), line searches, Jacobi solves,
+    LAPACK ``eigh`` calls and the orbit module's ``spectral_decompose``
+    calls."""
     call = SymmetricFunction.__call__
     values = SymmetricFunction._values
     eigh = SymMatrix._eigh
     lapack_eigh = np.linalg.eigh
     line_search = orbit_module._line_search
-    keys = ("calls", "points", "lines", "solves", "eighs")
+    decompose = orbit_module.spectral_decompose
+    keys = ("calls", "points", "lines", "solves", "eighs", "decomposes")
     counts = dict.fromkeys(keys, 0)
 
     def counted_call(self, u):
@@ -626,16 +630,20 @@ def counting_search(monkeypatch):
         counts["lines"] += 1
         return line_search(*args)
 
+    def counted_decompose(x):
+        counts["decomposes"] += 1
+        return decompose(x)
+
     monkeypatch.setattr(SymmetricFunction, "__call__", counted_call)
     monkeypatch.setattr(SymmetricFunction, "_values", counted_values)
     monkeypatch.setattr(SymMatrix, "_eigh", counted_eigh)
     monkeypatch.setattr(np.linalg, "eigh", counted_lapack_eigh)
     monkeypatch.setattr(orbit_module, "_line_search", counted_line_search)
+    monkeypatch.setattr(orbit_module, "spectral_decompose", counted_decompose)
 
-    def run(problem, x0):
+    def run(*args):
         counts.update(dict.fromkeys(keys, 0))
-        sol = local_search_orbit(problem, x0)
-        return sol, dict(counts, sweeps=sol.iterations)
+        return solver(*args), dict(counts)
 
     return run
 
@@ -711,6 +719,114 @@ def test_local_search_eigensolves_per_run(monkeypatch):
             assert run["eighs"] == (1 if sym else 0), (alg, run)
 
 
+def lifted(alg, a, b):
+    """b shifted by a multiple of the unit so that every x - a on its orbit
+    has positive eigenvalues."""
+    return b + float(eigenvalues(a)[0] - eigenvalues(b)[-1] + 1.0) * unit(alg)
+
+
+def test_closed_form_eigensolves_per_solve(monkeypatch):
+    # A count.  A SymMatrix closed-form solve makes 3 Jacobi solves: a with
+    # its vectors, lambda(b) and lambda(x*) in the certificate, which takes
+    # lambda(a) from a's decomposition.  Solving lambda(a) again in the
+    # certificate made 4.
+    run = counting_search(monkeypatch, solve_orbit_global)
+    rng = np.random.default_rng(51)
+    for n in (2, 3, 5):
+        alg = SymMatrix(n)
+        for fn in (builtin("schatten", n, p=4), builtin("squared_norm", n)):
+            for sense in ("min", "max"):
+                a = random_element(alg, rng)
+                b = random_element(alg, rng)
+                sol, counts = run(OrbitProblem(alg, fn, a, EigenvalueOrbit(b), sense))
+                assert sol.certificate.passed, (n, fn.id, sense)
+                assert counts["solves"] == 3 and counts["decomposes"] == 1, (n, fn.id, sense, counts)
+
+
+def test_condition_solver_eigensolves_per_solve(monkeypatch):
+    # A count: a with its vectors, lambda(b) and lambda(x*) in the
+    # certificate, 3 Jacobi solves per SymMatrix solve; it was 4.
+    run = counting_search(monkeypatch, minimize_condition_norm_orbit)
+    rng = np.random.default_rng(52)
+    for n in (2, 3, 5):
+        alg = SymMatrix(n)
+        for _ in range(3):
+            a = random_element(alg, rng)
+            b = lifted(alg, -a, random_element(alg, rng))
+            sol, counts = run(b, a)
+            assert sol.certificate.passed, n
+            assert counts["solves"] == 3, (n, counts)
+
+
+def test_counterexample_decomposes_a_once(monkeypatch):
+    # The [b]-wide solve and every placement of every component share one
+    # decomposition of a; the [b]-wide solve decomposed a a second time.
+    run = counting_search(monkeypatch, counterexample_no_strong)
+    rng = np.random.default_rng(53)
+    algs = (product_algebra(SymMatrix(2), SymMatrix(2)), product_algebra(SymMatrix(3), SpinFactor(3)), SymMatrix(3))
+    for alg in algs:
+        fn = builtin("squared_norm", alg.rank)
+        a = random_element(alg, rng)
+        b = random_element(alg, rng)
+        report, counts = run(alg, a, b, fn)
+        assert report.components, alg
+        assert counts["decomposes"] == 1, (alg, counts)
+
+
+def test_local_searches_solve_each_operand_once(monkeypatch):
+    # A count: N starts of one SymMatrix problem through the multi-start
+    # helper make 2 + N Jacobi solves, lambda(b) and lambda(a) once and
+    # lambda(x*) per start, and one LAPACK eigh per start; each start
+    # solving both again made 3N.  A domain-restricted F decomposes a
+    # instead of solving lambda(a), and its orbit domain check solves
+    # lambda(b) once more through the feasible set's spectra: 3 + N, where
+    # each start repeating all three made 5N.
+    run = counting_search(monkeypatch, orbit_module._local_searches)
+    rng = np.random.default_rng(54)
+    for alg in (SymMatrix(3), SymMatrix(4)):
+        a = random_element(alg, rng)
+        b = random_element(alg, rng)
+        for fn, orbit_of, per_problem in (
+            (builtin("schatten", alg.rank, p=4), b, 2),
+            (builtin("cond_vector_norm", alg.rank), lifted(alg, a, b), 3),
+        ):
+            problem = OrbitProblem(alg, fn, a, EigenvalueOrbit(orbit_of), "min")
+            for n_starts in (1, 5):
+                starts = [apply_automorphism(random_automorphism(alg, rng), orbit_of) for _ in range(n_starts)]
+                sols, counts = run(problem, starts)
+                assert len(sols) == n_starts and all(sol.converged for sol in sols)
+                assert counts["solves"] == per_problem + n_starts, (alg, fn.id, n_starts, counts)
+                assert counts["eighs"] == n_starts, (alg, fn.id, n_starts, counts)
+
+
+def test_local_searches_match_single_runs():
+    # Each start of the multi-start helper returns what local_search_orbit
+    # returns from it alone: an eigenvalue orbit, a weak orbit and a
+    # domain-restricted F on a lifted b.
+    rng = np.random.default_rng(55)
+    mixed = product_algebra(SymMatrix(3), SpinFactor(3))
+    cases = []
+    for alg in (SymMatrix(4), SpinFactor(5), mixed):
+        a = random_element(alg, rng)
+        b = random_element(alg, rng)
+        cases.append((alg, builtin("schatten", alg.rank, p=4), a, EigenvalueOrbit(b), "min"))
+        cases.append((alg, builtin("cond_vector_norm", alg.rank), a, EigenvalueOrbit(lifted(alg, a, b)), "max"))
+    a = random_element(mixed, rng)
+    b = random_element(mixed, rng)
+    cases.append((mixed, builtin("squared_norm", mixed.rank), a, WeakOrbit(b), "min"))
+    cases.append((mixed, builtin("cond_vector_norm", mixed.rank), a, WeakOrbit(lifted(mixed, a, b)), "min"))
+    for alg, fn, a, feasible, sense in cases:
+        problem = OrbitProblem(alg, fn, a, feasible, sense)
+        starts = [apply_automorphism(random_automorphism(alg, rng), feasible.b) for _ in range(4)]
+        for x0, sol in zip(starts, orbit_module._local_searches(problem, starts), strict=True):
+            ref = local_search_orbit(problem, x0)
+            case = (alg, fn.id, type(feasible).__name__, sense)
+            assert sol.x_star.coords.tobytes() == ref.x_star.coords.tobytes(), case
+            assert sol.value == ref.value and sol.trace == ref.trace, case
+            assert (sol.iterations, sol.converged) == (ref.iterations, ref.converged), case
+            assert sol.certificate == ref.certificate, case
+
+
 def test_local_search_value_is_the_value_of_its_point():
     # The search reports F at its own spectrum of x* - a (LAPACK eigvalsh in
     # a SymMatrix frame's basis); it must be the value of the point it
@@ -725,8 +841,7 @@ def test_local_search_value_is_the_value_of_its_point():
         fn = builtin("cond_vector_norm", alg.rank)
         for sense in ("min", "max"):
             a = random_element(alg, rng)
-            b = random_element(alg, rng)
-            b = b + float(eigenvalues(a)[0] - eigenvalues(b)[-1] + 1.0) * unit(alg)
+            b = lifted(alg, a, random_element(alg, rng))
             x0 = apply_automorphism(random_automorphism(alg, rng), b)
             cases.append((OrbitProblem(alg, fn, a, EigenvalueOrbit(b), sense), x0))
     for problem, x0 in cases:
@@ -1211,6 +1326,48 @@ def test_certify_verdicts_do_not_depend_on_scale():
         cert = certify(g0, g1, "min")
         assert not any(cert.checks.values()), (t, cert.residuals)
         assert not operator_commute(g0, g1) and not strongly_operator_commute(g0, g1), t
+
+
+def premise_elements(rng, count=30):
+    """(algebra, element) pairs over verify's default kinds and a mixed
+    product: random elements, zero, the unit, and integer spectra with
+    repeated eigenvalues on a random frame."""
+    from ejaopt.verify import DEFAULT_KINDS
+
+    for alg in [alg for _label, alg in DEFAULT_KINDS] + [product_algebra(SymMatrix(3), SpinFactor(3))]:
+        for _ in range(count):
+            yield alg, random_element(alg, rng)
+        yield alg, zero(alg)
+        yield alg, unit(alg)
+        for _ in range(count // 3):
+            frame = spectral_decompose(random_element(alg, rng)).frame
+            yield alg, synthesize_from_frame(frame, sort_desc(rng.integers(-2, 3, alg.rank).astype(float)))
+
+
+def test_decomposed_eigenvalues_are_the_eigenvalue_map():
+    # The premise that lets a solver certify with the eigenvalues of the
+    # decomposition of a it already holds: they have the bits of
+    # eigenvalues(a), so solving lambda(a) again checked nothing.
+    rng = np.random.default_rng(17)
+    for alg, a in premise_elements(rng):
+        assert spectral_decompose(a).eigenvalues.tobytes() == eigenvalues(a).tobytes(), (alg, a.coords)
+
+
+def test_certify_with_a_callers_eigenvalues_is_certify():
+    # certify and its private route, given lambda(a) by eigenvalues(a) or by
+    # a's decomposition, report the same residuals and checks, on random
+    # pairs and on pairs that commute.
+    rng = np.random.default_rng(18)
+    for alg, a in premise_elements(rng, count=10):
+        frame = spectral_decompose(a).frame
+        aligned = synthesize_from_frame(frame, sort_desc(rng.standard_normal(alg.rank)), validate=False)
+        for x in (random_element(alg, rng), aligned):
+            for sense in ("min", "max"):
+                ref = certify(a, x, sense)
+                for lam_a in (eigenvalues(a), spectral_decompose(a).eigenvalues):
+                    cert = orbit_module._certify(a, x, sense, DEFAULT_TOL, lam_a)
+                    assert cert.residuals == ref.residuals and cert.checks == ref.checks, (alg, sense)
+                    assert cert == ref
 
 
 def test_certify_generic_pair_fails_everything():
