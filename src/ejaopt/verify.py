@@ -7,17 +7,19 @@ strong-commutation characterizations, Peirce projections, the condition
 number sandwich bounds, strict Schur-convexity of the condition-vector
 norm), and reports the failure count plus the worst residual seen.
 
-A suite draws from its rng trial by trial, in a fixed order, then
-evaluates a block of trials at once on coordinate arrays with the
+A suite draws each trial as one fixed-width row of standard normals, so
+a block of trials is one rng call, and makes its discrete choices from
+normals of the row (argsorts and argmaxes).  Only the automorphisms of
+``RealDiagonal`` and of products are drawn trial by trial, on the stream
+of ``random_automorphism``.  It evaluates the block at once with the
 algebra's stacked kernels: one stacked Jacobi call per block instead of
 one per trial.  Each row of a stacked kernel has the bits of its
 single-vector call, and the checks run the private helpers behind the
 public predicates (``lidskii_holds``, ``kyfan_holds``,
 ``strong_commutation_gap``, ``operator_commute``, ``condition_report``),
-so the report does not depend on the block size.  Automorphisms are
-applied as stacks too, and a kind whose automorphism draw is all normals
-draws a block's x, y and automorphisms at once.  ``phi_strict_schur`` runs
-``check_strict_schur_convex``, which stacks its trials the same way.
+so neither the report nor the rng's end state depends on the block size.
+``phi_strict_schur`` runs ``check_strict_schur_convex``, which stacks its
+trials the same way.
 """
 
 from __future__ import annotations
@@ -29,12 +31,11 @@ from .algebra import (
     RealDiagonal,
     SpinFactor,
     SymMatrix,
+    _commutator_norm,
     _frame_checks,
     _norm,
-    _operator_commute,
     _peirce_parts,
     _strong_gap,
-    _strongly_commute,
     _synthesize,
     product_algebra,
 )
@@ -71,9 +72,10 @@ def _blocks(trials):
     return [range(i, min(i + _BLOCK, trials)) for i in range(0, trials, _BLOCK)]
 
 
-def _distinct_coeffs(n, rng):
-    gaps = 0.1 + np.abs(rng.standard_normal(n))
-    return float(rng.standard_normal()) + np.cumsum(gaps)[::-1]
+def _distinct_coeffs(Z):
+    """Distinct non-increasing coefficients from rows of n + 1 normals: the
+    last as an offset, plus the reversed running sum of gaps 0.1 + |z|."""
+    return Z[:, -1:] + np.cumsum(0.1 + np.abs(Z[:, :-1]), axis=-1)[:, ::-1]
 
 
 def suite_jordan_identity(alg, rng, trials, tol):
@@ -93,22 +95,19 @@ def suite_jordan_identity(alg, rng, trials, tol):
 
 
 def suite_spectral_roundtrip(alg, rng, trials, tol):
+    n, dim = alg.rank, alg.dim
     worst = 0.0
     failures = 0
     for block in _blocks(trials):
-        X = np.empty((len(block), alg.dim))
-        # every fourth trial: deliberately repeated eigenvalues on a generic frame
-        repeated = [r for r, i in enumerate(block) if i % 4 == 3]
-        draws, coeffs = [], []
-        for r, i in enumerate(block):
-            if i % 4 == 3:
-                draws.append(rng.standard_normal(alg.dim))
-                coeffs.append(rng.integers(-2, 3, size=alg.rank).astype(float))
-            else:
-                X[r] = rng.standard_normal(alg.dim)
-        if repeated:
-            members = np.moveaxis(alg._decompose(np.array(draws))[1], -2, 0)
-            X[repeated] = _synthesize(members, np.array(coeffs))
+        # per trial: x, then 5 normals per coefficient; every fourth trial puts
+        # coefficients uniform on {-2..2} (repeated eigenvalues) on x's frame
+        D = rng.standard_normal((len(block), dim + 5 * n))
+        X = D[:, :dim]
+        repeated = np.arange(block.start, block.stop) % 4 == 3
+        if repeated.any():
+            members = np.moveaxis(alg._decompose(X[repeated])[1], -2, 0)
+            coeffs = np.argmax(D[repeated, dim:].reshape(-1, n, 5), axis=-1) - 2.0
+            X[repeated] = _synthesize(members, coeffs)
         vals, frames = alg._decompose(X)
         scale = 1.0 + _norm(alg, X)
         resid = _norm(alg, _synthesize(np.moveaxis(frames, -2, 0), vals) - X) / scale
@@ -277,49 +276,50 @@ def suite_strong_commutation_equivalence(alg, rng, trials, tol):
 
 def suite_shared_frame_commutation(alg, rng, trials, tol):
     """From one shared frame: operator commutation always; strong
-    commutation exactly when the coefficient orderings agree."""
-    n = alg.rank
-    failures = 0
-    for block in _blocks(trials):
-        draws = np.empty((len(block), alg.dim))
-        alpha = np.empty((len(block), n))
-        beta = np.empty_like(alpha)
-        perm = np.empty((len(block), n), dtype=np.intp)
-        for r in range(len(block)):
-            draws[r] = rng.standard_normal(alg.dim)
-            alpha[r] = _distinct_coeffs(n, rng)
-            beta[r] = _distinct_coeffs(n, rng)
-            perm[r] = rng.permutation(n)
-        members = np.moveaxis(alg._decompose(draws)[1], -2, 0)
-        a = _synthesize(members, np.take_along_axis(alpha, perm, -1))
-        b_aligned = _synthesize(members, np.take_along_axis(beta, perm, -1))
-        b_anti = _synthesize(members, np.take_along_axis(beta[:, ::-1], perm, -1))
-        la, l_aligned, l_anti = alg._eigvals(a), alg._eigvals(b_aligned), alg._eigvals(b_anti)
-        ok = _operator_commute(alg, a, b_aligned, 1e-7) & _operator_commute(alg, a, b_anti, 1e-7)
-        ok &= _strongly_commute(alg, a, b_aligned, la, l_aligned, 1e-7)
-        if n >= 2:
-            ok &= ~_strongly_commute(alg, a, b_anti, la, l_anti, 1e-7)
-        failures += int(np.count_nonzero(~ok))
-    return {"failures": failures, "worst_residual": 0.0 if not failures else 1.0}
-
-
-def suite_peirce(alg, rng, trials, tol):
+    commutation exactly when the coefficient orderings agree.  The worst
+    residual is the largest gap that must vanish, over |a| |b|."""
+    n, dim = alg.rank, alg.dim
     failures = 0
     worst = 0.0
     for block in _blocks(trials):
-        draws = np.empty((len(block), alg.dim))
-        X = np.empty_like(draws)
-        picks = []
-        for r, i in enumerate(block):
-            draws[r] = rng.standard_normal(alg.dim)
-            k = int(rng.integers(0, alg.rank + 1)) if i % 8 else 0
-            picks.append(rng.choice(alg.rank, size=k, replace=False))
-            X[r] = rng.standard_normal(alg.dim)
-        frames = alg._decompose(draws)[1]
-        P = np.zeros_like(X)
-        for r, idx in enumerate(picks):
-            for j in idx:
-                P[r] = P[r] + frames[r, j]
+        # per trial: the frame's draw, alpha and beta, then a permutation
+        D = rng.standard_normal((len(block), dim + 3 * n + 2))
+        members = np.moveaxis(alg._decompose(D[:, :dim])[1], -2, 0)
+        alpha = _distinct_coeffs(D[:, dim : dim + n + 1])
+        beta = _distinct_coeffs(D[:, dim + n + 1 : dim + 2 * n + 2])
+        perm = np.argsort(D[:, dim + 2 * n + 2 :], axis=-1)
+        a = _synthesize(members, np.take_along_axis(alpha, perm, -1))
+        b_aligned = _synthesize(members, np.take_along_axis(beta, perm, -1))
+        b_anti = _synthesize(members, np.take_along_axis(beta[:, ::-1], perm, -1))
+        la, na = alg._eigvals(a), _norm(alg, a)
+        s_aligned, s_anti = na * _norm(alg, b_aligned), na * _norm(alg, b_anti)
+        resid = np.maximum.reduce([
+            _commutator_norm(alg, a, b_aligned) / s_aligned,
+            _commutator_norm(alg, a, b_anti) / s_anti,
+            _strong_gap(alg, a, b_aligned, la, alg._eigvals(b_aligned)) / s_aligned,
+        ])
+        ok = resid <= 1e-7
+        if n >= 2:
+            ok &= _strong_gap(alg, a, b_anti, la, alg._eigvals(b_anti)) / s_anti > 1e-7
+        worst = max(worst, float(np.max(resid)))
+        failures += int(np.count_nonzero(~ok))
+    return {"failures": failures, "worst_residual": worst}
+
+
+def suite_peirce(alg, rng, trials, tol):
+    n, dim = alg.rank, alg.dim
+    failures = 0
+    worst = 0.0
+    for block in _blocks(trials):
+        # per trial: the frame's draw, k uniform on {0..rank} (0 on every
+        # eighth trial), the order that picks k members of the frame, then x
+        D = rng.standard_normal((len(block), 2 * dim + 2 * n + 1))
+        frames = alg._decompose(D[:, :dim])[1]
+        k = np.argmax(D[:, dim : dim + n + 1], axis=-1) * (np.arange(block.start, block.stop) % 8 != 0)
+        # member j is picked when it is among the first k of the argsort
+        pick = np.argsort(np.argsort(D[:, dim + n + 1 : dim + 2 * n + 1], axis=-1), axis=-1) < k[:, None]
+        P = (pick[:, None, :].astype(float) @ frames)[:, 0]
+        X = D[:, dim + 2 * n + 1 :]
         x1, x0, xh = _peirce_parts(alg, P, X)
         scale = 1.0 + _norm(alg, X)
         resid = _norm(alg, x1 + x0 + xh - X) / scale

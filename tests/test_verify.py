@@ -116,6 +116,62 @@ def test_spectral_roundtrip_catches_a_misordered_eigensolver(monkeypatch):
     assert out["failures"] == 50
 
 
+def test_misordered_eigenpairs_hide_only_in_a_constant_spectrum(monkeypatch):
+    # A repeated-eigenvalue trial whose coefficients are all equal is c
+    # times the unit, whose eigenvalues read the same in any order; every
+    # other trial catches the ascending solver.  Those trials are counted
+    # from the suite's own draw: one row of x and 5 normals per coefficient.
+    eigh = SymMatrix._eigh
+
+    def ascending(self, mat, want_vectors=True):
+        vals, vecs = eigh(self, mat, want_vectors)
+        return vals[..., ::-1], None if vecs is None else vecs[..., ::-1]
+
+    monkeypatch.setattr(SymMatrix, "_eigh", ascending)
+    trials = 50
+    hidden = 0
+    for alg in (SymMatrix(3), SymMatrix(5)):
+        for seed in range(20):
+            D = np.random.default_rng(seed).standard_normal((trials, alg.dim + 5 * alg.rank))
+            coeffs = np.argmax(D[3::4, alg.dim :].reshape(-1, alg.rank, 5), axis=-1)
+            constant = int(np.count_nonzero(np.all(coeffs == coeffs[:, :1], axis=-1)))
+            out = verify_module.suite_spectral_roundtrip(alg, np.random.default_rng(seed), trials, 1e-9)
+            assert out["failures"] == trials - constant, (alg, seed)
+            hidden += constant
+    assert hidden > 0
+
+
+class RecordingRng:
+    """A Generator that records the name of every draw method called."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.calls = []
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self.rng, name)
+
+
+@pytest.mark.parametrize("name", ["spectral_roundtrip", "shared_frame_commutation", "peirce"])
+def test_suites_draw_a_block_in_one_normal_call(monkeypatch, name):
+    suite = dict(SUITES)[name]
+    trials = 30
+    for block in (1, 7, verify_module._BLOCK):
+        monkeypatch.setattr(verify_module, "_BLOCK", block)
+        for label, alg in DEFAULT_KINDS:
+            rng = RecordingRng(np.random.default_rng(6))
+            suite(alg, rng, trials, 1e-9)
+            assert rng.calls == ["standard_normal"] * -(-trials // block), (name, label, block)
+
+
+def test_shared_frame_commutation_reports_its_worst_gap():
+    for ki, (label, alg) in enumerate(DEFAULT_KINDS):
+        out = verify_module.suite_shared_frame_commutation(alg, np.random.default_rng([8, ki]), 100, 1e-9)
+        assert out["failures"] == 0, label
+        assert 0.0 < out["worst_residual"] <= 1e-7, label
+
+
 @pytest.mark.parametrize("name, suite", SUITES)
 def test_suites_do_not_depend_on_the_block_size(monkeypatch, name, suite):
     # block size 1 evaluates trial by trial; 7 leaves a partial last block
