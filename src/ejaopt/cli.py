@@ -45,10 +45,8 @@ from .algebra import (
 )
 from .condition import condition_report, minimize_condition_norm_orbit
 from .orbit import (
-    EigenvalueOrbit,
     InfeasibleError,
     SolverError,
-    WeakOrbit,
     _local_searches,
     _pairings,
     counterexample_no_strong,
@@ -218,11 +216,10 @@ def cmd_solve(args) -> int:
         )
     ]
     if args.local_search:
-        if not isinstance(problem.feasible, (EigenvalueOrbit, WeakOrbit)):
-            raise _Usage("--local-search needs an orbit problem")
         rng = np.random.default_rng(args.seed)
-        b = problem.feasible.b
-        starts = [apply_automorphism(random_automorphism(problem.algebra, rng), b) for _ in range(args.local_search)]
+        points = problem.feasible._points(problem.algebra)
+        autos = [random_automorphism(problem.algebra, rng) for _ in range(args.local_search)]
+        starts = [apply_automorphism(auto, points[i % len(points)]) for i, auto in enumerate(autos)]
         runs = []
         for i, sol in enumerate(_local_searches(problem, starts)):
             gap = abs(sol.value - solution.value)

@@ -56,32 +56,29 @@ class InfeasibleError(ValueError):
 # Problem and result types
 
 
-# A feasible set's ``_spectra(dec, sense)`` are the spectra that the closed
-# form lays on the frame of a's decomposition ``dec``, as ``_align`` takes
-# them.  Its ``_groups(dec)`` label each member of that frame with the group
-# of members that a spectrum's entries cannot leave: the member's factor for
-# a weak orbit; None, one group, for sets that move eigenvalues across
-# factors.
+# A feasible set's ``_members(alg)`` are the rows of eigenvalues whose orbits
+# make up the set, as a 2-D array, and whether the rows are read per factor:
+# a weak orbit's rows list each factor's spectrum in factor order, and its
+# points keep each on its factor; other rows are merged spectra, whose entries
+# may move across factors.  The closed form and the local search both read
+# them.  Its ``_points(alg)`` are the points ``solve --local-search`` starts
+# from: b for an orbit, one point per member for a spectral set.
 @dataclass(frozen=True)
-class EigenvalueOrbit:
+class _Orbit:
     b: Element
 
-    def _spectra(self, dec, sense):
-        return [eigenvalues(self.b)]
-
-    def _groups(self, dec):
-        return None
+    def _points(self, alg):
+        return [self.b]
 
 
-@dataclass(frozen=True)
-class WeakOrbit:
-    b: Element
+class EigenvalueOrbit(_Orbit):
+    def _members(self, alg):
+        return eigenvalues(self.b)[None, :], False
 
-    def _spectra(self, dec, sense):
-        return _placed(dec, _ordered_assignments(dec.algebra, _factor_spectra(self.b)), sense)
 
-    def _groups(self, dec):
-        return _owners(dec)
+class WeakOrbit(_Orbit):
+    def _members(self, alg):
+        return np.array(_ordered_assignments(alg, _factor_spectra(self.b))), True
 
 
 @dataclass(frozen=True)
@@ -95,16 +92,15 @@ class FiniteSpectralSet:
             tuple(tuple(float(v) for v in sort_desc(np.asarray(s, dtype=float))) for s in self.spectra),
         )
 
-    def _spectra(self, dec, sense):
+    def _members(self, alg):
         if not self.spectra:
             raise InfeasibleError("empty spectral set")
-        spectra = [np.asarray(raw, dtype=float) for raw in self.spectra]
-        if any(len(u) != len(dec.eigenvalues) for u in spectra):
+        if any(len(u) != alg.rank for u in self.spectra):
             raise SolverError("spectral-set member length does not match rank")
-        return spectra
+        return np.array(self.spectra), False
 
-    def _groups(self, dec):
-        return None
+    def _points(self, alg):
+        return [_synthesized(alg, s) for s in self._members(alg)[0]]
 
 
 @dataclass(frozen=True)
@@ -298,38 +294,34 @@ def _align(dec, s, sense: str):
     return dec.eigenvalues[::-1], synthesize_from_frame(dec.frame, s[::-1], validate=False)
 
 
-def _owners(dec):
-    """The factor of each member of the frame of ``dec``: the one factor
-    slice where its coordinates are nonzero."""
-    slices = dec.algebra._slices
-    return np.array([next(i for i, s in enumerate(slices) if c.coords[s].any()) for c in dec.frame])
-
-
-def _placed(dec, assignments, sense: str):
-    """One row per assignment of per-factor spectra (each sorted
-    non-increasing), laid out for ``_align`` on the frame of ``dec``: each
-    factor's spectrum lands on that factor's frame members in a's order,
-    reversed for max.  A product frame merges its factors' members by a
-    stable sort, so each factor's members keep their order, and a member
-    belongs to the one factor slice where its coordinates are nonzero.
+def _placed(dec, rows, sense: str):
+    """Rows of per-factor spectra in factor order (each factor's sorted
+    non-increasing), laid out for ``_align`` on the frame of ``dec``, and
+    the factor of each frame member: each factor's spectrum lands on that
+    factor's frame members in a's order, reversed for max.  A product frame
+    merges its factors' members by a stable sort, so each factor's members
+    keep their order, and a member belongs to the one factor slice where
+    its coordinates are nonzero.
     """
-    owner = _owners(dec)
+    slices = dec.algebra._slices
+    owner = np.array([next(i for i, s in enumerate(slices) if c.coords[s].any()) for c in dec.frame])
     # _align reverses a row for max, so the slots are read from the other end
     slots = np.argsort(owner if sense == "min" else owner[::-1], kind="stable")
-    rows = np.empty((len(assignments), len(slots)))
-    rows[:, slots] = [np.concatenate(assignment) for assignment in assignments]
-    return rows
+    placed = np.empty((len(rows), len(slots)))
+    placed[:, slots] = rows
+    return placed, owner
 
 
 def solve_orbit_global(problem: OrbitProblem) -> Solution:
     """Closed-form global optimum of F(x - a) over the feasible set.
 
-    Every feasible set is a list of spectra laid on one Jordan frame of a:
-    an eigenvalue orbit [b] gives lambda(b), a finite spectral set its
-    members, and a weak orbit one spectrum per ordered assignment of b's
-    factor spectra, each factor aligned on its own frame members.
-    Minimization aligns each spectrum with the eigenvalues of a,
-    maximization anti-aligns it, and the best spectrum wins.
+    Every feasible set lists its members, the spectra whose orbits make it
+    up, and each is laid on one Jordan frame of a: an eigenvalue orbit [b]
+    lists lambda(b), a finite spectral set its members, and a weak orbit one
+    spectrum per ordered assignment of b's factor spectra, each factor's
+    laid on its own frame members.  Minimization aligns each spectrum with
+    the eigenvalues of a, maximization anti-aligns it, and the best spectrum
+    wins.  The local search tests its starts against the same members.
     """
     return _solve_on(problem, spectral_decompose(problem.a))
 
@@ -342,9 +334,12 @@ def _solve_on(problem: OrbitProblem, dec) -> Solution:
             f"{fn.id} is not declared strictly Schur-convex; the global alignment "
             "argument needs strictness (run the local search at your own risk)"
         )
-    groups = problem.feasible._groups(dec)
+    rows, per_factor = problem.feasible._members(problem.algebra)
+    groups = None
+    if per_factor:
+        rows, groups = _placed(dec, rows, problem.sense)
     best = None
-    for s in problem.feasible._spectra(dec, problem.sense):
+    for s in rows:
         # _align lays s on the frame reversed for max
         _check_orbit_domain(fn, s if problem.sense == "min" else s[::-1], dec.eigenvalues, groups)
         paired, x = _align(dec, s, problem.sense)
@@ -625,7 +620,14 @@ class _RotationSearch:
 
 
 def local_search_orbit(problem: OrbitProblem, x0: Element) -> Solution:
-    """Pairwise-rotation descent (ascent for max) over the orbit of b.
+    """Pairwise-rotation descent (ascent for max) over the orbit of x0.
+
+    x0 must lie in the feasible set (``InfeasibleError`` otherwise): its
+    sorted spectrum must be a member of an eigenvalue orbit or spectral set,
+    its factor spectra, in factor order, one of a weak orbit's assignments
+    (identical factors may swap spectra).  Steps keep each factor's
+    spectrum, so on a product the run stays in x0's weak-orbit component,
+    whose optimum may lie above the set's.
 
     The search runs on the Jordan frames decomposed from x0, which every
     step rotates in place.  A sweep scores every frame pair admitting a
@@ -648,49 +650,47 @@ def local_search_orbit(problem: OrbitProblem, x0: Element) -> Solution:
     comes from one LAPACK ``eigh`` and every eigenvalue it scores, the
     returned value included, from LAPACK ``eigvalsh``.  The independent
     eigensolver (Jacobi on SymMatrix) checks it.  Once per problem it
-    solves lambda(b), which x0's spectrum is checked against, and lambda(a)
-    for the certificate; per start it solves only lambda(x*) in the
-    certificate.  So a SymMatrix run makes 3 Jacobi solves, and N starts of
-    one problem through ``_local_searches`` make 2 + N.  When F has a
-    restricted domain, lambda(a) comes from a's decomposition and the
-    orbit's domain check solves lambda(b) once more, still once per problem.
+    solves the set's members (lambda(b) for an orbit), which x0 is checked
+    against and the domain probe reads, and a's factor spectra, for the
+    probe and the certificate; per start it solves only lambda(x*).  So a
+    SymMatrix run makes 3 Jacobi solves, and N starts make 2 + N.
     """
     return _local_searches(problem, [x0])[0]
 
 
 def _local_searches(problem: OrbitProblem, starts) -> list:
     """``local_search_orbit(problem, x0)`` for each x0 in ``starts``, with
-    the eigensolves that depend only on the problem made once: lambda(b),
-    lambda(a) or a's decomposition, and the orbit's domain check.  Every
-    start is checked before any search runs, so a bad start raises as it
-    does alone."""
-    feas = problem.feasible
-    if not isinstance(feas, (EigenvalueOrbit, WeakOrbit)):
-        raise SolverError("local search needs an orbit problem")
+    the eigensolves that depend only on the problem made once: the set's
+    members and a's factor spectra.  The domain is probed on every member,
+    as the closed form probes it.  Every start is checked before any search
+    runs, so a bad start raises as it does alone."""
+    alg = problem.algebra
+    rows, per_factor = problem.feasible._members(alg)
     sense_mult = 1.0 if problem.sense == "min" else -1.0
-    lam_b = eigenvalues(feas.b)
     runs = []
     for x0 in starts:
-        if x0.algebra != problem.algebra:
+        if x0.algebra != alg:
             raise SolverError("start element belongs to a different algebra")
         states = [
             _RotationSearch(f, xf.coords, af.coords, sense_mult)
-            for f, xf, af in zip(problem.algebra.factors, split(x0), split(problem.a))
+            for f, xf, af in zip(alg.factors, split(x0), split(problem.a))
         ]
-        # the frames just decomposed from x0 carry its eigenvalues, checked
-        # against b's from the independent route
-        lam_x0 = sort_desc(np.concatenate([st.beta for st in states]))
-        if float(np.max(np.abs(lam_b - lam_x0))) > 1e-6 * float(np.max(np.abs(lam_b))):
-            raise InfeasibleError("x0 does not lie on the orbit of b")
+        # the frames just decomposed from x0 carry its eigenvalues, sorted on
+        # each factor, checked against the members from the independent
+        # route: factor by factor for rows read per factor, else merged
+        lam_x0 = np.concatenate([st.beta for st in states])
+        if not per_factor:
+            lam_x0 = sort_desc(lam_x0)
+        if not np.any(np.max(np.abs(rows - lam_x0), axis=1) <= 1e-6 * np.max(np.abs(rows), axis=1)):
+            raise InfeasibleError("x0 does not lie in the feasible set")
         runs.append(states)
-    fn = problem.fn
-    if fn.domain == "all":
-        lam_a = eigenvalues(problem.a)
-    else:
-        dec = spectral_decompose(problem.a)
-        lam_a = dec.eigenvalues
-        for s in feas._spectra(dec, "min"):
-            _check_orbit_domain(fn, s, lam_a, feas._groups(dec))
+    # a's factor spectra, in factor order, serve the domain probe; sorted,
+    # they are eigenvalues(a) bit for bit, for the certificates
+    a_spectra = np.concatenate([eigenvalues(af) for af in split(problem.a)])
+    groups = np.repeat(np.arange(len(alg.factors)), [f.rank for f in alg.factors]) if per_factor else None
+    for s in rows:
+        _check_orbit_domain(problem.fn, s, a_spectra, groups)
+    lam_a = sort_desc(a_spectra)
     return [_search(problem, states, lam_a) for states in runs]
 
 
@@ -787,7 +787,8 @@ def _factor_spectra(b: Element):
 
 def _ordered_assignments(alg, spectra):
     """Distinct assignments of the given per-factor spectra to factor slots,
-    permuting only slots with identical descriptors."""
+    permuting only slots with identical descriptors, each as one row of the
+    slots' spectra in factor order."""
     per_group = []
     for idxs in alg._groups:
         # dict keys keep first-seen order and dedup in linear time
@@ -799,7 +800,7 @@ def _ordered_assignments(alg, spectra):
         for (idxs, _seen), perm in zip(per_group, combo):
             for pos, spec in zip(idxs, perm):
                 assignment[pos] = spec
-        out.append(tuple(assignment))
+        out.append(np.concatenate(assignment))
     return out
 
 
@@ -813,12 +814,14 @@ def weak_orbit_reps(alg, b: Element):
     """
     if len(alg.factors) == 1:
         return [b]
-    reps = []
-    for assignment in _ordered_assignments(alg, _factor_spectra(b)):
-        # factor spectra are eigenvalue lists, already sorted non-increasing
-        parts = [Element(f, f._canonical(np.asarray(s))) for f, s in zip(alg.factors, assignment)]
-        reps.append(join(alg, parts))
-    return reps
+    return [_synthesized(alg, row) for row in _ordered_assignments(alg, _factor_spectra(b))]
+
+
+def _synthesized(alg, row):
+    """The point with the eigenvalues of ``row`` on the factors' standard
+    frames, the entries dealt to the factors in order."""
+    parts = np.split(row, np.cumsum([f.rank for f in alg.factors])[:-1])
+    return join(alg, [Element(f, f._canonical(s)) for f, s in zip(alg.factors, parts)])
 
 
 _MAX_PARTITIONS = 20000
@@ -908,7 +911,7 @@ def counterexample_no_strong(alg, a: Element, b: Element, fn: SymmetricFunction)
     for assignment in orbit_components(alg, b):
         best = None
         any_strong = False
-        for s in _placed(dec, _ordered_assignments(alg, assignment), "min"):
+        for s in _placed(dec, _ordered_assignments(alg, assignment), "min")[0]:
             paired, x = _align(dec, s, "min")
             value = fn(s - paired)
             cert = _certify(a, x, "min", DEFAULT_TOL, dec.eigenvalues)

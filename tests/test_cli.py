@@ -164,6 +164,31 @@ def test_solve_with_local_search(tmp_path, capsys):
     assert ls["all_certified"] is True and ls["all_converged"] is True
 
 
+def test_solve_local_search_on_a_spectral_set(tmp_path, capsys):
+    # start i lies on the orbit of member i mod 2, and meets the closed form
+    # of the set holding that member alone
+    from ejaopt.orbit import FiniteSpectralSet, OrbitProblem, problem_from_dict, solve_orbit_global
+
+    members = [[3.0, 1.0, -2.0], [4.0, 0.5, 0.0]]
+    doc = {
+        "algebra": {"kind": "sym", "n": 3},
+        "fn": {"fn": "schatten", "p": 4},
+        "a": {"matrix": [[1.0, 0.5, 0.0], [0.5, -1.0, 0.25], [0.0, 0.25, 2.0]]},
+        "feasible": {"spectral_set": members},
+        "sense": "min",
+    }
+    code, out = run(capsys, ["solve", write(tmp_path, "p.json", doc), "--no-timestamp", "--local-search", "4"])
+    assert code == 0
+    runs = json.loads(out)["local_search"]["runs"]
+    assert [r["start"] for r in runs] == [0, 1, 2, 3]
+    p = problem_from_dict(doc)
+    refs = [solve_orbit_global(OrbitProblem(p.algebra, p.fn, p.a, FiniteSpectralSet((tuple(m),)))).value for m in members]
+    assert abs(refs[0] - refs[1]) > 0.1
+    for r in runs:
+        assert r["value"] == pytest.approx(refs[r["start"] % 2], rel=1e-9), r
+        assert r["converged"] and r["certificate_passed"], r
+
+
 def test_solve_parse_error_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -777,26 +777,28 @@ def test_local_searches_solve_each_operand_once(monkeypatch):
     # A count: N starts of one SymMatrix problem through the multi-start
     # helper make 2 + N Jacobi solves, lambda(b) and lambda(a) once and
     # lambda(x*) per start, and one LAPACK eigh per start; each start
-    # solving both again made 3N.  A domain-restricted F decomposes a
-    # instead of solving lambda(a), and its orbit domain check solves
-    # lambda(b) once more through the feasible set's spectra: 3 + N, where
-    # each start repeating all three made 5N.
+    # solving both again made 3N.  A domain-restricted F makes the same
+    # 2 + N: its domain probe reads the members the start check reads and
+    # a's factor spectra, so it neither decomposes a nor solves lambda(b)
+    # again, as it did through the feasible set's frame-laid spectra (3 + N;
+    # each start repeating all three made 5N).
     run = counting_search(monkeypatch, orbit_module._local_searches)
     rng = np.random.default_rng(54)
     for alg in (SymMatrix(3), SymMatrix(4)):
         a = random_element(alg, rng)
         b = random_element(alg, rng)
-        for fn, orbit_of, per_problem in (
-            (builtin("schatten", alg.rank, p=4), b, 2),
-            (builtin("cond_vector_norm", alg.rank), lifted(alg, a, b), 3),
+        for fn, orbit_of in (
+            (builtin("schatten", alg.rank, p=4), b),
+            (builtin("cond_vector_norm", alg.rank), lifted(alg, a, b)),
         ):
             problem = OrbitProblem(alg, fn, a, EigenvalueOrbit(orbit_of), "min")
             for n_starts in (1, 5):
                 starts = [apply_automorphism(random_automorphism(alg, rng), orbit_of) for _ in range(n_starts)]
                 sols, counts = run(problem, starts)
                 assert len(sols) == n_starts and all(sol.converged for sol in sols)
-                assert counts["solves"] == per_problem + n_starts, (alg, fn.id, n_starts, counts)
+                assert counts["solves"] == 2 + n_starts, (alg, fn.id, n_starts, counts)
                 assert counts["eighs"] == n_starts, (alg, fn.id, n_starts, counts)
+                assert counts["decomposes"] == 0, (alg, fn.id, n_starts, counts)
 
 
 def test_local_searches_match_single_runs():
@@ -1193,6 +1195,86 @@ def test_local_search_rejects_off_orbit_start():
     zero_orbit = OrbitProblem(alg, builtin("schatten", 3, p=4), a, EigenvalueOrbit(zero(alg)), "min")
     with pytest.raises(InfeasibleError):
         local_search_orbit(zero_orbit, 1e-300 * unit(alg))
+
+
+def test_local_search_rejects_a_start_outside_the_weak_orbit():
+    # x0 has b's merged spectrum but another weak-orbit component: its
+    # factors hold (4, 3) and (2, 1), where b's hold (4, 1) and (3, 2).  A
+    # merged-spectrum check accepted it, and the run reported 20.18, below
+    # the weak orbit's global minimum 22.38, converged and certified.
+    s22 = product_algebra(S2, S2)
+    a = join(s22, [diag2(1, 0.5), diag2(0.2, -0.3)])
+    b = join(s22, [diag2(4, 1), diag2(3, 2)])
+    problem = OrbitProblem(s22, builtin("squared_norm", 4), a, WeakOrbit(b), "min")
+    assert solve_orbit_global(problem).value == pytest.approx(22.38, rel=1e-12)
+    with pytest.raises(InfeasibleError):
+        local_search_orbit(problem, join(s22, [diag2(4, 3), diag2(2, 1)]))
+    # identical factors may swap their spectra: the swapped assignment is in
+    # the weak orbit, and the search from it meets the closed form
+    sol = local_search_orbit(problem, join(s22, [diag2(3, 2), diag2(4, 1)]))
+    assert sol.converged
+    assert sol.value == pytest.approx(22.38, rel=1e-9)
+    assert sol.certificate.checks["operator_commute"]
+
+
+def on_member(alg, rng, member):
+    """A point with eigenvalues ``member`` on a random Jordan frame."""
+    frame = spectral_decompose(random_element(alg, rng)).frame
+    return synthesize_from_frame(frame, np.asarray(member, dtype=float))
+
+
+def test_local_search_on_a_spectral_set():
+    # A start on a member's orbit searches that orbit: it meets the closed
+    # form of the set holding that member alone and certifies.
+    rng = np.random.default_rng(71)
+    for alg in (SymMatrix(3), SpinFactor(4)):
+        fn = builtin("schatten", alg.rank, p=4)
+        a = random_element(alg, rng)
+        members = tuple(tuple(sort_desc(rng.standard_normal(alg.rank))) for _ in range(3))
+        for sense in ("min", "max"):
+            problem = OrbitProblem(alg, fn, a, FiniteSpectralSet(members), sense)
+            for member in members:
+                ref = solve_orbit_global(OrbitProblem(alg, fn, a, FiniteSpectralSet((member,)), sense))
+                sol = local_search_orbit(problem, on_member(alg, rng, member))
+                assert sol.converged, (alg, sense, member)
+                assert sol.value == pytest.approx(ref.value, rel=1e-9, abs=1e-12), (alg, sense, member)
+                assert sol.certificate.passed, (alg, sense, member)
+        off = sort_desc(rng.standard_normal(alg.rank))
+        with pytest.raises(InfeasibleError):
+            local_search_orbit(problem, on_member(alg, rng, off))
+    # the errors of the closed form
+    b = diag2(3, 0)
+    with pytest.raises(InfeasibleError):
+        local_search_orbit(OrbitProblem(S2, SCHATTEN2_2, diag2(2, 1), FiniteSpectralSet(()), "min"), b)
+    with pytest.raises(SolverError):
+        local_search_orbit(OrbitProblem(S2, SCHATTEN2_2, diag2(2, 1), FiniteSpectralSet(((3.0, 0.0, 1.0),)), "min"), b)
+
+
+def test_local_search_on_a_product_spectral_set_stays_in_its_component():
+    # A spectral-set member's orbit on a product spans several weak-orbit
+    # components; the search keeps each factor's spectrum, so it optimizes
+    # over its start's component only, at or above the set's optimum.
+    alg = product_algebra(SymMatrix(3), SpinFactor(3))
+    fn = builtin("squared_norm", alg.rank)
+    rng = np.random.default_rng(72)
+    a = random_element(alg, rng)
+    member = (5.0, 3.0, 1.0, -1.0, -4.0)
+    problem = OrbitProblem(alg, fn, a, FiniteSpectralSet((member,)), "min")
+    best = solve_orbit_global(problem).value
+    values = []
+    for spin in ((5.0, -4.0), (3.0, 1.0), (-1.0, -4.0)):
+        sym = [v for v in member if v not in spin]
+        x0 = join(alg, [on_member(SymMatrix(3), rng, sym), on_member(SpinFactor(3), rng, spin)])
+        sol = local_search_orbit(problem, x0)
+        assert sol.converged, spin
+        for part, ref in zip(split(sol.x_star), (sym, spin)):
+            np.testing.assert_allclose(eigenvalues(part), ref, atol=1e-9)
+        assert sol.value >= best - 1e-9 * abs(best), spin
+        # a local optimizer over the set: the paper's local theorem holds
+        assert sol.certificate.checks["operator_commute"], spin
+        values.append(sol.value)
+    # the components differ, so not every start can reach the set's optimum
+    assert max(values) > best + 1e-3 * abs(best)
 
 
 def test_local_search_mixed_product_and_weak_orbit_feasible():
