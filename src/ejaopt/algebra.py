@@ -153,17 +153,6 @@ class _Kind:
         """Coordinates of x."""
         return beta @ frame
 
-    def _random_auto(self, rng):
-        """Automorphism data of one ``_draw_auto`` draw."""
-        return self._autos_from(self._draw_auto(rng))
-
-    def _random_autos(self, rng, m, lead):
-        """``m`` trials of ``lead`` standard normals followed by one
-        ``_random_auto`` draw, in stream order: the ``(m, lead)`` normals and
-        the automorphism data as one stack for ``_apply_auto``."""
-        normals, autos = _draw_autos(self, rng, m, lead)
-        return normals, np.array(autos)
-
 
 @dataclass(frozen=True)
 class RealDiagonal(_Kind):
@@ -209,11 +198,13 @@ class RealDiagonal(_Kind):
     def _apply_auto(self, perm, u):
         return _reorder(u, perm)
 
-    def _draw_auto(self, rng):
-        return rng.permutation(self.n)
+    @property
+    def _auto_width(self):
+        return self.n
 
-    def _autos_from(self, draws):
-        return draws
+    def _autos_from(self, D):
+        # the order of n i.i.d. normals is a uniform permutation
+        return np.argsort(D, axis=-1, kind="stable")
 
     def _to_dict(self) -> dict:
         return {"kind": "diag", "n": self.n}
@@ -286,14 +277,12 @@ class SymMatrix(_Kind):
         M = _mat_from_sym_coords(self.n, u)
         return _sym_coords_from_mat(self.n, Q @ M @ np.swapaxes(Q, -1, -2))
 
-    def _draw_auto(self, rng):
-        return rng.standard_normal((self.n, self.n))
+    @property
+    def _auto_width(self):
+        return self.n * self.n
 
-    def _autos_from(self, draws):
-        return _haar_orthogonal(draws)
-
-    def _random_autos(self, rng, m, lead):
-        return _haar_block(self.n, rng, m, lead)
+    def _autos_from(self, D):
+        return _haar_orthogonal(D, self.n)
 
     def _to_dict(self) -> dict:
         return {"kind": "sym", "n": self.n}
@@ -425,14 +414,12 @@ class SpinFactor(_Kind):
         out[..., 1:] = (Q @ u[..., 1:, None])[..., 0]
         return out
 
-    def _draw_auto(self, rng):
-        return rng.standard_normal((self.d - 1, self.d - 1))
+    @property
+    def _auto_width(self):
+        return (self.d - 1) ** 2
 
-    def _autos_from(self, draws):
-        return _haar_orthogonal(draws)
-
-    def _random_autos(self, rng, m, lead):
-        return _haar_block(self.d - 1, rng, m, lead)
+    def _autos_from(self, D):
+        return _haar_orthogonal(D, self.d - 1)
 
     def _to_dict(self) -> dict:
         return {"kind": "spin", "d": self.d}
@@ -562,29 +549,19 @@ class ProductAlgebra:
         ]
         return np.concatenate(parts, axis=-1)
 
-    def _draw_auto(self, rng):
-        """A permutation of each group of identical factors, then each
-        factor's ``_draw_auto``: the factor draws and the source of each
-        slot."""
-        src = np.arange(len(self.factors))
-        for idxs in self._groups:
-            perm = rng.permutation(len(idxs))
-            idxs = np.array(idxs)
-            src[idxs] = idxs[perm]
-        return tuple(f._draw_auto(rng) for f in self.factors), tuple(int(i) for i in src)
+    @cached_property
+    def _auto_width(self):
+        return len(self.factors) + sum(f._auto_width for f in self.factors)
 
-    def _random_auto(self, rng):
-        draws, src = self._draw_auto(rng)
-        return tuple(f._autos_from(d) for f, d in zip(self.factors, draws)), src
-
-    def _random_autos(self, rng, m, lead):
-        """The draws trial by trial, as the permutations are interleaved with
-        the normals, then one stacked ``_autos_from`` per slot (one QR call
-        for a SymMatrix or SpinFactor slot)."""
-        trials = [(rng.standard_normal(lead), *self._draw_auto(rng)) for _ in range(m)]
-        slots = zip(*(draws for _normals, draws, _src in trials))
-        autos = tuple(f._autos_from(np.array(col)) for f, col in zip(self.factors, slots))
-        return np.array([t[0] for t in trials]), (autos, np.array([t[2] for t in trials]))
+    def _autos_from(self, D):
+        """One normal per factor, whose order within each group of identical
+        factors gives the source of each slot, then each factor's own row."""
+        src = np.empty(D.shape[:-1] + (len(self.factors),), dtype=int)
+        for idxs in map(np.array, self._groups):
+            src[..., idxs] = idxs[np.argsort(D[..., idxs], axis=-1, kind="stable")]
+        off = np.cumsum([len(self.factors)] + [f._auto_width for f in self.factors])
+        autos = tuple(f._autos_from(D[..., i:j]) for f, i, j in zip(self.factors, off, off[1:]))
+        return autos, (tuple(src.tolist()) if src.ndim == 1 else src)
 
     def _to_dict(self) -> dict:
         return {"kind": "product", "factors": [f._to_dict() for f in self.factors]}
@@ -1190,11 +1167,19 @@ def _strongly_commute(alg, u, v, lam_u, lam_v, tol):
 class Automorphism:
     """An invertible linear map preserving the Jordan product.
 
-    ``data`` is kind-specific: a permutation of coordinates for
-    RealDiagonal, an orthogonal matrix Q acting by x -> QxQ^T for
-    SymMatrix, an orthogonal matrix acting on the vector part for
-    SpinFactor, and for products a tuple of per-slot factor automorphism
-    data together with a source permutation of isomorphic factors.
+    ``data`` is kind-specific, and ``random_automorphism`` draws it from
+    one row of standard normals laid out per kind:
+
+    * RealDiagonal(n): a permutation of coordinates, the argsort of n
+      normals.
+    * SymMatrix(n): an orthogonal matrix Q acting by x -> QxQ^T, from
+      n * n normals read row by row as a matrix.
+    * SpinFactor(d): an orthogonal matrix acting on the vector part, from
+      (d - 1)^2 normals read the same way.
+    * Products: a tuple of per-slot factor automorphism data together with
+      a tuple ``src``, slot i taking the coordinates of factor ``src[i]``
+      (an identical factor); one normal per factor, argsorted within each
+      group of identical factors, followed by each factor's row in order.
     """
 
     algebra: object
@@ -1207,27 +1192,11 @@ def apply_automorphism(auto: Automorphism, x: Element) -> Element:
     return Element(x.algebra, x.algebra._apply_auto(auto.data, x.coords))
 
 
-def _haar_orthogonal(M):
-    """Haar orthogonal matrices from the standard normal matrices on the
-    last two axes: Q of the QR factorization, columns signed by R's diagonal."""
-    Q, R = np.linalg.qr(M)
+def _haar_orthogonal(D, k):
+    """Haar orthogonal k x k matrices from rows of k * k standard normals, each
+    read as a matrix: Q of the QR factorization, columns signed by R's diagonal."""
+    Q, R = np.linalg.qr(D.reshape(D.shape[:-1] + (k, k)))
     return Q * np.sign(np.diagonal(R, axis1=-2, axis2=-1))[..., None, :]
-
-
-def _haar_block(k, rng, m, lead):
-    """``_random_autos`` of a kind whose automorphism is one Haar orthogonal
-    k x k matrix: every draw is standard normal, so the block is one draw,
-    sliced so that each trial keeps its order."""
-    D = rng.standard_normal((m, lead + k * k))
-    return D[:, :lead], _haar_orthogonal(D[:, lead:].reshape(m, k, k))
-
-
-def _draw_autos(alg, rng, m, lead):
-    """The draws of ``_random_autos`` trial by trial, each automorphism
-    made on its own: the ``(m, lead)`` normals and a list of automorphism
-    data."""
-    draws = [(rng.standard_normal(lead), alg._random_auto(rng)) for _ in range(m)]
-    return np.array([d for d, _ in draws]), [a for _, a in draws]
 
 
 def random_element(alg, rng) -> Element:
@@ -1236,9 +1205,14 @@ def random_element(alg, rng) -> Element:
 
 
 def random_automorphism(alg, rng) -> Automorphism:
-    """Sample an automorphism: Haar orthogonal factors, and for products a
-    uniformly random permutation of factors with identical descriptors."""
-    return Automorphism(alg, alg._random_auto(rng))
+    """Sample an automorphism from one ``standard_normal`` call of
+    ``alg._auto_width`` normals, laid out as ``Automorphism`` states: n for
+    RealDiagonal(n), n * n for SymMatrix(n), (d - 1)^2 for SpinFactor(d),
+    and for a product one per factor then the factors' rows.  Haar
+    orthogonal factors (QR with columns signed by R's diagonal; Mezzadri,
+    Notices AMS 2007), uniform permutations of coordinates and of
+    identical factors."""
+    return Automorphism(alg, alg._autos_from(rng.standard_normal(alg._auto_width)))
 
 
 # ---------------------------------------------------------------------------

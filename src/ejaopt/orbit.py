@@ -86,11 +86,10 @@ class FiniteSpectralSet:
     spectra: tuple  # tuple of eigenvalue tuples, each sorted non-increasing
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "spectra",
-            tuple(tuple(float(v) for v in sort_desc(np.asarray(s, dtype=float))) for s in self.spectra),
-        )
+        spectra = tuple(tuple(float(v) for v in sort_desc(np.asarray(s, dtype=float))) for s in self.spectra)
+        if not all(np.isfinite(s).all() for s in spectra):
+            raise ValueError("spectral-set members must be finite")
+        object.__setattr__(self, "spectra", spectra)
 
     def _members(self, alg):
         if not self.spectra:

@@ -9,8 +9,7 @@ norm), and reports the failure count plus the worst residual seen.
 
 A suite draws each trial as one fixed-width row of standard normals, so
 a block of trials is one rng call, and makes its discrete choices from
-normals of the row (argsorts and argmaxes).  Only the automorphisms of
-``RealDiagonal`` and of products are drawn trial by trial, on the stream
+normals of the row (argsorts and argmaxes); an automorphism is the row
 of ``random_automorphism``.  It evaluates the block at once with the
 algebra's stacked kernels: one stacked Jacobi call per block instead of
 one per trial.  Each row of a stacked kernel has the bits of its
@@ -127,9 +126,10 @@ def suite_automorphism_invariance(alg, rng, trials, tol):
     failures = 0
     e = alg._unit()
     for block in _blocks(trials):
-        # per trial: x, y, then the automorphism
-        draws, autos = alg._random_autos(rng, len(block), 2 * alg.dim)
-        X, Y = draws[:, : alg.dim], draws[:, alg.dim :]
+        # per trial: x, y, then the automorphism's row
+        D = rng.standard_normal((len(block), 2 * alg.dim + alg._auto_width))
+        X, Y = D[:, : alg.dim], D[:, alg.dim : 2 * alg.dim]
+        autos = alg._autos_from(D[:, 2 * alg.dim :])
 
         def apply(U):
             return alg._apply_auto(autos, U)

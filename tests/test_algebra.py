@@ -36,7 +36,6 @@ from ejaopt import (
     zero,
 )
 from ejaopt.algebra import (
-    _draw_autos,
     _jacobi_symmetric,
     _sym_coords_from_mat,
     validate_frame,
@@ -801,16 +800,30 @@ def auto_bytes(alg, data):
     return tuple(s.tobytes() for s in slots), src
 
 
-def test_stacked_automorphisms_equal_single_calls():
+def test_stacked_automorphisms_equal_single_calls(monkeypatch):
     from ejaopt.verify import DEFAULT_KINDS
 
-    # every verify kind, and a product whose identical factors trade places
-    # while its distinct factor stays put
+    haar = algebra_module._haar_orthogonal
+    calls = []
+
+    def counted_haar(D, k):
+        calls.append(D.shape)
+        return haar(D, k)
+
+    monkeypatch.setattr(algebra_module, "_haar_orthogonal", counted_haar)
+    # every verify kind, a product whose identical factors trade places
+    # while its distinct factor stays put, and one that mixes all three kinds
     mixed = product_algebra(SymMatrix(2), SymMatrix(2), SpinFactor(4))
-    for ki, alg in enumerate([alg for _, alg in DEFAULT_KINDS] + [mixed]):
+    five = product_algebra(SymMatrix(3), RealDiagonal(3), SpinFactor(4), RealDiagonal(3), SymMatrix(3))
+    for ki, alg in enumerate([alg for _, alg in DEFAULT_KINDS] + [mixed, five]):
         m, lead = 40, 2 * alg.dim
         rng_block = np.random.default_rng([23, ki])
-        normals, autos = alg._random_autos(rng_block, m, lead)
+        D = rng_block.standard_normal((m, lead + alg._auto_width))
+        calls.clear()
+        normals, autos = D[:, :lead], alg._autos_from(D[:, lead:])
+        # one stacked QR per SymMatrix or SpinFactor slot, m rows each
+        qr_slots = sum(not isinstance(f, RealDiagonal) for f in alg.factors)
+        assert len(calls) == qr_slots and all(shape[0] == m for shape in calls), (alg, calls)
         # the block draw is the stream of m trials of lead normals and one
         # random_automorphism call, and leaves the generator where they do
         rng = np.random.default_rng([23, ki])
@@ -822,6 +835,8 @@ def test_stacked_automorphisms_equal_single_calls():
         assert rng_block.bit_generator.state == rng.bit_generator.state, alg
         if alg is mixed:
             assert {auto_row(alg, autos, r)[1] for r in range(m)} == {(0, 1, 2), (1, 0, 2)}
+        if alg is five:
+            assert len({auto_row(alg, autos, r)[1] for r in range(m)}) > 1
         # a stack of automorphisms applied to a stack: each row has the
         # bits of apply_automorphism
         U = rng.standard_normal((m, alg.dim))
@@ -830,35 +845,48 @@ def test_stacked_automorphisms_equal_single_calls():
             assert row.tobytes() == apply_automorphism(auto, Element(alg, u)).coords.tobytes(), alg
 
 
-def test_product_block_automorphisms_equal_trial_draws(monkeypatch):
-    # a product draws each trial's factor permutation and factor draws in
-    # stream order, then factors each slot with one stacked QR: bit for bit
-    # the automorphisms of _draw_autos, made trial by trial, with the
-    # generator left where it leaves it
-    haar = algebra_module._haar_orthogonal
-    calls = []
+class CallLog:
+    """A Generator that records every draw method called, with its arguments."""
 
-    def counted_haar(M):
-        calls.append(M.shape)
-        return haar(M)
+    def __init__(self, rng):
+        self.rng = rng
+        self.calls = []
 
-    monkeypatch.setattr(algebra_module, "_haar_orthogonal", counted_haar)
-    for ki, (alg, qr_slots) in enumerate((
-        (product_algebra(SymMatrix(2), SymMatrix(2)), 2),
-        (product_algebra(SymMatrix(3), RealDiagonal(3), SpinFactor(4), RealDiagonal(3), SymMatrix(3)), 3),
-    )):
-        m, lead = 40, 2 * alg.dim
-        rng_block, rng = np.random.default_rng([25, ki]), np.random.default_rng([25, ki])
-        calls.clear()
-        normals, (slots, src) = alg._random_autos(rng_block, m, lead)
-        assert len(calls) == qr_slots and all(shape[0] == m for shape in calls), calls
-        ref_normals, ref_autos = _draw_autos(alg, rng, m, lead)
-        assert normals.tobytes() == ref_normals.tobytes()
-        assert [tuple(row) for row in src.tolist()] == [ref_src for _, ref_src in ref_autos]
-        for i, slot in enumerate(slots):
-            assert slot.tobytes() == np.array([ref[i] for ref, _ in ref_autos]).tobytes(), (alg, i)
-        assert rng_block.bit_generator.state == rng.bit_generator.state
-        assert len({tuple(row) for row in src.tolist()}) > 1
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def record(*args, **kwargs):
+            self.calls.append((name, args, kwargs))
+            return method(*args, **kwargs)
+
+        return record
+
+
+def test_random_automorphism_is_one_normal_row():
+    for ki, alg in enumerate(KINDS):
+        rng, ref = CallLog(np.random.default_rng([26, ki])), np.random.default_rng([26, ki])
+        auto = random_automorphism(alg, rng)
+        assert rng.calls == [("standard_normal", (alg._auto_width,), {})], alg
+        assert auto_bytes(alg, auto.data) == auto_bytes(alg, alg._autos_from(ref.standard_normal(alg._auto_width)))
+        assert rng.rng.bit_generator.state == ref.bit_generator.state, alg
+
+
+def test_random_automorphism_permutations_are_uniform():
+    # 6000 permutations of RealDiagonal(3) and 2000 slot orders of
+    # SymMatrix(2) x SymMatrix(2): every outcome within 15% of its expected
+    # count (more than 5 standard deviations in both cases)
+    rng = np.random.default_rng(27)
+    diag = RealDiagonal(3)
+    counts = {}
+    for _ in range(6000):
+        perm = tuple(random_automorphism(diag, rng).data.tolist())
+        counts[perm] = counts.get(perm, 0) + 1
+    assert len(counts) == 6
+    assert all(abs(c - 1000) <= 150 for c in counts.values()), counts
+    prod = product_algebra(SymMatrix(2), SymMatrix(2))
+    orders = [random_automorphism(prod, rng).data[1] for _ in range(2000)]
+    assert set(orders) == {(0, 1), (1, 0)}
+    assert abs(orders.count((0, 1)) - 1000) <= 150, orders.count((0, 1))
 
 
 def test_single_haar_draws_keep_their_stream():

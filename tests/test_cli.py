@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,21 @@ SQRT2_PROBLEM = {
     "a": {"matrix": [[2.0, 0.0], [0.0, 1.0]]},
     "feasible": {"orbit_of": {"matrix": [[3.0, 0.0], [0.0, 0.0]]}},
     "sense": "min",
+}
+
+# local-search starts drawn as a product's slot order and as a permutation
+WEAK_PRODUCT_PROBLEM = {
+    "algebra": {"kind": "product", "factors": [{"kind": "sym", "n": 2}, {"kind": "sym", "n": 2}]},
+    "fn": {"fn": "schatten", "p": 2},
+    "a": {"coords": [1.0, 2.0, 0.3, 4.0, -1.0, 0.5]},
+    "feasible": {"weak_orbit_of": {"coords": [3.0, 0.0, 0.2, 1.0, 2.0, 0.1]}},
+}
+
+DIAG_PROBLEM = {
+    "algebra": {"kind": "diag", "n": 3},
+    "fn": {"fn": "schatten", "p": 2},
+    "a": {"coords": [1.0, 3.0, 2.0]},
+    "feasible": {"orbit_of": {"coords": [5.0, -1.0, 2.0]}},
 }
 
 CONDITION_PROBLEM = {
@@ -63,9 +79,13 @@ def test_verify_csv_format(capsys):
 def test_verify_determinism(tmp_path):
     problem = write(tmp_path, "p.json", SQRT2_PROBLEM)
     condition = write(tmp_path, "c.json", CONDITION_PROBLEM)
+    weak = write(tmp_path, "w.json", WEAK_PRODUCT_PROBLEM)
+    diag = write(tmp_path, "d.json", DIAG_PROBLEM)
     for argv in (
         ["verify", "--trials", "10", "--seed", "777"],
         ["solve", problem, "--local-search", "3"],
+        ["solve", weak, "--local-search", "3"],
+        ["solve", diag, "--local-search", "3"],
         ["condition", condition],
         ["counterexample"],
     ):
@@ -199,6 +219,18 @@ def test_solve_parse_error_exit_2(tmp_path, capsys):
     path = write(tmp_path, "incomplete.json", {"algebra": {"kind": "sym", "n": 2}})
     code, _ = run(capsys, ["solve", path])
     assert code == 2
+
+
+def test_solve_non_finite_spectral_set_exit_2(tmp_path, capsys):
+    # Infinity (a JSON extension the loader accepts) fails at parse time,
+    # before any member reaches numpy arithmetic
+    doc = dict(SQRT2_PROBLEM, feasible={"spectral_set": [[float("inf"), 1.0], [3.0, 0.0]]})
+    path = write(tmp_path, "p.json", doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["solve", path, "--local-search", "2"])
+    assert code == 2
+    assert "bad problem file" in capsys.readouterr().err
 
 
 def test_solve_infeasible_exit_3(tmp_path, capsys):

@@ -312,6 +312,14 @@ def test_spectral_set_members_get_sorted():
     assert fs.spectra == ((3.0, 0.0),)
 
 
+def test_spectral_set_members_must_be_finite():
+    # a non-finite member has no point in the algebra, so the closed form
+    # and the local search could not agree on the set
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            FiniteSpectralSet(((bad, 1.0, 2.0), (3.0, 2.0, 1.0)))
+
+
 def test_spectral_set_max_sense():
     a = diag2(2, 1)
     sol = solve_orbit_global(

@@ -153,7 +153,17 @@ class RecordingRng:
         return getattr(self.rng, name)
 
 
-@pytest.mark.parametrize("name", ["spectral_roundtrip", "shared_frame_commutation", "peirce"])
+# every suite that never resamples
+@pytest.mark.parametrize("name", [
+    "jordan_identity",
+    "spectral_roundtrip",
+    "automorphism_invariance",
+    "lidskii",
+    "kyfan",
+    "shared_frame_commutation",
+    "peirce",
+    "condition_bounds",
+])
 def test_suites_draw_a_block_in_one_normal_call(monkeypatch, name):
     suite = dict(SUITES)[name]
     trials = 30
