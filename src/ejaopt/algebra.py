@@ -869,7 +869,8 @@ def _jacobi_stacked(A, want_vectors, off_tol, max_sweeps):
     converged matrix leaves the active set, and a rotation is applied only
     to the matrices that do not skip the pair.  The arithmetic is the
     single call's, elementwise, so each matrix gets its bits.  ``A`` is a
-    fresh ``(..., n, n)`` array and is overwritten.
+    fresh ``(..., n, n)`` array of exactly symmetric matrices (the
+    precondition of ``_rotate``) and is overwritten.
     """
     lead, n = A.shape[:-2], A.shape[-1]
     A = A.reshape((-1, n, n))
@@ -921,28 +922,35 @@ def _jacobi_stacked(A, want_vectors, off_tol, max_sweeps):
 
 def _rotate(A, Q, p, q):
     """One Jacobi rotation of pair (p, q) on every matrix of the stack A
-    (and on the columns of Q), as ``_jacobi_symmetric`` applies it."""
+    (and on the columns of Q), with the bits ``_jacobi_symmetric`` gets.
+
+    Every matrix of A must be exactly symmetric, as ``_mat_from_sym_coords``
+    builds it; a rotation keeps it so.  Then the column step's result off
+    the (p, q) block is the row step's result transposed, bit for bit, so
+    the two rotated rows are computed once and written to rows and columns
+    p, q; the block's diagonal takes the column step's formula on them.
+    """
     apq = A[:, p, q]
     tau = (A[:, q, q] - A[:, p, p]) / (2.0 * apq)
     t = np.copysign(1.0, tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
     c = 1.0 / np.sqrt(1.0 + t * t)
-    s = (t * c)[:, None]
-    c = c[:, None]
-    rp = A[:, p, :].copy()
-    rq = A[:, q, :].copy()
-    A[:, p, :] = c * rp - s * rq
-    A[:, q, :] = s * rp + c * rq
-    cp = A[:, :, p].copy()
-    cq = A[:, :, q].copy()
-    A[:, :, p] = c * cp - s * cq
-    A[:, :, q] = s * cp + c * cq
-    A[:, p, q] = 0.0
-    A[:, q, p] = 0.0
+    s = t * c
+    c_col, s_col = c[:, None], s[:, None]
+    rp, rq = A[:, p, :], A[:, q, :]
+    new_p = c_col * rp - s_col * rq
+    new_q = s_col * rp + c_col * rq
+    app = c * new_p[:, p] - s * new_p[:, q]
+    aqq = s * new_q[:, p] + c * new_q[:, q]
+    A[:, p, :] = A[:, :, p] = new_p
+    A[:, q, :] = A[:, :, q] = new_q
+    A[:, p, p] = app
+    A[:, q, q] = aqq
+    A[:, p, q] = A[:, q, p] = 0.0
     if Q is not None:
         qp = Q[:, :, p].copy()
         qq = Q[:, :, q].copy()
-        Q[:, :, p] = c * qp - s * qq
-        Q[:, :, q] = s * qp + c * qq
+        Q[:, :, p] = c_col * qp - s_col * qq
+        Q[:, :, q] = s_col * qp + c_col * qq
 
 
 def eigenvalues(x: Element) -> np.ndarray:

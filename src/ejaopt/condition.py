@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, Element, _dot, eigenvalues, spectral_decompose
+from .algebra import DEFAULT_TOL, AlgebraError, Element, _dot, eigenvalues, spectral_decompose
 from .orbit import InfeasibleError, Solution, _align, _certify
 from .schur import phi_ratios as phi
 
@@ -42,7 +42,9 @@ class ConditionReport:
 def condition_report(x: Element, tol=DEFAULT_TOL) -> ConditionReport:
     """Condition number, condition vector, and the sandwich bounds for x.
 
-    Requires x in the open cone: lambda_n(x) > tol.
+    Requires rank >= 2, where kappa has an entry and the sandwich is
+    defined (``AlgebraError`` otherwise), and x in the open cone:
+    lambda_n(x) > tol.
     """
     cond, kappa, kn, bounds_ok = _condition(eigenvalues(x), tol)
     return ConditionReport(cond=float(cond), kappa=kappa, kappa_norm=float(kn), bounds_ok=bool(bounds_ok))
@@ -51,6 +53,8 @@ def condition_report(x: Element, tol=DEFAULT_TOL) -> ConditionReport:
 def _condition(lam, tol):
     """(cond, kappa, |kappa|, sandwich verdict) of ``condition_report`` from
     eigenvalues, row by row for a ``(..., rank)`` stack."""
+    if lam.shape[-1] < 2:
+        raise AlgebraError(f"the condition vector needs rank >= 2, got rank {lam.shape[-1]}")
     if np.any(lam[..., -1] <= tol):
         raise InfeasibleError("element is not in the open symmetric cone")
     kappa = phi(lam)

@@ -11,8 +11,10 @@ A suite draws each trial as one fixed-width row of standard normals, so
 a block of trials is one rng call, and makes its discrete choices from
 normals of the row (argsorts and argmaxes); an automorphism is the row
 of ``random_automorphism``.  It evaluates the block at once with the
-algebra's stacked kernels: one stacked Jacobi call per block instead of
-one per trial.  Each row of a stacked kernel has the bits of its
+algebra's stacked kernels, and spectra that do not depend on each other
+(lambda of a, b, a + b and a - b, say) share one stacked call
+(``_spectra``), so a block makes at most two stacked Jacobi calls per
+SymMatrix factor.  Each row of a stacked kernel has the bits of its
 single-vector call, and the checks run the private helpers behind the
 public predicates (``lidskii_holds``, ``kyfan_holds``,
 ``strong_commutation_gap``, ``operator_commute``, ``condition_report``),
@@ -69,6 +71,12 @@ ACCEPTANCE_KINDS = (
 def _blocks(trials):
     """Consecutive trial index ranges of at most ``_BLOCK`` trials."""
     return [range(i, min(i + _BLOCK, trials)) for i in range(0, trials, _BLOCK)]
+
+
+def _spectra(alg, *stacks):
+    """Eigenvalues of equal-shape ``(m, dim)`` stacks in one stacked call,
+    split back into one ``(m, rank)`` array per stack."""
+    return np.split(alg._eigvals(np.concatenate(stacks)), len(stacks))
 
 
 def _distinct_coeffs(Z):
@@ -136,7 +144,8 @@ def suite_automorphism_invariance(alg, rng, trials, tol):
 
         AX = apply(X)
         scale = 1.0 + _norm(alg, X)
-        resid = np.max(np.abs(alg._eigvals(AX) - alg._eigvals(X)), axis=-1) / scale
+        lax, lx = _spectra(alg, AX, X)
+        resid = np.max(np.abs(lax - lx), axis=-1) / scale
         hom = _norm(alg, apply(alg._product(X, Y)) - alg._product(AX, apply(Y)))
         hom = hom / (scale * (1.0 + _norm(alg, Y)))
         resid = np.maximum(np.maximum(resid, hom), _norm(alg, apply(np.broadcast_to(e, X.shape)) - e))
@@ -154,9 +163,7 @@ def _majorization_suite(verdicts, combine, alg, rng, trials, tol):
     for block in _blocks(trials):
         pairs = rng.standard_normal((len(block), 2, alg.dim))
         A, B = pairs[:, 0], pairs[:, 1]
-        holds, _strict, prefix, sum_gap = verdicts(
-            alg._eigvals(A), alg._eigvals(B), alg._eigvals(combine(A, B)), tol
-        )
+        holds, _strict, prefix, sum_gap = verdicts(*_spectra(alg, A, B, combine(A, B)), tol)
         worst_prefix = min(worst_prefix, float(np.min(prefix)))
         worst_sum = max(worst_sum, float(np.max(sum_gap)))
         failures += int(np.count_nonzero(~holds))
@@ -179,13 +186,13 @@ def suite_kyfan(alg, rng, trials, tol):
 def _strong_equivalence_gaps(alg, A, B):
     """Gaps of the three strong-commutation tests, row by row: the
     inner-product identity, eigenvalue additivity under +, and sorted
-    eigenvalue subtractivity under -.  lambda(a) and lambda(b) are solved
-    once."""
-    la, lb = alg._eigvals(A), alg._eigvals(B)
+    eigenvalue subtractivity under -.  lambda of a, b, a + b and a - b are
+    solved once each, all four in one stacked call."""
+    la, lb, l_sum, l_diff = _spectra(alg, A, B, A + B, A - B)
     return (
         _strong_gap(alg, A, B, la, lb),
-        np.max(np.abs(alg._eigvals(A + B) - (la + lb)), axis=-1),
-        np.max(np.abs(sort_desc(la - lb) - alg._eigvals(A - B)), axis=-1),
+        np.max(np.abs(l_sum - (la + lb)), axis=-1),
+        np.max(np.abs(sort_desc(la - lb) - l_diff), axis=-1),
     )
 
 
@@ -291,16 +298,17 @@ def suite_shared_frame_commutation(alg, rng, trials, tol):
         a = _synthesize(members, np.take_along_axis(alpha, perm, -1))
         b_aligned = _synthesize(members, np.take_along_axis(beta, perm, -1))
         b_anti = _synthesize(members, np.take_along_axis(beta[:, ::-1], perm, -1))
-        la, na = alg._eigvals(a), _norm(alg, a)
+        la, l_aligned, l_anti = _spectra(alg, a, b_aligned, b_anti)
+        na = _norm(alg, a)
         s_aligned, s_anti = na * _norm(alg, b_aligned), na * _norm(alg, b_anti)
         resid = np.maximum.reduce([
             _commutator_norm(alg, a, b_aligned) / s_aligned,
             _commutator_norm(alg, a, b_anti) / s_anti,
-            _strong_gap(alg, a, b_aligned, la, alg._eigvals(b_aligned)) / s_aligned,
+            _strong_gap(alg, a, b_aligned, la, l_aligned) / s_aligned,
         ])
         ok = resid <= 1e-7
         if n >= 2:
-            ok &= _strong_gap(alg, a, b_anti, la, alg._eigvals(b_anti)) / s_anti > 1e-7
+            ok &= _strong_gap(alg, a, b_anti, la, l_anti) / s_anti > 1e-7
         worst = max(worst, float(np.max(resid)))
         failures += int(np.count_nonzero(~ok))
     return {"failures": failures, "worst_residual": worst}
@@ -376,12 +384,14 @@ SUITES = (
 
 
 def run_verify(seed, trials, tol, kinds=DEFAULT_KINDS, suites=SUITES) -> dict:
-    """Run every suite over every algebra kind with per-case seeded rngs."""
+    """Run every suite over every algebra kind with per-case seeded rngs;
+    the condition-vector suites skip kinds of rank 1."""
     results = []
     passed = True
     for si, (suite_name, suite_fn) in enumerate(suites):
         for ki, (label, alg) in enumerate(kinds):
-            if suite_name == "phi_strict_schur" and alg.rank < 2:
+            # the condition vector has no entry below rank 2
+            if alg.rank < 2 and suite_name in ("condition_bounds", "phi_strict_schur"):
                 continue
             rng = np.random.default_rng([int(seed), si, ki])
             out = suite_fn(alg, rng, trials, tol)

@@ -297,6 +297,24 @@ def test_condition_infeasible_exit_3(tmp_path, capsys):
     assert code == 3
 
 
+def test_condition_refuses_rank_1_exit_2(tmp_path, capsys):
+    # the condition vector of a rank-1 element has no entry, so the sandwich
+    # bounds of the optimum's report are undefined
+    doc = {
+        "algebra": {"kind": "diag", "n": 1},
+        "a": {"coords": [1.0]},
+        "feasible": {"orbit_of": {"coords": [2.0]}},
+    }
+    path = write(tmp_path, "c.json", doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["condition", path, "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "rank >= 2" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # counterexample
 

@@ -1,10 +1,12 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from ejaopt import (
+    AlgebraError,
     DomainError,
     InfeasibleError,
     RealDiagonal,
@@ -44,6 +46,17 @@ def test_report_unit():
         np.testing.assert_allclose(rep.kappa, np.ones(half))
         assert rep.kappa_norm == pytest.approx(math.sqrt(half))
         assert rep.bounds_ok
+
+
+def test_report_refuses_rank_1():
+    # kappa is empty at rank 1 and floor(n/2)^(-1/2) |kappa| is 0/0; the
+    # report once came back with bounds_ok False and a RuntimeWarning
+    for alg in (RealDiagonal(1), SymMatrix(1)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AlgebraError, match="rank >= 2"):
+                condition_report(2.0 * unit(alg))
+    assert condition_report(unit(product_algebra(RealDiagonal(1), SymMatrix(1)))).bounds_ok
 
 
 def test_report_explicit_spectrum():

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import ejaopt.schur as schur_module
 import ejaopt.verify as verify_module
 from ejaopt.algebra import (
+    RealDiagonal,
     SpinFactor,
     SymMatrix,
     apply_automorphism,
@@ -23,6 +26,7 @@ from ejaopt.verify import (
     DEFAULT_KINDS,
     SUITES,
     _strong_equivalence_gaps,
+    run_verify,
     suite_automorphism_invariance,
     suite_jordan_identity,
     suite_strong_commutation_equivalence,
@@ -58,25 +62,85 @@ def test_strong_equivalence_gaps_equal_fresh_solves_bit_for_bit():
             assert tuple(float(g[row]) for g in stacked) == fresh_gaps(a, b), label
 
 
+class EighCounter:
+    """Counts the stacked ``SymMatrix._eigh`` calls, and the matrices they
+    solve, while installed on ``monkeypatch``; a stacked call solves one
+    matrix per row."""
+
+    def __init__(self, monkeypatch):
+        self.calls = self.matrices = 0
+        eigh = SymMatrix._eigh
+
+        def counted_eigh(alg, mat, want_vectors=True):
+            self.calls += 1
+            self.matrices += int(np.prod(np.shape(mat)[:-2]))
+            return eigh(alg, mat, want_vectors)
+
+        monkeypatch.setattr(SymMatrix, "_eigh", counted_eigh)
+
+
 def test_strong_commutation_equivalence_solves_each_spectrum_once(monkeypatch):
     # Per trial: one decomposition for the shared frame, then lambda of a,
     # b, a + b and a - b for the constructed pair and for every generic
     # draw.  Solving lambda(a) and lambda(b) afresh for each of the three
-    # tests would make 7 per trial and 8 per draw.  A stacked call solves
-    # one matrix per row.
-    eigh = SymMatrix._eigh
-    solves = 0
-
-    def counted_eigh(self, mat, want_vectors=True):
-        nonlocal solves
-        solves += int(np.prod(np.shape(mat)[:-2]))
-        return eigh(self, mat, want_vectors)
-
-    monkeypatch.setattr(SymMatrix, "_eigh", counted_eigh)
+    # tests would make 7 per trial and 8 per draw.
+    count = EighCounter(monkeypatch)
     trials = 20
     out = suite_strong_commutation_equivalence(SymMatrix(3), np.random.default_rng(3), trials, 1e-9)
     assert out["failures"] == 0
-    assert solves == 5 * trials + 4 * (trials + out["resampled"])
+    assert count.matrices == 5 * trials + 4 * (trials + out["resampled"])
+
+
+# Stacked SymMatrix._eigh calls per block of each suite on SymMatrix(3).
+# Spectra that do not depend on each other share one call.
+EIGH_CALLS_PER_BLOCK = {
+    "jordan_identity": 0,
+    # the repeated-eigenvalue draws' frames, then the trials' frames
+    "spectral_roundtrip": 2,
+    # lambda(Ax) and lambda(x)
+    "automorphism_invariance": 1,
+    # lambda(a), lambda(b) and lambda(a -+ b)
+    "lidskii": 1,
+    "kyfan": 1,
+    # the shared frames, then lambda of a, b, a + b and a - b for the
+    # constructed and the generic pairs
+    "strong_commutation_equivalence": 2,
+    # the shared frames, then lambda of a and of b aligned and anti-aligned
+    "shared_frame_commutation": 2,
+    # the frames that P is picked from
+    "peirce": 1,
+    # lambda(x), then lambda of x shifted into the cone
+    "condition_bounds": 2,
+    "phi_strict_schur": 0,
+}
+
+
+@pytest.mark.parametrize("name, suite", SUITES)
+def test_suites_make_their_stacked_eigh_calls_per_block(monkeypatch, name, suite):
+    count = EighCounter(monkeypatch)
+    # each SymMatrix factor of a product takes its own call
+    for alg, factors in ((SymMatrix(3), 1), (product_algebra(SymMatrix(2), SymMatrix(2)), 2)):
+        for trials, blocks in ((20, 1), (300, 3)):
+            count.calls = 0
+            out = suite(alg, np.random.default_rng(4), trials, 1e-9)
+            assert out["failures"] == 0 and out.get("resampled", 0) == 0, (name, alg)
+            assert count.calls == factors * EIGH_CALLS_PER_BLOCK[name] * blocks, (name, alg, trials)
+
+
+def test_strong_equivalence_resamples_a_pair_in_one_call(monkeypatch):
+    # At a generic tolerance of 0.3 many generic pairs fall in the boundary
+    # layer.  One trial is one block, and each redrawn pair one more call.
+    monkeypatch.setattr(verify_module, "_GENERIC_TOL", 0.3)
+    count = EighCounter(monkeypatch)
+    resampled = 0
+    for alg, factors in ((SymMatrix(3), 1), (product_algebra(SymMatrix(2), SymMatrix(2)), 2)):
+        for seed in range(10):
+            count.calls = 0
+            out = suite_strong_commutation_equivalence(alg, np.random.default_rng(seed), 1, 1e-9)
+            assert out["failures"] == 0, (alg, seed)
+            assert count.calls == factors * (2 + out["resampled"]), (alg, seed)
+            resampled += out["resampled"]
+    assert resampled > 0
 
 
 def test_spectral_roundtrip_checks_eigenvalues_without_jacobi(monkeypatch):
@@ -84,21 +148,13 @@ def test_spectral_roundtrip_checks_eigenvalues_without_jacobi(monkeypatch):
     # draws and one of the trials (one per SymMatrix factor of a product);
     # the eigenvalue term checks them against LAPACK, where a third Jacobi
     # call compared the sweep with itself.
-    eigh = SymMatrix._eigh
-    calls = 0
-
-    def counted_eigh(self, mat, want_vectors=True):
-        nonlocal calls
-        calls += 1
-        return eigh(self, mat, want_vectors)
-
-    monkeypatch.setattr(SymMatrix, "_eigh", counted_eigh)
+    count = EighCounter(monkeypatch)
     for alg, per_block in ((SymMatrix(3), 2), (product_algebra(SymMatrix(2), SymMatrix(2)), 4)):
         for trials, blocks in ((20, 1), (300, 3)):
-            calls = 0
+            count.calls = 0
             out = verify_module.suite_spectral_roundtrip(alg, np.random.default_rng(4), trials, 1e-9)
             assert out["failures"] == 0
-            assert calls == per_block * blocks, (alg, trials, calls)
+            assert count.calls == per_block * blocks, (alg, trials, count.calls)
 
 
 def test_spectral_roundtrip_catches_a_misordered_eigensolver(monkeypatch):
@@ -304,3 +360,20 @@ def test_stacked_suites_equal_a_trial_by_trial_run(monkeypatch, suite, reference
             rng = np.random.default_rng([11, ki])
             assert suite(alg, rng, 30, 1e-9) == ref, (label, block)
             assert rng.bit_generator.state == rng_ref.bit_generator.state, (label, block)
+
+
+def test_rank_1_kinds_skip_the_condition_vector_suites():
+    # the condition vector has no entry at rank 1: both of its suites skip
+    # such a kind, where condition_bounds once failed every trial with a
+    # worst residual of 0.0 (max(0.0, nan) drops the NaN)
+    kinds = (("diag1", RealDiagonal(1)), ("sym1", SymMatrix(1)), ("sym2", SymMatrix(2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_verify(3, 10, 1e-9, kinds=kinds)
+    assert report["passed"]
+    cases = {(r["suite"], r["algebra"]) for r in report["suites"]}
+    for name, _suite in SUITES:
+        skipped = name in ("condition_bounds", "phi_strict_schur")
+        assert ((name, "diag1") in cases) is not skipped, name
+        assert ((name, "sym1") in cases) is not skipped, name
+        assert (name, "sym2") in cases, name
