@@ -16,7 +16,8 @@ product (both eigenvalues x0 +/- |xb| contribute).  Products concatenate
 factor coordinates.  The kernels that ``verify`` stacks (the Jordan
 product, inner product, trace, eigenvalues and spectral decomposition)
 take ``(..., dim)`` stacks of coordinate vectors as well as single vectors,
-and every row of a stack gets the bits of its own single-vector call; the
+and every row of a stack gets the bits of its own single-vector call, as
+does every row of a stacked automorphism or frame draw from normals; the
 L-operator L_x is the product of x with the identity basis in one call.
 
 The module provides the spectral machinery (eigenvalues, Jordan frames,
@@ -80,9 +81,13 @@ def _reorder(a, order):
 # rule is written.  ``_product``, ``_inner``, ``_trace``, ``_eigvals`` and
 # ``_decompose`` act along the last axis, so their operands may be single
 # vectors or ``(..., dim)`` stacks (broadcast against each other); a frame
-# comes back as a ``(..., rank, dim)`` array.  ``ProductAlgebra`` states
-# each rule once over its factors; a simple kind is its own single factor,
-# so code written against ``factors`` needs no product special case.
+# comes back as a ``(..., rank, dim)`` array.  A kind also states how it
+# draws from standard normals, for one row or a ``(..., width)`` stack:
+# ``_auto_width`` normals make an automorphism (``_autos_from``) and
+# ``_frame_width`` normals a Jordan frame (``_frames_from``).
+# ``ProductAlgebra`` states each rule once over its factors; a simple kind
+# is its own single factor, so code written against ``factors`` needs no
+# product special case.
 
 
 class _Kind:
@@ -98,6 +103,16 @@ class _Kind:
     @property
     def _slices(self):
         return (slice(0, self.dim),)
+
+    @property
+    def _frame_width(self):
+        return self.dim
+
+    def _frames_from(self, D):
+        """Jordan frames from a row or a ``(..., width)`` stack of rows of
+        ``_frame_width`` standard normals: here the frame of the row read as
+        coordinates."""
+        return self._decompose(D)[1]
 
     def _check_eigvals(self, u):
         """Eigenvalues (non-increasing) by a second route, for ``verify``
@@ -264,9 +279,13 @@ class SymMatrix(_Kind):
 
     def _decompose(self, u):
         vals, Q = self._eigh(_mat_from_sym_coords(self.n, u))
-        # row i is the outer product of eigenvector column i with itself
+        return vals, self._members(Q)
+
+    def _members(self, Q):
+        """The frame of orthonormal columns Q: member i is the outer product
+        of column i with itself."""
         Qt = np.swapaxes(Q, -1, -2)
-        return vals, _sym_coords_from_mat(self.n, Qt[..., :, :, None] * Qt[..., :, None, :])
+        return _sym_coords_from_mat(self.n, Qt[..., :, :, None] * Qt[..., :, None, :])
 
     def _unit(self):
         c = np.zeros(self.dim)
@@ -283,6 +302,15 @@ class SymMatrix(_Kind):
 
     def _autos_from(self, D):
         return _haar_orthogonal(D, self.n)
+
+    # Aut(V) is transitive on Jordan frames (Faraut & Koranyi, *Analysis on
+    # Symmetric Cones*, IV.2.5), so the columns of a Haar orthogonal Q give
+    # a frame with the law of a Gaussian element's eigenvectors, without an
+    # eigensolve.
+    _frame_width = _auto_width
+
+    def _frames_from(self, D):
+        return self._members(self._autos_from(D))
 
     def _to_dict(self) -> dict:
         return {"kind": "sym", "n": self.n}
@@ -527,9 +555,7 @@ class ProductAlgebra:
         for f, s in zip(self.factors, self._slices):
             fvals, fframe = f._decompose(u[..., s])
             vals.append(fvals)
-            placed = np.zeros(fframe.shape[:-1] + (self.dim,))
-            placed[..., s] = fframe
-            members.append(placed)
+            members.append(self._placed(fframe, s))
         vals = np.concatenate(vals, axis=-1)
         order = np.argsort(-vals, axis=-1, kind="stable")
         return _reorder(vals, order), _reorder(np.concatenate(members, axis=-2), order)
@@ -562,6 +588,26 @@ class ProductAlgebra:
         off = np.cumsum([len(self.factors)] + [f._auto_width for f in self.factors])
         autos = tuple(f._autos_from(D[..., i:j]) for f, i, j in zip(self.factors, off, off[1:]))
         return autos, (tuple(src.tolist()) if src.ndim == 1 else src)
+
+    @cached_property
+    def _frame_width(self):
+        return self.rank + sum(f._frame_width for f in self.factors)
+
+    def _frames_from(self, D):
+        """``rank`` normals whose stable argsort orders the members, then
+        each factor's row, whose frame is placed in the factor's slice."""
+        off = np.cumsum([self.rank] + [f._frame_width for f in self.factors])
+        members = [
+            self._placed(f._frames_from(D[..., i:j]), s)
+            for f, s, i, j in zip(self.factors, self._slices, off, off[1:])
+        ]
+        return _reorder(np.concatenate(members, axis=-2), np.argsort(D[..., : self.rank], axis=-1, kind="stable"))
+
+    def _placed(self, fframe, s):
+        """A factor's frame members as product coordinates, zero off slice s."""
+        placed = np.zeros(fframe.shape[:-1] + (self.dim,))
+        placed[..., s] = fframe
+        return placed
 
     def _to_dict(self) -> dict:
         return {"kind": "product", "factors": [f._to_dict() for f in self.factors]}

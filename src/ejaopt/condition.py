@@ -50,11 +50,16 @@ def condition_report(x: Element, tol=DEFAULT_TOL) -> ConditionReport:
     return ConditionReport(cond=float(cond), kappa=kappa, kappa_norm=float(kn), bounds_ok=bool(bounds_ok))
 
 
+def _check_rank(rank):
+    """The condition vector and its sandwich bounds need rank >= 2."""
+    if rank < 2:
+        raise AlgebraError(f"the condition vector needs rank >= 2, got rank {rank}")
+
+
 def _condition(lam, tol):
     """(cond, kappa, |kappa|, sandwich verdict) of ``condition_report`` from
     eigenvalues, row by row for a ``(..., rank)`` stack."""
-    if lam.shape[-1] < 2:
-        raise AlgebraError(f"the condition vector needs rank >= 2, got rank {lam.shape[-1]}")
+    _check_rank(lam.shape[-1])
     if np.any(lam[..., -1] <= tol):
         raise InfeasibleError("element is not in the open symmetric cone")
     kappa = phi(lam)
@@ -75,10 +80,12 @@ def minimize_condition_norm_orbit(b: Element, a: Element, tol=DEFAULT_TOL) -> So
     the commuting x that pairs the smallest eigenvalues of b and a.  So the
     test rejects precisely when some x + a has lambda_n(x + a) <= tol.
     The optimizer pairs lambda_i(b) with lambda_{n-i+1}(a) on a's frame and
-    strongly operator commutes with -a.
+    strongly operator commutes with -a.  Requires rank >= 2, as
+    ``condition_report`` does (``AlgebraError`` otherwise).
     """
     if b.algebra != a.algebra:
         raise InfeasibleError("a and b belong to different algebras")
+    _check_rank(a.algebra.rank)
     dec = spectral_decompose(a)
     lam_a = dec.eigenvalues
     lam_b = eigenvalues(b)

@@ -10,11 +10,13 @@ norm), and reports the failure count plus the worst residual seen.
 A suite draws each trial as one fixed-width row of standard normals, so
 a block of trials is one rng call, and makes its discrete choices from
 normals of the row (argsorts and argmaxes); an automorphism is the row
-of ``random_automorphism``.  It evaluates the block at once with the
-algebra's stacked kernels, and spectra that do not depend on each other
-(lambda of a, b, a + b and a - b, say) share one stacked call
-(``_spectra``), so a block makes at most two stacked Jacobi calls per
-SymMatrix factor.  Each row of a stacked kernel has the bits of its
+of ``random_automorphism``, and a Jordan frame the row of the kind's
+``_frames_from`` (a Haar orthogonal draw on SymMatrix, not an
+eigensolve).  It evaluates the block at once with the algebra's stacked
+kernels, and spectra that do not depend on each other (lambda of a, b,
+a + b and a - b, say) share one stacked call (``_spectra``), so a block
+makes at most one stacked Jacobi call per SymMatrix factor, and only for
+spectra that it checks.  Each row of a stacked kernel has the bits of its
 single-vector call, and the checks run the private helpers behind the
 public predicates (``lidskii_holds``, ``kyfan_holds``,
 ``strong_commutation_gap``, ``operator_commute``, ``condition_report``),
@@ -106,14 +108,15 @@ def suite_spectral_roundtrip(alg, rng, trials, tol):
     worst = 0.0
     failures = 0
     for block in _blocks(trials):
-        # per trial: x, then 5 normals per coefficient; every fourth trial puts
-        # coefficients uniform on {-2..2} (repeated eigenvalues) on x's frame
-        D = rng.standard_normal((len(block), dim + 5 * n))
+        # per trial: x, 5 normals per coefficient, then the frame's row; every
+        # fourth trial puts coefficients uniform on {-2..2} (repeated
+        # eigenvalues) on its frame in place of x
+        D = rng.standard_normal((len(block), dim + 5 * n + alg._frame_width))
         X = D[:, :dim]
         repeated = np.arange(block.start, block.stop) % 4 == 3
         if repeated.any():
-            members = np.moveaxis(alg._decompose(X[repeated])[1], -2, 0)
-            coeffs = np.argmax(D[repeated, dim:].reshape(-1, n, 5), axis=-1) - 2.0
+            members = np.moveaxis(alg._frames_from(D[repeated, dim + 5 * n :]), -2, 0)
+            coeffs = np.argmax(D[repeated, dim : dim + 5 * n].reshape(-1, n, 5), axis=-1) - 2.0
             X[repeated] = _synthesize(members, coeffs)
         vals, frames = alg._decompose(X)
         scale = 1.0 + _norm(alg, X)
@@ -228,8 +231,8 @@ def suite_strong_commutation_equivalence(alg, rng, trials, tol):
     the stream: the trials after it in the block are dropped, and the
     stream is replayed up to the resampling trial's first pair.
     """
-    n, dim = alg.rank, alg.dim
-    width = 3 * dim + 2 * n
+    n, dim, fw = alg.rank, alg.dim, alg._frame_width
+    width = fw + 2 * n + 2 * dim
     failures = 0
     worst = 0.0
     disagreements = 0
@@ -239,10 +242,10 @@ def suite_strong_commutation_equivalence(alg, rng, trials, tol):
         m = min(_BLOCK, trials - start)
         state = rng.bit_generator.state
         D = rng.standard_normal((m, width))
-        members = np.moveaxis(alg._decompose(D[:, :dim])[1], -2, 0)
-        A = _synthesize(members, sort_desc(D[:, dim : dim + n]))
-        B = _synthesize(members, sort_desc(D[:, dim + n : dim + 2 * n]))
-        GA, GB = D[:, dim + 2 * n : 2 * dim + 2 * n], D[:, 2 * dim + 2 * n :]
+        members = np.moveaxis(alg._frames_from(D[:, :fw]), -2, 0)
+        A = _synthesize(members, sort_desc(D[:, fw : fw + n]))
+        B = _synthesize(members, sort_desc(D[:, fw + n : fw + 2 * n]))
+        GA, GB = D[:, fw + 2 * n : fw + 2 * n + dim], D[:, fw + 2 * n + dim :]
         gaps = _strong_equivalence_gaps(alg, np.concatenate([A, GA]), np.concatenate([B, GB]))
         decisive, agree = _generic_verdicts(alg, GA, GB, [g[m:] for g in gaps])
         # trials before the first resample are final, and so is the
@@ -285,16 +288,16 @@ def suite_shared_frame_commutation(alg, rng, trials, tol):
     """From one shared frame: operator commutation always; strong
     commutation exactly when the coefficient orderings agree.  The worst
     residual is the largest gap that must vanish, over |a| |b|."""
-    n, dim = alg.rank, alg.dim
+    n, fw = alg.rank, alg._frame_width
     failures = 0
     worst = 0.0
     for block in _blocks(trials):
-        # per trial: the frame's draw, alpha and beta, then a permutation
-        D = rng.standard_normal((len(block), dim + 3 * n + 2))
-        members = np.moveaxis(alg._decompose(D[:, :dim])[1], -2, 0)
-        alpha = _distinct_coeffs(D[:, dim : dim + n + 1])
-        beta = _distinct_coeffs(D[:, dim + n + 1 : dim + 2 * n + 2])
-        perm = np.argsort(D[:, dim + 2 * n + 2 :], axis=-1)
+        # per trial: the frame's row, alpha and beta, then a permutation
+        D = rng.standard_normal((len(block), fw + 3 * n + 2))
+        members = np.moveaxis(alg._frames_from(D[:, :fw]), -2, 0)
+        alpha = _distinct_coeffs(D[:, fw : fw + n + 1])
+        beta = _distinct_coeffs(D[:, fw + n + 1 : fw + 2 * n + 2])
+        perm = np.argsort(D[:, fw + 2 * n + 2 :], axis=-1)
         a = _synthesize(members, np.take_along_axis(alpha, perm, -1))
         b_aligned = _synthesize(members, np.take_along_axis(beta, perm, -1))
         b_anti = _synthesize(members, np.take_along_axis(beta[:, ::-1], perm, -1))
@@ -315,19 +318,19 @@ def suite_shared_frame_commutation(alg, rng, trials, tol):
 
 
 def suite_peirce(alg, rng, trials, tol):
-    n, dim = alg.rank, alg.dim
+    n, dim, fw = alg.rank, alg.dim, alg._frame_width
     failures = 0
     worst = 0.0
     for block in _blocks(trials):
-        # per trial: the frame's draw, k uniform on {0..rank} (0 on every
+        # per trial: the frame's row, k uniform on {0..rank} (0 on every
         # eighth trial), the order that picks k members of the frame, then x
-        D = rng.standard_normal((len(block), 2 * dim + 2 * n + 1))
-        frames = alg._decompose(D[:, :dim])[1]
-        k = np.argmax(D[:, dim : dim + n + 1], axis=-1) * (np.arange(block.start, block.stop) % 8 != 0)
+        D = rng.standard_normal((len(block), fw + 2 * n + 1 + dim))
+        frames = alg._frames_from(D[:, :fw])
+        k = np.argmax(D[:, fw : fw + n + 1], axis=-1) * (np.arange(block.start, block.stop) % 8 != 0)
         # member j is picked when it is among the first k of the argsort
-        pick = np.argsort(np.argsort(D[:, dim + n + 1 : dim + 2 * n + 1], axis=-1), axis=-1) < k[:, None]
+        pick = np.argsort(np.argsort(D[:, fw + n + 1 : fw + 2 * n + 1], axis=-1), axis=-1) < k[:, None]
         P = (pick[:, None, :].astype(float) @ frames)[:, 0]
-        X = D[:, dim + 2 * n + 1 :]
+        X = D[:, fw + 2 * n + 1 :]
         x1, x0, xh = _peirce_parts(alg, P, X)
         scale = 1.0 + _norm(alg, X)
         resid = _norm(alg, x1 + x0 + xh - X) / scale
@@ -345,14 +348,14 @@ def suite_peirce(alg, rng, trials, tol):
 def suite_condition_bounds(alg, rng, trials, tol):
     failures = 0
     worst = 0.0
-    e = alg._unit()
     half = alg.rank // 2
     for block in _blocks(trials):
-        # per trial: x, then the log of the smallest eigenvalue to shift it to
+        # per trial: x, then the log of the smallest eigenvalue to shift it
+        # to; lambda(x + t e) = lambda(x) + t, so the shift needs no solve
         draws = rng.standard_normal((len(block), alg.dim + 1))
-        X = draws[:, :-1]
-        X = X + (np.exp(draws[:, -1]) - alg._eigvals(X)[:, -1])[:, None] * e
-        cond, _kappa, kappa_norm, bounds_ok = _condition(alg._eigvals(X), DEFAULT_TOL)
+        lam = alg._eigvals(draws[:, :-1])
+        lam = lam + (np.exp(draws[:, -1]) - lam[:, -1])[:, None]
+        cond, _kappa, kappa_norm, bounds_ok = _condition(lam, DEFAULT_TOL)
         viol = np.maximum(kappa_norm / np.sqrt(half) - cond, cond - kappa_norm)
         worst = max(worst, float(np.max(viol)))
         failures += int(np.count_nonzero(~bounds_ok))

@@ -36,6 +36,7 @@ from ejaopt import (
     zero,
 )
 from ejaopt.algebra import (
+    _frame_checks,
     _jacobi_symmetric,
     _sym_coords_from_mat,
     validate_frame,
@@ -455,7 +456,7 @@ def test_frame_tie_order_is_pinned():
     def sym_diag(alg, i):
         return sym_from_matrix(alg, np.diag(np.eye(alg.n)[i])).coords
 
-    d4, d2, sp, s3 = RealDiagonal(4), RealDiagonal(2), SpinFactor(4), SymMatrix(3)
+    d4, d2, sp, s3, s5 = RealDiagonal(4), RealDiagonal(2), SpinFactor(4), SymMatrix(3), SymMatrix(5)
     spin_plus, spin_minus = [0.5, 0.5, 0.0, 0.0], [0.5, -0.5, 0.0, 0.0]
     prod = product_algebra(d2, sp, s3)
     sym_part = sym_from_matrix(s3, np.diag([2.0, 1.0, 2.0])).coords
@@ -464,6 +465,14 @@ def test_frame_tie_order_is_pinned():
     cases = [
         (Element(d4, [1.0, 3.0, 1.0, 3.0]), [3.0, 3.0, 1.0, 1.0], [np.eye(4)[i] for i in (1, 3, 0, 2)]),
         (sym_from_matrix(s3, np.diag([2.0, 5.0, 2.0])), [5.0, 2.0, 2.0], [sym_diag(s3, i) for i in (1, 0, 2)]),
+        # LAPACK eigh with a stable descending argsort gives (1, 0, 2) and
+        # (2, 0, 1, 3, 4) on these two
+        (sym_from_matrix(s3, np.diag([1.0, 1.0, 0.0])), [1.0, 1.0, 0.0], [sym_diag(s3, i) for i in (0, 1, 2)]),
+        (
+            sym_from_matrix(s5, np.diag([3.0, 3.0, 3.0, 0.0, 0.0])),
+            [3.0, 3.0, 3.0, 0.0, 0.0],
+            [sym_diag(s5, i) for i in range(5)],
+        ),
         (Element(sp, [2.0, 0.0, 0.0, 0.0]), [2.0, 2.0], [spin_plus, spin_minus]),
         (
             x_prod,
@@ -594,6 +603,46 @@ def test_sym_decompose_frame_rows_are_outer_products():
             _vals, frame = alg._decompose(u)
             ref = [_sym_coords_from_mat(n, np.outer(q, q)) for q in Q.T]
             assert np.array_equal(frame, ref), n
+
+
+def test_drawn_frames_keep_the_frames_from_contract():
+    from ejaopt.verify import DEFAULT_KINDS
+
+    rng = np.random.default_rng(43)
+    mixed = product_algebra(SymMatrix(2), SpinFactor(3), RealDiagonal(2))
+    for label, alg in DEFAULT_KINDS + (("mixed", mixed),):
+        D = rng.standard_normal((40, alg._frame_width))
+        frames = alg._frames_from(D)
+        assert frames.shape == (40, alg.rank, alg.dim), label
+        idempotent, primitive, orthogonal, sums_to_unit = _frame_checks(alg, frames, 1e-12)
+        assert idempotent.all() and primitive.all() and orthogonal.all() and sums_to_unit.all(), label
+        # each stacked row has the bits of its single-row call
+        for d, frame in zip(D, frames):
+            assert frame.tobytes() == alg._frames_from(d).tobytes(), label
+        for f in alg.factors:
+            Df = rng.standard_normal((10, f._frame_width))
+            if isinstance(f, SymMatrix):
+                # the outer products of the columns of a Haar orthogonal draw
+                ref = [[_sym_coords_from_mat(f.n, np.outer(q, q)) for q in Q.T] for Q in f._autos_from(Df)]
+            else:
+                # the frame of the row read as coordinates
+                ref = f._decompose(Df)[1]
+            assert np.array_equal(f._frames_from(Df), ref), (label, f)
+    # a product places each factor's frame in its slice, after rank leading
+    # normals whose stable argsort orders the members
+    off = np.cumsum([mixed.rank] + [f._frame_width for f in mixed.factors])
+    D = rng.standard_normal((40, mixed._frame_width))
+    for d, frame in zip(D, mixed._frames_from(D)):
+        members = np.zeros((mixed.rank, mixed.dim))
+        rows = np.cumsum([0] + [f.rank for f in mixed.factors])
+        for f, s, i, j, r0, r1 in zip(mixed.factors, mixed._slices, off, off[1:], rows, rows[1:]):
+            members[r0:r1, s] = f._frames_from(d[i:j])
+        assert np.array_equal(frame, members[np.argsort(d[: mixed.rank], kind="stable")])
+    # so the first member lies in either factor of SymMatrix(2) x SymMatrix(2)
+    prod = dict(DEFAULT_KINDS)["sym2xsym2"]
+    first = prod._frames_from(rng.standard_normal((200, prod._frame_width)))[:, 0]
+    owners = [int(np.argmax([np.linalg.norm(m[s]) for s in prod._slices])) for m in first]
+    assert set(owners) == {0, 1}
 
 
 # ---------------------------------------------------------------------------

@@ -315,6 +315,22 @@ def test_condition_refuses_rank_1_exit_2(tmp_path, capsys):
     assert "rank >= 2" in captured.err
 
 
+def test_condition_refuses_rank_1_before_it_solves(tmp_path, capsys):
+    # an infeasible rank-1 orbit: the solver refuses the rank (exit 2) before
+    # its feasibility test would refuse the orbit (exit 3)
+    doc = {
+        "algebra": {"kind": "diag", "n": 1},
+        "a": {"coords": [1.0]},
+        "feasible": {"orbit_of": {"coords": [-2.0]}},
+    }
+    path = write(tmp_path, "c.json", doc)
+    code = main(["condition", path, "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "rank >= 2" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # counterexample
 

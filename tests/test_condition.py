@@ -59,6 +59,20 @@ def test_report_refuses_rank_1():
     assert condition_report(unit(product_algebra(RealDiagonal(1), SymMatrix(1)))).bounds_ok
 
 
+def test_solver_refuses_rank_1():
+    # the solver once certified 0.0 at rank 1, where the report refuses; it
+    # refuses the rank before it tests feasibility
+    for alg in (RealDiagonal(1), SymMatrix(1)):
+        for b in (2.0 * unit(alg), -2.0 * unit(alg)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(AlgebraError, match="rank >= 2"):
+                    minimize_condition_norm_orbit(b, unit(alg))
+    prod = product_algebra(RealDiagonal(1), SymMatrix(1))
+    sol = minimize_condition_norm_orbit(2.0 * unit(prod), unit(prod))
+    assert sol.certificate.passed and sol.value == pytest.approx(1.0)
+
+
 def test_report_explicit_spectrum():
     x = sym_from_matrix(SymMatrix(4), np.diag([4.0, 3.0, 2.0, 1.0]))
     rep = condition_report(x)

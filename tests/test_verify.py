@@ -6,6 +6,7 @@ import pytest
 import ejaopt.schur as schur_module
 import ejaopt.verify as verify_module
 from ejaopt.algebra import (
+    Element,
     RealDiagonal,
     SpinFactor,
     SymMatrix,
@@ -80,39 +81,51 @@ class EighCounter:
 
 
 def test_strong_commutation_equivalence_solves_each_spectrum_once(monkeypatch):
-    # Per trial: one decomposition for the shared frame, then lambda of a,
-    # b, a + b and a - b for the constructed pair and for every generic
-    # draw.  Solving lambda(a) and lambda(b) afresh for each of the three
-    # tests would make 7 per trial and 8 per draw.
+    # Per trial: lambda of a, b, a + b and a - b for the constructed pair and
+    # for every generic draw; the shared frame is a Haar draw, not a
+    # decomposition.  Solving lambda(a) and lambda(b) afresh for each of the
+    # three tests would make 6 per trial and 8 per draw.
     count = EighCounter(monkeypatch)
     trials = 20
     out = suite_strong_commutation_equivalence(SymMatrix(3), np.random.default_rng(3), trials, 1e-9)
     assert out["failures"] == 0
-    assert count.matrices == 5 * trials + 4 * (trials + out["resampled"])
+    assert count.matrices == 4 * trials + 4 * (trials + out["resampled"])
 
 
 # Stacked SymMatrix._eigh calls per block of each suite on SymMatrix(3).
-# Spectra that do not depend on each other share one call.
+# Spectra that do not depend on each other share one call, and a suite
+# draws its frames from normals (``_frames_from``) without a solve.
 EIGH_CALLS_PER_BLOCK = {
     "jordan_identity": 0,
-    # the repeated-eigenvalue draws' frames, then the trials' frames
-    "spectral_roundtrip": 2,
+    # the trials' frames
+    "spectral_roundtrip": 1,
     # lambda(Ax) and lambda(x)
     "automorphism_invariance": 1,
     # lambda(a), lambda(b) and lambda(a -+ b)
     "lidskii": 1,
     "kyfan": 1,
-    # the shared frames, then lambda of a, b, a + b and a - b for the
-    # constructed and the generic pairs
-    "strong_commutation_equivalence": 2,
-    # the shared frames, then lambda of a and of b aligned and anti-aligned
-    "shared_frame_commutation": 2,
-    # the frames that P is picked from
-    "peirce": 1,
-    # lambda(x), then lambda of x shifted into the cone
-    "condition_bounds": 2,
+    # lambda of a, b, a + b and a - b for the constructed and the generic pairs
+    "strong_commutation_equivalence": 1,
+    # lambda of a and of b aligned and anti-aligned
+    "shared_frame_commutation": 1,
+    # P is picked from drawn frames
+    "peirce": 0,
+    # lambda(x); lambda(x + t e) is lambda(x) + t
+    "condition_bounds": 1,
     "phi_strict_schur": 0,
 }
+
+
+def test_a_block_of_every_suite_makes_7_stacked_eigh_calls(monkeypatch):
+    # one block per suite, across all suites: 7 calls per SymMatrix factor,
+    # where solving each drawn frame and each shifted spectrum made 12
+    assert sum(EIGH_CALLS_PER_BLOCK.values()) == 7
+    count = EighCounter(monkeypatch)
+    for alg, factors in ((SymMatrix(3), 1), (product_algebra(SymMatrix(2), SymMatrix(2)), 2)):
+        count.calls = 0
+        report = run_verify(4, 20, 1e-9, kinds=(("alg", alg),))
+        assert report["passed"] and all(r.get("resampled", 0) == 0 for r in report["suites"]), alg
+        assert count.calls == 7 * factors, alg
 
 
 @pytest.mark.parametrize("name, suite", SUITES)
@@ -138,18 +151,18 @@ def test_strong_equivalence_resamples_a_pair_in_one_call(monkeypatch):
             count.calls = 0
             out = suite_strong_commutation_equivalence(alg, np.random.default_rng(seed), 1, 1e-9)
             assert out["failures"] == 0, (alg, seed)
-            assert count.calls == factors * (2 + out["resampled"]), (alg, seed)
+            assert count.calls == factors * (1 + out["resampled"]), (alg, seed)
             resampled += out["resampled"]
     assert resampled > 0
 
 
 def test_spectral_roundtrip_checks_eigenvalues_without_jacobi(monkeypatch):
-    # Per block, one stacked Jacobi decomposition of the repeated-eigenvalue
-    # draws and one of the trials (one per SymMatrix factor of a product);
-    # the eigenvalue term checks them against LAPACK, where a third Jacobi
-    # call compared the sweep with itself.
+    # Per block, one stacked Jacobi decomposition of the trials (one per
+    # SymMatrix factor of a product); the repeated-eigenvalue draws take
+    # drawn frames, and the eigenvalue term checks the decomposition against
+    # LAPACK, where another Jacobi call compared the sweep with itself.
     count = EighCounter(monkeypatch)
-    for alg, per_block in ((SymMatrix(3), 2), (product_algebra(SymMatrix(2), SymMatrix(2)), 4)):
+    for alg, per_block in ((SymMatrix(3), 1), (product_algebra(SymMatrix(2), SymMatrix(2)), 2)):
         for trials, blocks in ((20, 1), (300, 3)):
             count.calls = 0
             out = verify_module.suite_spectral_roundtrip(alg, np.random.default_rng(4), trials, 1e-9)
@@ -157,10 +170,8 @@ def test_spectral_roundtrip_checks_eigenvalues_without_jacobi(monkeypatch):
             assert count.calls == per_block * blocks, (alg, trials, count.calls)
 
 
-def test_spectral_roundtrip_catches_a_misordered_eigensolver(monkeypatch):
-    # An eigensolver that returns its eigenpairs in ascending order still
-    # synthesizes x from its frame; only the second eigenvalue route sees
-    # the order.  Checked against another Jacobi call, every trial passed.
+def install_ascending_eigh(monkeypatch):
+    """An eigensolver that returns its eigenpairs in ascending order."""
     eigh = SymMatrix._eigh
 
     def ascending(self, mat, want_vectors=True):
@@ -168,29 +179,39 @@ def test_spectral_roundtrip_catches_a_misordered_eigensolver(monkeypatch):
         return vals[..., ::-1], None if vecs is None else vecs[..., ::-1]
 
     monkeypatch.setattr(SymMatrix, "_eigh", ascending)
+
+
+def constant_spectrum_trials(alg, seed, trials):
+    """Repeated-eigenvalue trials of ``suite_spectral_roundtrip`` whose
+    coefficients are all equal, counted from the suite's own draw: per trial
+    x, 5 normals per coefficient, then the frame's row."""
+    n, dim = alg.rank, alg.dim
+    D = np.random.default_rng(seed).standard_normal((trials, dim + 5 * n + alg._frame_width))
+    coeffs = np.argmax(D[3::4, dim : dim + 5 * n].reshape(-1, n, 5), axis=-1)
+    return int(np.count_nonzero(np.all(coeffs == coeffs[:, :1], axis=-1)))
+
+
+def test_spectral_roundtrip_catches_a_misordered_eigensolver(monkeypatch):
+    # An ascending eigensolver still synthesizes x from its frame; only the
+    # second eigenvalue route sees the order.  Checked against another
+    # Jacobi call, every trial passed.  A constant spectrum hides the order.
+    install_ascending_eigh(monkeypatch)
+    hidden = constant_spectrum_trials(SymMatrix(3), 0, 50)
     out = verify_module.suite_spectral_roundtrip(SymMatrix(3), np.random.default_rng(0), 50, 1e-9)
-    assert out["failures"] == 50
+    assert out["failures"] == 50 - hidden
+    assert hidden < 5
 
 
 def test_misordered_eigenpairs_hide_only_in_a_constant_spectrum(monkeypatch):
     # A repeated-eigenvalue trial whose coefficients are all equal is c
     # times the unit, whose eigenvalues read the same in any order; every
-    # other trial catches the ascending solver.  Those trials are counted
-    # from the suite's own draw: one row of x and 5 normals per coefficient.
-    eigh = SymMatrix._eigh
-
-    def ascending(self, mat, want_vectors=True):
-        vals, vecs = eigh(self, mat, want_vectors)
-        return vals[..., ::-1], None if vecs is None else vecs[..., ::-1]
-
-    monkeypatch.setattr(SymMatrix, "_eigh", ascending)
+    # other trial catches the ascending solver.
+    install_ascending_eigh(monkeypatch)
     trials = 50
     hidden = 0
     for alg in (SymMatrix(3), SymMatrix(5)):
         for seed in range(20):
-            D = np.random.default_rng(seed).standard_normal((trials, alg.dim + 5 * alg.rank))
-            coeffs = np.argmax(D[3::4, alg.dim :].reshape(-1, alg.rank, 5), axis=-1)
-            constant = int(np.count_nonzero(np.all(coeffs == coeffs[:, :1], axis=-1)))
+            constant = constant_spectrum_trials(alg, seed, trials)
             out = verify_module.suite_spectral_roundtrip(alg, np.random.default_rng(seed), trials, 1e-9)
             assert out["failures"] == trials - constant, (alg, seed)
             hidden += constant
@@ -260,7 +281,7 @@ def reference_strong_equivalence(alg, rng, trials, tol, generic_tol):
     and norm calls, resampling as it goes."""
     failures = worst = disagreements = resampled = 0
     for _ in range(trials):
-        frame = spectral_decompose(random_element(alg, rng)).frame
+        frame = [Element(alg, c) for c in alg._frames_from(rng.standard_normal(alg._frame_width))]
         alpha = sort_desc(rng.standard_normal(alg.rank))
         beta = sort_desc(rng.standard_normal(alg.rank))
         a = synthesize_from_frame(frame, alpha, validate=False)
