@@ -44,6 +44,9 @@ DEFAULT_TOL = 1e-9
 _SQRT2 = math.sqrt(2.0)
 _PLUS_MINUS = np.array([1.0, -1.0])
 _PLUS_MINUS.flags.writeable = False
+# a norm in this range keeps the squares the kernels take far from
+# underflow and overflow; ``_prescaled`` scales a vector whose norm is not
+_NORM_LO, _NORM_HI = 2.0**-400, 2.0**400
 
 
 class AlgebraError(ValueError):
@@ -62,6 +65,46 @@ def _dot(u, v):
     if u.ndim == 1 and v.ndim == 1:
         return float(u @ v)
     return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def _norm_probe(x):
+    """Euclidean norm of a flat vector (a float) or of each row of a stack,
+    by the single dot kernel; squares that underflow or overflow, which
+    ``_prescaled`` mends, raise no floating-point warning."""
+    if x.ndim == 1:
+        return math.sqrt(np.vdot(x, x))  # vdot runs u @ v's kernel and sets no warning
+    with np.errstate(over="ignore", under="ignore"):
+        return np.sqrt(_dot(x, x))
+
+
+def _prescaled(x):
+    """The norm of the kernels that square (both Jacobi loops and
+    ``SpinFactor._radius``) behind a guarded power-of-two prescale, as LAPACK
+    ``dsyev`` rescales only a matrix whose norm is out of range.
+
+    ``x`` is one flat vector or a stack of them along the last axis; returns
+    ``(norm, x, e)``.  A vector whose norm leaves [2^-400, 2^400] while it
+    is finite and not all zero has lost bits to underflow or overflow of its
+    squares: it is scaled by 2^-e, e the ``np.frexp`` exponent of its
+    largest magnitude, its norm is the scaled one, and the caller scales its
+    eigenvalues back by 2^e.  A power of two commutes with every rounding
+    off the subnormals, so the result keeps the bits of the in-range one.
+    In range, e is None and x is returned as it is, after one comparison
+    (one vectorised test on a stack), as it is where the only vectors out
+    of range are exactly zero, such as the vector part of a multiple of
+    the spin unit.
+    """
+    norm = _norm_probe(x)
+    if x.ndim == 1:
+        if _NORM_LO <= norm <= _NORM_HI or not x.any():
+            return norm, x, None
+    elif norm.max(initial=0.0) <= _NORM_HI:
+        if norm.min(initial=1.0) >= _NORM_LO or not x[norm < _NORM_LO].any():
+            return norm, x, None
+    top = np.max(np.abs(x), axis=-1)
+    e = np.where(((norm < _NORM_LO) | (norm > _NORM_HI)) & np.isfinite(top), np.frexp(top)[1], 0)
+    x = np.ldexp(x, -e[..., None])
+    return _norm_probe(x), x, e
 
 
 def _reorder(a, order):
@@ -409,9 +452,11 @@ class SpinFactor(_Kind):
     def _radius(self, u):
         """|xb|, the norm of the vector part, by the one formula behind both
         the eigenvalues and the frame: a float for one vector, else a
-        ``(..., 1)`` column."""
-        v = u[..., 1:]
-        return math.sqrt(v @ v) if u.ndim == 1 else np.sqrt(_dot(v, v))[..., None]
+        ``(..., 1)`` column; right over the whole float range (``_prescaled``)."""
+        r, _, e = _prescaled(u[..., 1:])
+        if u.ndim == 1:
+            return float(np.ldexp(r, e)) if e else r
+        return (r if e is None else np.ldexp(r, e))[..., None]
 
     def _eigvals(self, u):
         # x0 +- |xb|; on a stack x0 + (-1) r, which is x0 - r exactly
@@ -855,57 +900,61 @@ def _jacobi_symmetric(mat, want_vectors=True, off_tol=1e-13, max_sweeps=100):
     matching orthonormal eigenvector columns.  A ``(..., n, n)`` stack goes
     to ``_jacobi_stacked``, which returns ``(..., n)`` eigenvalues and
     ``(..., n, n)`` vectors with the bits of one call per matrix.
+
+    ``mat`` must be exactly symmetric, as ``_mat_from_sym_coords`` builds
+    it for every library caller: each rotation takes ``_rotate``'s
+    arithmetic (the two rotated rows computed once, written to rows and
+    columns p, q) and needs its precondition.  A matrix whose Frobenius
+    norm leaves [2^-400, 2^400] is solved at a power-of-two scale and its
+    eigenvalues scaled back (``_prescaled``), so they are right over the
+    whole float range; in range nothing is scaled.
     """
     A = np.array(mat, dtype=float)
     if A.ndim != 2:
         return _jacobi_stacked(A, want_vectors, off_tol, max_sweeps)
     n = A.shape[0]
     Q = np.eye(n) if want_vectors else None
-    scale = float(np.linalg.norm(A))
-    if scale == 0.0 or n == 1:
-        vals = np.diagonal(A).copy()
-        order = np.argsort(-vals, kind="stable")
-        return vals[order], (Q[:, order] if want_vectors else None)
-    thr = off_tol * scale
-    skip = thr / (n * n)
-    for _sweep in range(max_sweeps):
-        off_sq = 0.0
-        for p in range(n - 1):
-            row = A[p, p + 1 :]
-            off_sq += 2.0 * float(row @ row)
-        if math.sqrt(off_sq) <= thr:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= skip:
-                    continue
-                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rp = A[p, :].copy()
-                rq = A[q, :].copy()
-                A[p, :] = c * rp - s * rq
-                A[q, :] = s * rp + c * rq
-                cp = A[:, p].copy()
-                cq = A[:, q].copy()
-                A[:, p] = c * cp - s * cq
-                A[:, q] = s * cp + c * cq
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                if want_vectors:
-                    qp = Q[:, p].copy()
-                    qq = Q[:, q].copy()
-                    Q[:, p] = c * qp - s * qq
-                    Q[:, q] = s * qp + c * qq
-    else:
-        raise ConvergenceError(f"Jacobi sweep cap {max_sweeps} exceeded")
+    scale, flat, e = _prescaled(A.reshape(-1))
+    if e:
+        A = flat.reshape(n, n)
+    if scale != 0.0 and n > 1:
+        thr = off_tol * scale
+        skip = thr / (n * n)
+        for _sweep in range(max_sweeps):
+            off_sq = 0.0
+            for p in range(n - 1):
+                row = A[p, p + 1 :]
+                off_sq += 2.0 * float(row @ row)
+            if math.sqrt(off_sq) <= thr:
+                break
+            for p in range(n - 1):
+                for q in range(p + 1, n):
+                    apq = A[p, q]
+                    if abs(apq) <= skip:
+                        continue
+                    tau = (A[q, q] - A[p, p]) / (2.0 * apq)
+                    t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
+                    c = 1.0 / math.sqrt(1.0 + t * t)
+                    s = t * c
+                    rp, rq = A[p], A[q]
+                    new_p = c * rp - s * rq
+                    new_q = s * rp + c * rq
+                    app = c * new_p[p] - s * new_p[q]
+                    aqq = s * new_q[p] + c * new_q[q]
+                    A[p] = A[:, p] = new_p
+                    A[q] = A[:, q] = new_q
+                    A[p, p] = app
+                    A[q, q] = aqq
+                    A[p, q] = A[q, p] = 0.0
+                    if want_vectors:
+                        qp, qq = Q[:, p], Q[:, q]
+                        Q[:, p], Q[:, q] = c * qp - s * qq, s * qp + c * qq
+        else:
+            raise ConvergenceError(f"Jacobi sweep cap {max_sweeps} exceeded")
     vals = np.diagonal(A).copy()
     order = np.argsort(-vals, kind="stable")
-    if want_vectors:
-        return vals[order], Q[:, order]
-    return vals[order], None
+    vals = np.ldexp(vals[order], e) if e else vals[order]
+    return vals, (Q[:, order] if want_vectors else None)
 
 
 def _jacobi_stacked(A, want_vectors, off_tol, max_sweeps):
@@ -914,16 +963,17 @@ def _jacobi_stacked(A, want_vectors, off_tol, max_sweeps):
     Every matrix keeps its own threshold, skip rule and convergence test: a
     converged matrix leaves the active set, and a rotation is applied only
     to the matrices that do not skip the pair.  The arithmetic is the
-    single call's, elementwise, so each matrix gets its bits.  ``A`` is a
-    fresh ``(..., n, n)`` array of exactly symmetric matrices (the
-    precondition of ``_rotate``) and is overwritten.
+    single call's, elementwise, so each matrix gets its bits, the prescale
+    of an out-of-range matrix included.  ``A`` is a fresh ``(..., n, n)``
+    array of exactly symmetric matrices (the precondition of ``_rotate``)
+    and is overwritten.
     """
     lead, n = A.shape[:-2], A.shape[-1]
     A = A.reshape((-1, n, n))
     k = len(A)
     Q = np.tile(np.eye(n), (k, 1, 1)) if want_vectors else None
-    flat = A.reshape(k, n * n)
-    scale = np.sqrt(_dot(flat, flat))
+    scale, flat, e = _prescaled(A.reshape(k, n * n))
+    A = flat.reshape(k, n, n)
     thr = off_tol * scale
     skip = thr / (n * n)
     active = np.flatnonzero(scale != 0.0) if n > 1 else np.arange(0)
@@ -960,7 +1010,8 @@ def _jacobi_stacked(A, want_vectors, off_tol, max_sweeps):
             raise ConvergenceError(f"Jacobi sweep cap {max_sweeps} exceeded")
     vals = np.diagonal(A, axis1=-2, axis2=-1)
     order = np.argsort(-vals, axis=-1, kind="stable")
-    vals = np.take_along_axis(vals, order, -1).reshape(lead + (n,))
+    vals = np.take_along_axis(vals, order, -1)
+    vals = (vals if e is None else np.ldexp(vals, e[:, None])).reshape(lead + (n,))
     if want_vectors:
         return vals, np.take_along_axis(Q, order[:, None, :], -1).reshape(lead + (n, n))
     return vals, None
@@ -968,11 +1019,12 @@ def _jacobi_stacked(A, want_vectors, off_tol, max_sweeps):
 
 def _rotate(A, Q, p, q):
     """One Jacobi rotation of pair (p, q) on every matrix of the stack A
-    (and on the columns of Q), with the bits ``_jacobi_symmetric`` gets.
+    (and on the columns of Q), with the arithmetic and the bits of the 2-D
+    loop of ``_jacobi_symmetric``.
 
     Every matrix of A must be exactly symmetric, as ``_mat_from_sym_coords``
-    builds it; a rotation keeps it so.  Then the column step's result off
-    the (p, q) block is the row step's result transposed, bit for bit, so
+    builds it; a rotation keeps it so.  Then a column step's result off the
+    (p, q) block would be the row step's result transposed, bit for bit, so
     the two rotated rows are computed once and written to rows and columns
     p, q; the block's diagonal takes the column step's formula on them.
     """

@@ -340,7 +340,9 @@ def test_jacobi_iteration_cap():
 def jacobi_test_stack(n, rng):
     """Random, graded (diag(10^-k) conjugated), clustered, exactly repeated
     (diagonal and conjugated) spectra and the zero matrix: matrices that
-    converge in zero sweeps next to ones that take the most."""
+    converge in zero sweeps next to ones that take the most.  Each is
+    followed by its 2^600 and 2^-600 copies, whose norms leave the range of
+    unscaled squares, so the stack mixes prescaled and unscaled matrices."""
     def conjugated(spectrum):
         Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
         M = Q @ np.diag(spectrum) @ Q.T
@@ -357,7 +359,7 @@ def jacobi_test_stack(n, rng):
             conjugated(rng.integers(-2, 3, size=n).astype(float)),
             np.zeros((n, n)),
         ]
-    return np.array(mats)
+    return np.array([np.ldexp(M, k) for M in mats for k in (0, 600, -600)])
 
 
 def test_stacked_jacobi_rows_equal_single_calls():
@@ -502,6 +504,38 @@ def test_spin_degenerate_direction_is_fixed():
     sp = SpinFactor(3)
     dec = spectral_decompose(Element(sp, [2.0, 0.0, 0.0]))
     np.testing.assert_allclose(dec.frame[0].coords, [0.5, 0.5, 0.0])
+    # |xb|^2 underflows to 0 here, but xb is not zero: its axis is xb / |xb|
+    dec = spectral_decompose(Element(sp, [1.0, 1e-170, 1e-170]))
+    np.testing.assert_allclose(dec.frame[0].coords, [0.5, 0.5 / np.sqrt(2.0), 0.5 / np.sqrt(2.0)], rtol=1e-15)
+
+
+POWER_OF_TWO_SCALES = (-1000, -600, -200, 0, 200, 600, 1000)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_eigenvalues_scale_with_powers_of_two_bit_for_bit():
+    """lambda(2^k x) = 2^k lambda(x) and the frame of 2^k x is the frame of
+    x, bit for bit, over the whole float range: out of [2^-400, 2^400] the
+    kernels that square solve at a power-of-two scale."""
+    from ejaopt.verify import DEFAULT_KINDS
+
+    rng = np.random.default_rng(16)
+    mixed = product_algebra(SymMatrix(3), SpinFactor(3), RealDiagonal(2))
+    for label, alg in DEFAULT_KINDS + (("sym3xspin3xdiag2", mixed),):
+        X = rng.standard_normal((5, alg.dim))
+        vals, frames = alg._decompose(X)
+        for k in POWER_OF_TWO_SCALES:
+            Xk = np.ldexp(X, k)
+            assert alg._eigvals(Xk).tobytes() == np.ldexp(vals, k).tobytes(), (label, k)
+            kvals, kframes = alg._decompose(Xk)
+            assert kvals.tobytes() == np.ldexp(vals, k).tobytes(), (label, k)
+            assert kframes.tobytes() == frames.tobytes(), (label, k)
+            for x, row_vals, row_frame in zip(Xk, vals, frames):
+                xk = Element(alg, x)
+                assert eigenvalues(xk).tobytes() == np.ldexp(row_vals, k).tobytes(), (label, k)
+                dec = spectral_decompose(xk)
+                assert dec.eigenvalues.tobytes() == np.ldexp(row_vals, k).tobytes(), (label, k)
+                assert np.array([c.coords for c in dec.frame]).tobytes() == row_frame.tobytes(), (label, k)
 
 
 def test_spin_spectral_roundtrip_at_any_scale():
