@@ -182,10 +182,8 @@ class _Kind:
 
     def _search_pair(self, beta, frame, a, j, k):
         """<a, e_j> - <a, e_k>, <a, w> and the curve data of pair (j, k),
-        with w the pair's generator pointed toward a; None without one."""
+        with w the pair's generator pointed toward a."""
         w = self._rotation_generator(frame, j, k, a)
-        if w is None:
-            return None
         rest = beta.copy()
         rest[j] = rest[k] = 0.0
         inner = self._inner
@@ -193,10 +191,9 @@ class _Kind:
         return inner(a, frame[j]) - inner(a, frame[k]), inner(a, w), (rest @ frame - a, block)
 
     def _search_curve(self, pair, coeffs):
-        """Eigenvalues (non-increasing) of x(theta) - a on the pair's curve,
-        from the coefficients of (e_j, w, e_k) in x(theta) that
-        ``orbit._curve`` gives: one angle, or one row per angle of a stack,
-        so a line-search scan is scored in one call."""
+        """Eigenvalues (non-increasing) of x(theta) - a at one angle of the
+        pair's curve, from the coefficients of (e_j, w, e_k) in x(theta)
+        that ``orbit._curve`` gives."""
         base, block = pair
         return self._eigvals(base + coeffs @ block)
 
@@ -272,6 +269,17 @@ class RealDiagonal(_Kind):
 
     def _rotation_generator(self, frame, j, k, toward):
         return None
+
+    def _search_pair(self, beta, frame, a, j, k):
+        # No pair has a generator.  With w = 0 the aligning angle is 0 or
+        # +-pi/2, and the curve at pi/2 swaps the pair's coefficients: the
+        # step is the transposition that sorts x against a, a T-transform
+        # of x - a, which no Schur-convex F rises under (Marshall, Olkin &
+        # Arnold, *Inequalities: Theory of Majorization*, ch. 2).
+        rest = beta.copy()
+        rest[j] = rest[k] = 0.0
+        block = np.array([frame[j], np.zeros(self.n), frame[k]])
+        return _dot(a, frame[j]) - _dot(a, frame[k]), 0.0, (rest @ frame - a, block)
 
 
 @dataclass(frozen=True)
@@ -393,7 +401,7 @@ class SymMatrix(_Kind):
 
     def _search_curve(self, pair, coeffs):
         base, block = pair
-        return _eigvalsh((base + coeffs @ block).reshape(coeffs.shape[:-1] + (self.n, self.n)))
+        return _eigvalsh((base + coeffs @ block).reshape(self.n, self.n))
 
     def _search_turn(self, Q, B, j, k, pair, rows):
         # the rotation whose column j is the axis (c, s) of e_j(theta), whose

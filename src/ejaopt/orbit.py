@@ -354,19 +354,13 @@ def _solve_on(problem: OrbitProblem, dec) -> Solution:
 # Rotation curves
 
 
-def _curve(beta_j: float, beta_k: float, theta) -> np.ndarray:
+def _curve(beta_j: float, beta_k: float, theta: float) -> np.ndarray:
     """Coefficients of (e_j, w, e_k) in beta_j e_j(theta) + beta_k e_k(theta),
     with e_j(theta) = cos^2 e_j + cos sin w + sin^2 e_k and
-    e_k(theta) = sin^2 e_j - cos sin w + cos^2 e_k.
-
-    ``theta`` is an angle or an array of angles; for an array the result
-    has one row of coefficients per angle."""
-    if isinstance(theta, np.ndarray):
-        c, s = np.cos(theta), np.sin(theta)
-    else:
-        c, s = math.cos(theta), math.sin(theta)
+    e_k(theta) = sin^2 e_j - cos sin w + cos^2 e_k."""
+    c, s = math.cos(theta), math.sin(theta)
     cc, cs, ss = c * c, c * s, s * s
-    return np.array([beta_j * cc + beta_k * ss, (beta_j - beta_k) * cs, beta_j * ss + beta_k * cc]).T
+    return np.array([beta_j * cc + beta_k * ss, (beta_j - beta_k) * cs, beta_j * ss + beta_k * cc])
 
 
 def rotation_generator(frame, j: int, k: int, toward: Element | None = None):
@@ -422,124 +416,26 @@ def rotation_curve(frame, j: int, k: int, beta_j: float, beta_k: float, w: Eleme
 
 # Knobs of the rotation-curve search.  A sweep scores every pair once at
 # its aligning angle (_RotationSearch.aligning_angle), the exact extremiser
-# of <x(theta), a> on the pair's curve, and takes that step when it gains
-# more than _ACCEPT_TOL.  By the commutation principle an optimizer
-# extremises <x, a> over the orbit whatever F is, and for squared_norm the
-# aligning angle is the exact line minimiser.  Only a pair whose aligning
-# step gains nothing is line-searched.  Each line search scores
-# _SCAN_POINTS angles evenly spaced on
-# (-pi/2 + _BRACKET_DELTA, pi/2 - _BRACKET_DELTA) in one stacked objective
-# call, takes angle 0 at the current value, then refines the best one with
-# Brent's method on the bracket between its scan neighbours, started from
-# their known values.  Brent stops at the angle's resolution,
-# sqrt(eps) (|theta| + 1): the values cannot place theta more finely.
-# _BRENT_ITERS caps the refinement steps (scalar objective calls), which
-# usually stop well before it.
+# of <x(theta), a> on the pair's curve, and takes that step unless it
+# raises the value by more than _ACCEPT_TOL.  By the commutation principle
+# an optimizer extremises <x, a> over the orbit whatever F is; for
+# squared_norm the aligning angle is the exact line minimiser, and on
+# RealDiagonal the aligning step is the transposition that sorts the pair
+# against a.  The sweeps stop when one gains at most _EPS_SWEEP, or after
+# _MAX_SWEEPS.
 #
 # _EPS_SWEEP and _ACCEPT_TOL are relative to the current value |F|, with
 # no absolute floor, so the search takes the same steps when a and b are
 # scaled by a common factor.
 #
-# _SKIP_TOL is a search heuristic, not a tolerance of the result: a pair
-# whose aligning step gains nothing is not line-searched when its
-# first-order commutation term is within its share of _SKIP_TOL |a| |x|.
-# The line searches only find the valley: the exact aligning step, taken
-# whenever the value rises by at most _ACCEPT_TOL, sets the final
-# alignment.  A sweep takes it for such a pair as a polish step, and after
-# the sweeps a polish takes it for every pair until each first-order term
-# is within its share of _POLISH_TOL |a| |x|.  So the result is certified
-# at the library default, DEFAULT_TOL.
+# After the sweeps a polish takes the aligning step of every pair until
+# each first-order commutation term is within its share of
+# _POLISH_TOL |a| |x|.  So the result is certified at the library default,
+# DEFAULT_TOL.
 _MAX_SWEEPS = 500
-_BRENT_ITERS = 60
-_SCAN_POINTS = 12
-_BRACKET_DELTA = 1e-6
 _EPS_SWEEP = 1e-11
 _ACCEPT_TOL = 1e-14
-_SKIP_TOL = 1e-6
 _POLISH_TOL = 1e-3 * DEFAULT_TOL
-
-_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
-_SQRT_EPS = math.sqrt(np.finfo(float).eps)
-
-
-def _brent_min(g, a, b, x, fx, iters, known=()):
-    """Brent's minimizer of g on [a, b] from the point x with g(x) = fx.
-
-    Parabolic steps through the three best points, with a golden-section
-    step whenever the parabola is unreliable (Brent, *Algorithms for
-    Minimization without Derivatives*, 1973, ch. 5).  ``known`` holds up to
-    two more points (t, g(t)) already scored, so the first step can be
-    parabolic.  Stops when |x - m| <= 2 tol - (b - a)/2 for the midpoint m,
-    with tol = sqrt(eps) (|x| + 1), or after ``iters`` calls of g.  Returns
-    the best point seen and its value, so the value never exceeds fx.
-    """
-    # without known points w = v = x, so the parabola is degenerate and the
-    # first step is golden
-    (w, fw), (v, fv) = (sorted(known, key=lambda p: p[1]) + [(x, fx)] * 2)[:2]
-    d, e = 0.0, b - a
-    for _ in range(iters):
-        m = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * (abs(x) + 1.0)
-        tol2 = 2.0 * tol1
-        if abs(x - m) <= tol2 - 0.5 * (b - a):
-            break
-        golden = True
-        if abs(e) > tol1:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
-                e, d = d, p / q
-                golden = False
-                u = x + d
-                if u - a < tol2 or b - u < tol2:
-                    d = math.copysign(tol1, m - x)
-        if golden:
-            e = (a - x) if x >= m else (b - x)
-            d = _CGOLD * e
-        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
-        fu = g(u)
-        if fu <= fx:
-            if u >= x:
-                a = x
-            else:
-                b = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-    return x, fx
-
-
-def _line_search(g, g0: float, lo: float, hi: float):
-    """Coarse scan then Brent refinement of g over [lo, hi].
-
-    ``g`` maps an angle to a float and an array of angles to an array of
-    values: the scan is one call.  The scan guards against the curve
-    objective being bimodal on the bracket (Brent, like golden section,
-    assumes unimodality); theta = 0 with value g0 is always a candidate.
-    The refinement starts from the best scan point on the bracket between
-    its scan neighbours, with the three known values, and never returns a
-    worse value.
-    """
-    xs = np.sort(np.append(np.linspace(lo, hi, _SCAN_POINTS), 0.0))
-    vals = np.full(len(xs), g0)
-    off = xs != 0.0
-    vals[off] = g(xs[off])
-    m = int(np.argmin(vals))
-    lo_i, hi_i = max(m - 1, 0), min(m + 1, len(xs) - 1)
-    known = [(float(xs[i]), float(vals[i])) for i in {lo_i, hi_i} - {m}]
-    return _brent_min(g, float(xs[lo_i]), float(xs[hi_i]), float(xs[m]), float(vals[m]), _BRENT_ITERS, known)
 
 
 class _RotationSearch:
@@ -552,11 +448,12 @@ class _RotationSearch:
     coordinates and a's, or for SymMatrix x's eigenvector columns Q and
     Q^T A Q, from one LAPACK ``eigh`` of x), and every kind is served by the
     same code through the kind's ``_search_*`` hooks: the generator of pair
-    (j, k) points toward a, and the rotation is ``_curve`` on (e_j, w, e_k)
-    both when a pair is scored and when it is applied, so a step is scored
-    on the point it realises.  ``pairs`` holds the frame pairs with distinct
-    coefficients (between equal ones every rotation leaves x where it is);
-    beta never changes, so neither do they.
+    (j, k) points toward a (on RealDiagonal, which has none, w = 0 and the
+    step at pi/2 swaps e_j and e_k), and the rotation is ``_curve`` on
+    (e_j, w, e_k) both when a pair is scored and when it is applied, so a
+    step is scored on the point it realises.  ``pairs`` holds the frame
+    pairs with distinct coefficients (between equal ones every rotation
+    leaves x where it is); beta never changes, so neither do they.
     """
 
     def __init__(self, alg, x, a, sense_mult):
@@ -578,12 +475,8 @@ class _RotationSearch:
 
     def rotation(self, j, k):
         """The curve data of pair (j, k), the map theta -> eigenvalues of
-        x(theta) - a (one row per angle for an array of angles) and the
-        pair's ``aligning_angle``, or None when the pair has no generator."""
-        pair = self.alg._search_pair(self.beta, self.frame, self.a, j, k)
-        if pair is None:
-            return None
-        a_gap, a_w, data = pair
+        x(theta) - a and the pair's ``aligning_angle``."""
+        a_gap, a_w, data = self.alg._search_pair(self.beta, self.frame, self.a, j, k)
         bj, bk = self.beta[j], self.beta[k]
         curve = self.alg._search_curve
 
@@ -629,21 +522,16 @@ def local_search_orbit(problem: OrbitProblem, x0: Element) -> Solution:
     whose optimum may lie above the set's.
 
     The search runs on the Jordan frames decomposed from x0, which every
-    step rotates in place.  A sweep scores every frame pair admitting a
-    rotation generator once at its ``_RotationSearch.aligning_angle``, and
-    takes that step when it improves the value by more than
-    ``_ACCEPT_TOL`` (relative).  Otherwise, unless the pair's first-order
-    commutation term with a is within ``_SKIP_TOL``, it line-searches the
-    angle on (-pi/2, pi/2) to the angle's resolution sqrt(eps) and takes
-    the step under the same rule.  The sweeps stop when
-    the steps of a full sweep improve the value by at most ``_EPS_SWEEP``
-    (relative), or after ``_MAX_SWEEPS`` sweeps, in which case the
-    best-so-far point is returned flagged as non-converged.  Then a polish
-    rotates each pair by its exact aligning angle until every pair's
-    first-order term is within ``_POLISH_TOL``.  An aligning step, in a
-    sweep or in the polish, is taken when the value rises by at most
-    ``_ACCEPT_TOL``, so x commutes with a to rounding and the certificate
-    is taken at ``DEFAULT_TOL``.
+    step rotates in place.  A sweep scores every frame pair once at its
+    ``_RotationSearch.aligning_angle`` and takes that step when the value
+    rises by at most ``_ACCEPT_TOL`` (relative); on RealDiagonal the step
+    is a transposition.  The sweeps stop when the steps of a full sweep
+    improve the value by at most ``_EPS_SWEEP`` (relative), or after
+    ``_MAX_SWEEPS`` sweeps, in which case the best-so-far point is
+    returned flagged as non-converged.  Then a polish takes the aligning
+    step of each pair, under the same rule, until every pair's first-order
+    commutation term with a is within ``_POLISH_TOL``.  So x commutes with
+    a to rounding and the certificate is taken at ``DEFAULT_TOL``.
 
     The search computes on its kinds' own routes: on SymMatrix, x0's frame
     comes from one LAPACK ``eigh`` and every eigenvalue it scores, the
@@ -701,27 +589,18 @@ def _search(problem: OrbitProblem, states, lam_a) -> Solution:
 
     def pair_curves():
         """(state, j, k, curve data, objective on the pair's curve,
-        first-order term, aligning angle) of every pair with a generator,
-        built from the current frames."""
+        first-order term, aligning angle) of every pair, built from the
+        current frames."""
         for fi, st in enumerate(states):
             other = [s.lam() for i, s in enumerate(states) if i != fi]
             for (j, k) in st.pairs:
-                rot = st.rotation(j, k)
-                if rot is None:
-                    continue
-                data, lam_at, (off, angle) = rot
+                data, lam_at, (off, angle) = st.rotation(j, k)
 
                 def g(theta, lam_at=lam_at, other=other):
-                    lam = lam_at(theta)
-                    if lam.ndim == 1:
-                        return sense_mult * fn(np.concatenate(other + [lam]))
-                    rows = [np.broadcast_to(o, (len(lam), len(o))) for o in other]
-                    return sense_mult * fn._values(np.concatenate(rows + [lam], axis=1))
+                    return sense_mult * fn(np.concatenate(other + [lam_at(theta)]))
 
                 yield st, j, k, data, g, off, angle
 
-    lo = -math.pi / 2.0 + _BRACKET_DELTA
-    hi = math.pi / 2.0 - _BRACKET_DELTA
     # f is symmetric, so the eigenvalues it scores need not be sorted
     cur = sense_mult * fn(np.concatenate([st.lam() for st in states]))
     trace = [(0, sense_mult * cur)]
@@ -730,20 +609,10 @@ def _search(problem: OrbitProblem, states, lam_a) -> Solution:
     for _sweep in range(_MAX_SWEEPS):
         sweeps += 1
         start = cur
-        for st, j, k, data, g, off, angle in pair_curves():
-            accept = cur - _ACCEPT_TOL * abs(cur)
+        for st, j, k, data, g, _off, angle in pair_curves():
             gval = g(angle)
-            if gval < accept or off <= _SKIP_TOL * st.pair_scale:
-                # a gain, or a pair that passes the first-order skip: take
-                # the aligning step, as a polish step when it gains nothing
-                if gval <= cur + _ACCEPT_TOL * abs(cur):
-                    st.apply(j, k, data, angle)
-                    cur = gval
-                continue
-            # the aligning step gains nothing: the line search is the fallback
-            theta, gval = _line_search(g, cur, lo, hi)
-            if gval < accept:
-                st.apply(j, k, data, theta)
+            if gval <= cur + _ACCEPT_TOL * abs(cur):
+                st.apply(j, k, data, angle)
                 cur = gval
         trace.append((sweeps, sense_mult * cur))
         if start - cur <= _EPS_SWEEP * abs(cur):

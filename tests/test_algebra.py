@@ -281,9 +281,8 @@ def test_check_eigvals_rows_match_single_calls():
 
 def test_search_curve_rows_match_single_calls():
     # SymMatrix scores a pair's curve in the basis of x's eigenvector
-    # columns Q: a (..., 3) stack of curve coefficients is one eigvalsh
-    # call, each row with the bits of its own single call, and each row is
-    # the spectrum of x(theta) - a built densely from the columns of Q
+    # columns Q: at each angle the spectrum is that of x(theta) - a built
+    # densely from the columns of Q
     rng = np.random.default_rng(23)
     for alg in (SymMatrix(2), SymMatrix(3), SymMatrix(5)):
         n = alg.n
@@ -297,19 +296,17 @@ def test_search_curve_rows_match_single_calls():
             assert np.max(np.abs(lam - expect)) <= 1e-13 * (scale + np.max(np.abs(expect)))
             for j, k in sorted({(0, 1), (0, n - 1), (n - 2, n - 1)}):
                 _gap, _w, pair = alg._search_pair(beta, Q, B, j, k)
-                coeffs = _curve(beta[j], beta[k], rng.uniform(-1.5, 1.5, size=12)).reshape(3, 4, 3)
-                stacked = alg._search_curve(pair, coeffs)
-                assert stacked.shape == (3, 4, n)
-                for idx in np.ndindex(3, 4):
-                    single = alg._search_curve(pair, coeffs[idx])
-                    np.testing.assert_array_equal(stacked[idx], single)
-                    assert np.all(np.diff(single) <= 0.0)
-                    c0, c1, c2 = coeffs[idx]
+                for theta in rng.uniform(-1.5, 1.5, size=12):
+                    coeffs = _curve(beta[j], beta[k], theta)
+                    on_curve = alg._search_curve(pair, coeffs)
+                    assert on_curve.shape == (n,)
+                    assert np.all(np.diff(on_curve) <= 0.0)
+                    c0, c1, c2 = coeffs
                     qj, qk = Q[:, j], Q[:, k]
                     rest = sum(beta[i] * np.outer(Q[:, i], Q[:, i]) for i in range(n) if i not in (j, k))
                     X = rest + c0 * np.outer(qj, qj) + c1 * (np.outer(qj, qk) + np.outer(qk, qj)) + c2 * np.outer(qk, qk)
                     expect = eigenvalues(sym_from_matrix(alg, X - A))
-                    assert np.max(np.abs(single - expect)) <= 1e-13 * (scale + np.max(np.abs(expect)))
+                    assert np.max(np.abs(on_curve - expect)) <= 1e-13 * (scale + np.max(np.abs(expect)))
 
 
 def test_jacobi_matches_numpy():

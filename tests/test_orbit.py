@@ -49,7 +49,7 @@ from ejaopt import (
 from ejaopt import orbit as orbit_module
 from ejaopt.algebra import DEFAULT_TOL, Element, inner, join, split, strong_commutation_gap
 from ejaopt.majorization import sort_desc
-from ejaopt.orbit import _brent_min, _RotationSearch
+from ejaopt.orbit import _RotationSearch
 from ejaopt.schur import SymmetricFunction, affine_compose
 
 EPS = np.finfo(float).eps
@@ -497,21 +497,30 @@ def test_aligning_step_is_the_line_minimiser_of_squared_norm():
     # for the sense, minimises the pair's curve objective exactly.  A dense
     # grid over the whole curve (theta and theta + pi give the same point)
     # finds no lower value; the slack covers rounding only (the smallest
-    # margin here is 7e-11 relative).
+    # margin here is 7e-11 relative).  The grid's points are built densely
+    # from the state's frame, one row of curve coefficients per angle.
     rng = np.random.default_rng(15)
     grid = np.linspace(-math.pi / 2, math.pi / 2, 2001)[1:-1]
+    cc, cs, ss = np.cos(grid) ** 2, np.cos(grid) * np.sin(grid), np.sin(grid) ** 2
     for alg in (SymMatrix(3), SymMatrix(4), SpinFactor(5), product_algebra(SymMatrix(2), SpinFactor(4))):
         for sense, mult in (("min", 1.0), ("max", -1.0)):
             for _ in range(5):
                 a = random_element(alg, rng)
                 x = random_element(alg, rng)
                 for xf, af in zip(split(x), split(a)):
-                    fn = builtin("squared_norm", xf.algebra.rank)
-                    st = _RotationSearch(xf.algebra, xf.coords, af.coords, mult)
+                    f = xf.algebra
+                    fn = builtin("squared_norm", f.rank)
+                    st = _RotationSearch(f, xf.coords, af.coords, mult)
+                    beta = st.beta
                     for j, k in st.pairs:
                         _block, lam_at, (_off, angle) = st.rotation(j, k)
                         aligned = mult * fn(lam_at(angle))
-                        on_grid = mult * fn._values(lam_at(grid))
+                        frame, w = search_frame(st, j, k, af)
+                        rest = sum(beta[i] * frame[i].coords for i in range(f.rank) if i not in (j, k))
+                        bj, bk = beta[j], beta[k]
+                        rows = np.stack([bj * cc + bk * ss, (bj - bk) * cs, bj * ss + bk * cc], axis=1)
+                        block = np.array([frame[j].coords, w.coords, frame[k].coords])
+                        on_grid = mult * fn._values(f._eigvals(rest - af.coords + rows @ block))
                         assert aligned <= on_grid.min() + 4 * EPS * abs(aligned), (alg, sense, j, k)
 
 
@@ -605,26 +614,18 @@ def test_local_search_spin_sweeps_never_raise_the_value():
 def counting_search(monkeypatch, solver=local_search_orbit):
     """``solver`` with counters: returns run(*args) -> (result, counts) for
     one call of ``solver(*args)``, by default one ``local_search_orbit``
-    run, counting its ``SymmetricFunction`` calls, objective points
-    (stacked scan rows plus scalar calls), line searches, Jacobi solves,
-    LAPACK ``eigh`` calls and the orbit module's ``spectral_decompose``
-    calls."""
+    run, counting its ``SymmetricFunction`` calls, Jacobi solves, LAPACK
+    ``eigh`` calls and the orbit module's ``spectral_decompose`` calls."""
     call = SymmetricFunction.__call__
-    values = SymmetricFunction._values
     eigh = SymMatrix._eigh
     lapack_eigh = np.linalg.eigh
-    line_search = orbit_module._line_search
     decompose = orbit_module.spectral_decompose
-    keys = ("calls", "points", "lines", "solves", "eighs", "decomposes")
+    keys = ("calls", "solves", "eighs", "decomposes")
     counts = dict.fromkeys(keys, 0)
 
     def counted_call(self, u):
         counts["calls"] += 1
         return call(self, u)
-
-    def counted_values(self, U):
-        counts["points"] += int(np.prod(np.shape(U)[:-1]))
-        return values(self, U)
 
     def counted_eigh(self, mat, want_vectors=True):
         counts["solves"] += 1
@@ -634,19 +635,13 @@ def counting_search(monkeypatch, solver=local_search_orbit):
         counts["eighs"] += 1
         return lapack_eigh(M)
 
-    def counted_line_search(*args):
-        counts["lines"] += 1
-        return line_search(*args)
-
     def counted_decompose(x):
         counts["decomposes"] += 1
         return decompose(x)
 
     monkeypatch.setattr(SymmetricFunction, "__call__", counted_call)
-    monkeypatch.setattr(SymmetricFunction, "_values", counted_values)
     monkeypatch.setattr(SymMatrix, "_eigh", counted_eigh)
     monkeypatch.setattr(np.linalg, "eigh", counted_lapack_eigh)
-    monkeypatch.setattr(orbit_module, "_line_search", counted_line_search)
     monkeypatch.setattr(orbit_module, "spectral_decompose", counted_decompose)
 
     def run(*args):
@@ -684,27 +679,20 @@ def search_set_counts(monkeypatch):
 
 
 def test_local_search_objective_calls_per_run(monkeypatch):
-    # Counts, not timings.  The means on this set: scalar objective calls
-    # (14.25, 33.33 and 4.00 per run), objective points (15.25, 40.33 and
-    # 4.00) and line searches (0.08, 0.58 and 0.00); every pair is scored
-    # first at its aligning angle, which is the exact line minimiser for
-    # squared_norm, and line-searched only when that step gains nothing.
-    # Line-searching every pair that failed the first-order skip, in the
-    # same 3.75, 4.58 and 2.00 sweeps, made 66.5, 160.0 and 10.08 calls,
-    # 159.5, 399.0 and 22.08 points and 7.75, 19.92 and 1.00 line searches.
-    # Before that, stopping Brent at 1e-10 rad with no polish made 114.4,
-    # 286.8 and 12.25 calls and 207.4, 525.8 and 24.2 points; searching every
-    # pair as well made 169, 398 and 27 calls and 304, 728 and 51 points.
-    per_kind = search_set_counts(monkeypatch)
-    for key, bounds, overall_bound in (
-        ("calls", (22, 50, 6), 26),
-        ("points", (25, 65, 6), 30),
-        ("lines", (1, 2, 0.5), 1),
-    ):
-        runs = [[run[key] for run in kind_runs] for kind_runs in per_kind.values()]
-        means = [float(np.mean(r)) for r in runs]
-        assert all(m <= bound for m, bound in zip(means, bounds)), (key, means)
-        assert np.mean(runs) <= overall_bound, (key, means)
+    # Counts, not timings.  The means on this set: 13.00, 29.50 and 4.00
+    # objective calls per run, in 3.67, 4.58 and 2.00 sweeps; every pair is
+    # scored once per sweep, at its aligning angle, which is the exact line
+    # minimiser for squared_norm.  With a Brent line search as the fallback
+    # when that step gained nothing (0.08, 0.58 and 0.00 per run) they were
+    # 14.08, 34.67 and 4.00.  Line-searching every pair that failed a
+    # first-order skip, in 3.75, 4.58 and 2.00 sweeps, made 66.5, 160.0 and
+    # 10.08 calls.  Before that, stopping Brent at 1e-10 rad with no polish
+    # made 114.4, 286.8 and 12.25 calls; searching every pair as well made
+    # 169, 398 and 27.
+    runs = [[run["calls"] for run in kind_runs] for kind_runs in search_set_counts(monkeypatch).values()]
+    means = [float(np.mean(r)) for r in runs]
+    assert all(m <= bound for m, bound in zip(means, (22, 50, 6))), means
+    assert np.mean(runs) <= 26, means
 
 
 def test_local_search_eigensolves_per_run(monkeypatch):
@@ -863,12 +851,10 @@ def test_local_search_value_is_the_value_of_its_point():
             assert sol.value == ref, case
 
 
-def test_local_search_skips_pairs_that_pass_the_certificate(monkeypatch):
+def test_local_search_from_the_optimizer_takes_one_certified_sweep():
     # Started at the closed-form optimizer, every pair already passes the
-    # first-order certificate and its aligning step gains nothing, so none
-    # is line-searched.  Searching every pair ran 6 line searches per
-    # SymMatrix(4) run here.
-    run = counting_search(monkeypatch)
+    # first-order certificate and its aligning step gains nothing, so the
+    # first sweep ends the search, at the optimizer's value, certified.
     rng = np.random.default_rng(41)
     for alg in (SymMatrix(4), SpinFactor(5), product_algebra(SymMatrix(2), SpinFactor(4))):
         fn = builtin("schatten", alg.rank, p=4)
@@ -877,8 +863,7 @@ def test_local_search_skips_pairs_that_pass_the_certificate(monkeypatch):
         for sense in ("min", "max"):
             problem = OrbitProblem(alg, fn, a, EigenvalueOrbit(b), sense)
             ref = solve_problem(problem)
-            sol, counts = run(problem, ref.x_star)
-            assert counts["lines"] == 0, (alg, sense, counts)
+            sol = local_search_orbit(problem, ref.x_star)
             assert sol.converged and sol.iterations == 1 and sol.certificate.passed
             assert sol.value == pytest.approx(ref.value, rel=1e-12)
 
@@ -1077,78 +1062,6 @@ def test_local_search_frames_stay_on_the_orbit(monkeypatch):
             assert np.linalg.norm(B - Q.T @ A @ Q) <= 32 * EPS * np.linalg.norm(A), alg
 
 
-def test_line_search_scan_scores_like_scalar_calls(monkeypatch):
-    # Each line search scores its scan angles in one stacked call.  Its
-    # values are the scalar g(theta) at the same angles up to rounding: the
-    # stack forms x(theta) - a with one matrix product where a scalar call
-    # uses a matrix-vector product, which may round the last bit of a
-    # coordinate differently (seen up to 7.5 eps relative here).  Each
-    # aligning step is made to sit at angle 0, where it gains nothing, so
-    # the pairs that fail the first-order skip fall back to line searches;
-    # the polish, which would only repeat those null steps, is switched off.
-    line_search = orbit_module._line_search
-    aligning_angle = _RotationSearch.aligning_angle
-    scans = []
-
-    def checking(g, g0, lo, hi):
-        thetas = np.linspace(lo, hi, orbit_module._SCAN_POINTS)
-        stacked = g(thetas)
-        assert stacked.shape == thetas.shape
-        for theta, v in zip(thetas, stacked):
-            scalar = g(float(theta))
-            assert isinstance(scalar, float)
-            assert abs(v - scalar) <= 16 * EPS * (1.0 + abs(scalar)), (v, scalar)
-        scans.append(1)
-        return line_search(g, g0, lo, hi)
-
-    monkeypatch.setattr(orbit_module, "_line_search", checking)
-    monkeypatch.setattr(
-        _RotationSearch, "aligning_angle", lambda st, j, k, *terms: (aligning_angle(st, j, k, *terms)[0], 0.0)
-    )
-    monkeypatch.setattr(orbit_module, "_POLISH_TOL", math.inf)
-    rng = np.random.default_rng(33)
-    for alg in (SymMatrix(3), SpinFactor(5), product_algebra(SymMatrix(2), SpinFactor(4))):
-        for fn in (builtin("schatten", alg.rank, p=4), builtin("squared_norm", alg.rank)):
-            for sense in ("min", "max"):
-                a = random_element(alg, rng)
-                b = random_element(alg, rng)
-                x0 = apply_automorphism(random_automorphism(alg, rng), b)
-                scans.clear()
-                sol = local_search_orbit(OrbitProblem(alg, fn, a, EigenvalueOrbit(b), sense), x0)
-                assert sol.converged and scans
-
-
-def test_brent_min_refines_without_losing_the_start():
-    calls = []
-
-    def g(t):
-        calls.append(t)
-        return (t - 0.3) ** 2 + 0.1 * (t - 0.3) ** 4
-
-    x, fx = _brent_min(g, -0.5, 1.0, 0.0, g(0.0), 60)
-    assert abs(x - 0.3) <= 1e-7 and fx == g(x)
-    assert len(calls) <= 20
-    assert all(-0.5 <= t <= 1.0 for t in calls)
-    # the cap bounds the objective calls; the result is never worse than the start
-    f0 = g(0.0)
-    calls.clear()
-    x, fx = _brent_min(g, -0.5, 1.0, 0.0, f0, 2)
-    assert len(calls) == 2 and fx <= f0
-    # a start at a bracket end (the best scan point on the boundary)
-    x, fx = _brent_min(g, 0.25, 0.6, 0.25, g(0.25), 60)
-    assert abs(x - 0.3) <= 1e-7
-    # with the scan neighbours' values known, the first step is the
-    # parabola through the three points: on a parabola, its vertex
-    def parabola(t):
-        calls.append(t)
-        return (t - 0.3) ** 2
-
-    known = [(-0.5, (-0.5 - 0.3) ** 2), (1.0, (1.0 - 0.3) ** 2)]
-    calls.clear()
-    x, fx = _brent_min(parabola, -0.5, 1.0, 0.0, 0.3**2, 60, known)
-    assert calls[0] == pytest.approx(0.3, abs=1e-12) and abs(x - 0.3) <= 1e-7
-
-
 def test_local_search_agrees_with_global():
     rng = np.random.default_rng(9)
     for alg in [SymMatrix(3), SpinFactor(5)]:
@@ -1164,6 +1077,41 @@ def test_local_search_agrees_with_global():
                 assert sol.converged
                 assert sol.value == pytest.approx(ref.value, abs=1e-6)
                 assert sol.certificate.residuals["inner_gap_a"] <= 1e-6
+
+
+def test_local_search_sorts_a_diagonal_start_by_transpositions():
+    # RealDiagonal has no rotation generator, so each aligning step is a
+    # transposition, which sorts x against a (for max, against -a).  From
+    # every permutation of b the search meets the closed form and
+    # certifies.  When the search could not move on RealDiagonal, 10 of
+    # these 12 runs ended where they started, each reported as converged.
+    alg = RealDiagonal(3)
+    fn = builtin("schatten", 3, p=2)
+    a = Element(alg, np.array([1.0, 3.0, 2.0]))
+    b = np.array([5.0, -1.0, 2.0])
+    for sense in ("min", "max"):
+        problem = OrbitProblem(alg, fn, a, EigenvalueOrbit(Element(alg, b)), sense)
+        ref = solve_orbit_global(problem)
+        for perm in itertools.permutations(range(3)):
+            sol = local_search_orbit(problem, Element(alg, b[list(perm)]))
+            assert sol.converged and sol.certificate.passed, (sense, perm)
+            assert sol.value == pytest.approx(ref.value, rel=1e-12), (sense, perm)
+
+
+def test_local_search_meets_the_closed_form_on_real_diagonal():
+    rng = np.random.default_rng(72)
+    for n in range(2, 8):
+        alg = RealDiagonal(n)
+        fns = (builtin("schatten", n, p=4), builtin("squared_norm", n), builtin("spread_vector_norm", n))
+        for fn, sense in itertools.product(fns, ("min", "max")):
+            for _ in range(3):
+                a = random_element(alg, rng)
+                b = random_element(alg, rng)
+                problem = OrbitProblem(alg, fn, a, EigenvalueOrbit(b), sense)
+                x0 = apply_automorphism(random_automorphism(alg, rng), b)
+                sol = local_search_orbit(problem, x0)
+                assert sol.converged and sol.certificate.passed, (n, fn.id, sense)
+                assert sol.value == pytest.approx(solve_orbit_global(problem).value, rel=1e-12), (n, fn.id, sense)
 
 
 def test_local_search_sweep_cap_flag(monkeypatch):
@@ -1297,21 +1245,10 @@ def test_local_search_mixed_product_and_weak_orbit_feasible():
     sol = local_search_orbit(problem, x0)
     assert sol.converged
     assert sol.certificate.checks["operator_commute"]
-    # the diagonal factor's orbit is discrete, so the search is confined to
-    # the connected component of x0: it can align the spin and matrix
-    # factors but must keep x0's diagonal coordinates in place
-    from ejaopt.algebra import split
-
-    x0_parts = split(x0)
-    a_parts = split(a)
-    b_parts = split(b)
-    fixed_diag = np.sort(x0_parts[0].coords - a_parts[0].coords)[::-1]
-    spin_diff = eigenvalues(b_parts[1]) - eigenvalues(a_parts[1])
-    sym_diff = eigenvalues(b_parts[2]) - eigenvalues(a_parts[2])
-    component_ref = fn(sort_desc(np.concatenate([fixed_diag, spin_diff, sym_diff])))
-    assert sol.value == pytest.approx(component_ref, abs=1e-6)
-    # the weak-orbit-wide optimum may additionally permute the diagonal slot
-    assert sol.value >= ref.value - 1e-9
+    # the diagonal factor steps by transpositions, the other two by
+    # rotations, and no two factors are identical, so the weak orbit is one
+    # component and the search meets the closed form
+    assert sol.value == pytest.approx(ref.value, abs=1e-6)
 
 
 def test_local_search_on_product_stays_in_component():
