@@ -898,11 +898,16 @@ def trace(x: Element) -> float:
 # Eigenvalues and spectral decomposition
 
 
-def _jacobi_symmetric(mat, want_vectors=True, off_tol=1e-13, max_sweeps=100):
+# Jacobi stops when the off-diagonal Frobenius mass is at most this share
+# of ||mat||_F
+_OFF_TOL = 1e-13
+
+
+def _jacobi_symmetric(mat, want_vectors=True, max_sweeps=100):
     """Cyclic Jacobi diagonalization of a dense symmetric matrix.
 
     Sweeps rows in cyclic order until the Frobenius mass of the
-    off-diagonal part drops below ``off_tol * ||mat||_F``.  Raises
+    off-diagonal part drops below ``_OFF_TOL * ||mat||_F``.  Raises
     :class:`ConvergenceError` after ``max_sweeps`` sweeps.
     Returns eigenvalues sorted non-increasing and, when requested, the
     matching orthonormal eigenvector columns.  A ``(..., n, n)`` stack goes
@@ -919,14 +924,14 @@ def _jacobi_symmetric(mat, want_vectors=True, off_tol=1e-13, max_sweeps=100):
     """
     A = np.array(mat, dtype=float)
     if A.ndim != 2:
-        return _jacobi_stacked(A, want_vectors, off_tol, max_sweeps)
+        return _jacobi_stacked(A, want_vectors, max_sweeps)
     n = A.shape[0]
     Q = np.eye(n) if want_vectors else None
     scale, flat, e = _prescaled(A.reshape(-1))
     if e:
         A = flat.reshape(n, n)
     if scale != 0.0 and n > 1:
-        thr = off_tol * scale
+        thr = _OFF_TOL * scale
         skip = thr / (n * n)
         for _sweep in range(max_sweeps):
             off_sq = 0.0
@@ -965,7 +970,7 @@ def _jacobi_symmetric(mat, want_vectors=True, off_tol=1e-13, max_sweeps=100):
     return vals, (Q[:, order] if want_vectors else None)
 
 
-def _jacobi_stacked(A, want_vectors, off_tol, max_sweeps):
+def _jacobi_stacked(A, want_vectors, max_sweeps):
     """The sweeps of ``_jacobi_symmetric`` run once over a stack of matrices.
 
     Every matrix keeps its own threshold, skip rule and convergence test: a
@@ -982,7 +987,7 @@ def _jacobi_stacked(A, want_vectors, off_tol, max_sweeps):
     Q = np.tile(np.eye(n), (k, 1, 1)) if want_vectors else None
     scale, flat, e = _prescaled(A.reshape(k, n * n))
     A = flat.reshape(k, n, n)
-    thr = off_tol * scale
+    thr = _OFF_TOL * scale
     skip = thr / (n * n)
     active = np.flatnonzero(scale != 0.0) if n > 1 else np.arange(0)
     for _sweep in range(max_sweeps):
@@ -1234,13 +1239,7 @@ def operator_commute(a: Element, b: Element, tol=DEFAULT_TOL) -> bool:
 
     Compares |[L_a, L_b]| with ``tol * |a| |b|``; verdicts do not depend on
     units."""
-    _check_same(a, b)
-    return bool(_operator_commute(a.algebra, a.coords, b.coords, tol))
-
-
-def _operator_commute(alg, u, v, tol):
-    """``operator_commute`` of coordinate vectors or ``(..., dim)`` stacks."""
-    return _commutator_norm(alg, u, v) <= tol * _norm(alg, u) * _norm(alg, v)
+    return bool(operator_commutation_residual(a, b) <= tol * norm(a) * norm(b))
 
 
 def strong_commutation_gap(a: Element, b: Element) -> float:
@@ -1262,15 +1261,7 @@ def strongly_operator_commute(a: Element, b: Element, tol=DEFAULT_TOL) -> bool:
     which is robust to repeated eigenvalues.  Compares the gap with
     ``tol * |a| |b|``; verdicts do not depend on units.
     """
-    _check_same(a, b)
-    u, v = a.coords, b.coords
-    return bool(_strongly_commute(a.algebra, u, v, eigenvalues(a), eigenvalues(b), tol))
-
-
-def _strongly_commute(alg, u, v, lam_u, lam_v, tol):
-    """``strongly_operator_commute`` of coordinate vectors or stacks, given
-    their eigenvalues."""
-    return _strong_gap(alg, u, v, lam_u, lam_v) <= tol * _norm(alg, u) * _norm(alg, v)
+    return bool(strong_commutation_gap(a, b) <= tol * norm(a) * norm(b))
 
 
 # ---------------------------------------------------------------------------

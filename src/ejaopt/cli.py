@@ -47,6 +47,7 @@ from .condition import condition_report, minimize_condition_norm_orbit
 from .orbit import (
     InfeasibleError,
     SolverError,
+    _GAP_OF,
     _local_searches,
     _pairings,
     counterexample_no_strong,
@@ -212,7 +213,7 @@ def cmd_solve(args) -> int:
     rows = [
         _row(
             "closed_form", alg_id, problem.fn.id, problem.sense, solution.value, cert.kind, cert.passed,
-            cert.residuals["inner_gap_a" if problem.sense == "min" else "inner_gap_neg_a"],
+            cert.residuals[_GAP_OF[cert.kind]],
         )
     ]
     if args.local_search:

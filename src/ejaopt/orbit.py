@@ -2,12 +2,16 @@
 
 Solves min/max of F(x - a) = f(lambda(x - a)) where x ranges over an
 eigenvalue orbit [b], an automorphism (weak) orbit, or a finite union of
-orbits given by a list of spectra.  For strictly Schur-convex f the global
-optimum has closed form: decompose a over a Jordan frame and place the
-eigenvalues of b on that frame sorted the same way (minimization) or the
-opposite way (maximization); one solver does this for every feasible set.
-The optimizer then strongly operator commutes with a (minimization) or
-with -a (maximization), emitted as machine-checkable certificates.
+orbits given by a list of spectra.  For Schur-convex f the global optimum
+has closed form: decompose a over a Jordan frame and place the eigenvalues
+of b on that frame sorted the same way (minimization, by Lidskii) or the
+opposite way (maximization, by Ky Fan); one solver does this for every
+feasible set.  That optimizer strongly operator commutes with a
+(minimization) or with -a (maximization), on a weak orbit of a product
+factor by factor, emitted as machine-checkable certificates.  Strictness
+is the hypothesis of the converse, that every (local) optimizer commutes:
+it decides what a certificate of the local search predicts, not whether
+the closed form applies.
 
 A derivative-free local search over pairwise rotation curves is an
 independent route to the same optima, one run per weak-orbit component on
@@ -41,11 +45,12 @@ from .algebra import (
     synthesize_from_frame,
 )
 from .majorization import sort_desc
-from .schur import STRICTLY_SCHUR_CONVEX, DomainError, SymmetricFunction, from_config
+from .schur import DomainError, SymmetricFunction, from_config
 
 
 class SolverError(ValueError):
-    """Problem violates a solver requirement (e.g. strictness hypothesis)."""
+    """Problem violates a solver requirement (e.g. a function arity that
+    does not match the algebra's rank)."""
 
 
 class InfeasibleError(ValueError):
@@ -57,12 +62,15 @@ class InfeasibleError(ValueError):
 
 
 # A feasible set's ``_members(alg)`` are the rows of eigenvalues whose orbits
-# make up the set, as a 2-D array, and whether the rows are read per factor:
-# a weak orbit's rows list each factor's spectrum in factor order, and its
-# points keep each on its factor; other rows are merged spectra, whose entries
-# may move across factors.  The closed form and the local search both read
-# them.  Its ``_points(alg)`` are the points ``solve --local-search`` starts
-# from: b for an orbit, one point per member for a spectral set.
+# make up the set, as a 2-D array, and ``ranks``, the factor ranks that cut
+# each row when it is read per factor: a weak orbit of a product lists each
+# factor's spectrum in factor order, and its points keep each on its factor.
+# ``ranks`` is None for rows read whole, merged spectra whose entries may
+# move across factors, and for a weak orbit of one factor, which is its
+# eigenvalue orbit.  The closed form, the domain probe, the local search and
+# the certificates all read this one reading.  Its ``_points(alg)`` are the
+# points ``solve --local-search`` starts from: b for an orbit, one point per
+# member for a spectral set.
 @dataclass(frozen=True)
 class _Orbit:
     b: Element
@@ -73,12 +81,13 @@ class _Orbit:
 
 class EigenvalueOrbit(_Orbit):
     def _members(self, alg):
-        return eigenvalues(self.b)[None, :], False
+        return eigenvalues(self.b)[None, :], None
 
 
 class WeakOrbit(_Orbit):
     def _members(self, alg):
-        return np.array(_ordered_assignments(alg, _factor_spectra(self.b))), True
+        ranks = [f.rank for f in alg.factors] if len(alg.factors) > 1 else None
+        return np.array(_ordered_assignments(alg, _factor_spectra(self.b))), ranks
 
 
 @dataclass(frozen=True)
@@ -96,7 +105,7 @@ class FiniteSpectralSet:
             raise InfeasibleError("empty spectral set")
         if any(len(u) != alg.rank for u in self.spectra):
             raise SolverError("spectral-set member length does not match rank")
-        return np.array(self.spectra), False
+        return np.array(self.spectra), None
 
     def _points(self, alg):
         return [_synthesized(alg, s) for s in self._members(alg)[0]]
@@ -131,8 +140,9 @@ class Certificate:
     """Commutation evidence for an optimizer candidate.
 
     ``kind`` names the check the governing statement predicts for the
-    problem's sense; ``checks`` carries all three booleans and
-    ``residuals`` the raw numbers behind them.
+    problem's sense and feasible set; ``checks`` carries every boolean
+    (three, five on a weak orbit of a product) and ``residuals`` the raw
+    numbers behind them.
     """
 
     kind: str
@@ -171,32 +181,44 @@ def certify(a: Element, x: Element, sense: str = "min", tol=DEFAULT_TOL) -> Cert
     return _certify(a, x, sense, tol, eigenvalues(a))
 
 
-def _certify(a: Element, x: Element, sense: str, tol, lam_a) -> Certificate:
-    """``certify`` with lambda(a) from the caller's decomposition of a."""
+# the residual behind each strong check
+_GAP_OF = {f"strong_commute{t}_with_{s}": f"inner_gap{t}_{s}" for t in ("", "_per_factor") for s in ("a", "neg_a")}
+
+
+def _certify(a: Element, x: Element, sense: str, tol, lam_a, ranks=None) -> Certificate:
+    """``certify`` with lambda(a) from the caller's decomposition of a.
+
+    With ``ranks``, the factor ranks of a weak orbit of a product, ``lam_a``
+    holds a's factor spectra in factor order and lambda(x) is solved factor
+    by factor (the solves of ``eigenvalues(x)``).  <a, x> = sum_f <a_f, x_f>
+    and each term is at most lambda(a_f) . lambda(x_f), so one gap over the
+    spectra concatenated per factor is 0 exactly when every factor strongly
+    commutes: ``kind`` names that per-factor check, and the merged checks
+    are reported too.
+    """
     res_op = operator_commutation_residual(a, x)
-    # one eigensolve, for x: lambda(-a) is -lambda(a) reversed
-    lam_x = eigenvalues(x)
     ax = inner(a, x)
-    gap_a = abs(ax - float(lam_a @ lam_x))
-    gap_neg = abs(-ax - float(-lam_a[::-1] @ lam_x))
     thr = tol * norm(a) * norm(x)
-    checks = {
-        "operator_commute": res_op <= thr,
-        "strong_commute_with_a": gap_a <= thr,
-        "strong_commute_with_neg_a": gap_neg <= thr,
-    }
-    kind = "strong_commute_with_a" if sense == "min" else "strong_commute_with_neg_a"
-    return Certificate(
-        kind=kind,
-        passed=checks[kind],
-        residuals={
-            "commutator_norm": res_op,
-            "inner_gap_a": gap_a,
-            "inner_gap_neg_a": gap_neg,
-        },
-        tol=tol,
-        checks=checks,
-    )
+    residuals = {"commutator_norm": res_op}
+    checks = {"operator_commute": res_op <= thr}
+
+    def strong(tag, lam_a, lam_neg_a, lam_x):
+        for sign, side, lam in ((1.0, "a", lam_a), (-1.0, "neg_a", lam_neg_a)):
+            check = f"strong_commute{tag}_with_{side}"
+            residuals[_GAP_OF[check]] = gap = abs(sign * ax - float(lam @ lam_x))
+            checks[check] = gap <= thr
+
+    # one eigensolve, for x: lambda(-a) is -lambda(a) reversed (per factor)
+    tag = "" if ranks is None else "_per_factor"
+    if ranks is None:
+        strong("", lam_a, -lam_a[::-1], eigenvalues(x))
+    else:
+        lam_x = np.concatenate([eigenvalues(p) for p in split(x)])
+        merged = sort_desc(lam_a)
+        strong("", merged, -merged[::-1], sort_desc(lam_x))
+        strong(tag, lam_a, np.concatenate([-s[::-1] for s in np.split(lam_a, np.cumsum(ranks)[:-1])]), lam_x)
+    kind = f"strong_commute{tag}_with_{'a' if sense == 'min' else 'neg_a'}"
+    return Certificate(kind=kind, passed=checks[kind], residuals=residuals, tol=tol, checks=checks)
 
 
 # ---------------------------------------------------------------------------
@@ -253,31 +275,29 @@ def permutation_oracle(fn: SymmetricFunction, lam_b, lam_a, sense: str = "min"):
 # Closed-form global solvers
 
 
-def _check_orbit_domain(fn: SymmetricFunction, lam_b, lam_a, groups=None):
-    """Feasibility of the whole orbit for a domain-restricted function.
+def _check_orbit_domain(fn: SymmetricFunction, rows, lam_a, ranks=None):
+    """Feasibility of the orbits of ``rows`` for a domain-restricted function.
 
-    Every x in the orbit of b must have x - a in the domain.  The built-in
-    domains are lower bounds on the smallest entry (also after an affine
-    map with positive scale), and over the whole orbit the smallest
+    Every x in the orbit of each row b must have x - a in the domain.  The
+    built-in domains are lower bounds on the smallest entry (also after an
+    affine map with positive scale), and over the whole orbit the smallest
     eigenvalue of x - a is minimized at a commuting pairing: by Weyl,
     lambda_n(x - a) >= lambda_n(b) - lambda_1(a), with equality when x puts
     the smallest eigenvalue of b on a's frame member for lambda_1(a).
-    A weak orbit of a product keeps each factor's spectrum on its factor,
-    so there the bound holds factor by factor and the smallest eigenvalue
-    of x - a is the minimum over factors f of lambda_min(b_f) -
-    lambda_max(a_f).  ``groups`` labels the entries of ``lam_b`` and
-    ``lam_a`` (aligned entrywise, in any order) with their factor; None is
-    one group, the whole spectrum.  Floating-point subtraction is
-    monotone, so probing that single value is exact: it accepts precisely
-    when every realisable pairing lies in the domain.
+    Rows read per factor (``ranks``, as ``_members`` gives it) keep each
+    factor's spectrum on its factor, so there the bound holds factor by
+    factor and the smallest eigenvalue of x - a is the minimum over factors
+    f of lambda_min(b_f) - lambda_max(a_f); ``rows`` and ``lam_a`` are then
+    both in factor order.  Floating-point subtraction is monotone, so
+    probing that single value per row is exact: it accepts precisely when
+    every realisable pairing lies in the domain.  All rows are probed in
+    one ``in_domain`` call.
     """
     if fn.domain == "all":
         return
-    if groups is None:
-        value = np.min(lam_b) - np.max(lam_a)
-    else:
-        value = min(np.min(lam_b[groups == g]) - np.max(lam_a[groups == g]) for g in np.unique(groups))
-    if not bool(np.all(fn.in_domain(np.full(len(lam_b), value)))):
+    cuts = [0] if ranks is None else np.cumsum([0, *ranks[:-1]])
+    lows = np.minimum.reduceat(rows, cuts, axis=1) - np.maximum.reduceat(lam_a, cuts)
+    if not bool(np.all(fn.in_domain(np.broadcast_to(lows.min(axis=1, keepdims=True), rows.shape)))):
         raise InfeasibleError(f"{fn.id}: orbit leaves the function domain")
 
 
@@ -296,7 +316,7 @@ def _align(dec, s, sense: str):
 def _placed(dec, rows, sense: str):
     """Rows of per-factor spectra in factor order (each factor's sorted
     non-increasing), laid out for ``_align`` on the frame of ``dec``, and
-    the factor of each frame member: each factor's spectrum lands on that
+    a's eigenvalues in factor order: each factor's spectrum lands on that
     factor's frame members in a's order, reversed for max.  A product frame
     merges its factors' members by a stable sort, so each factor's members
     keep their order, and a member belongs to the one factor slice where
@@ -308,7 +328,7 @@ def _placed(dec, rows, sense: str):
     slots = np.argsort(owner if sense == "min" else owner[::-1], kind="stable")
     placed = np.empty((len(rows), len(slots)))
     placed[:, slots] = rows
-    return placed, owner
+    return placed, dec.eigenvalues[np.argsort(owner, kind="stable")]
 
 
 def solve_orbit_global(problem: OrbitProblem) -> Solution:
@@ -328,25 +348,17 @@ def solve_orbit_global(problem: OrbitProblem) -> Solution:
 def _solve_on(problem: OrbitProblem, dec) -> Solution:
     """``solve_orbit_global`` on ``dec``, a decomposition of problem.a."""
     fn = problem.fn
-    if fn.declared_class != STRICTLY_SCHUR_CONVEX:
-        raise SolverError(
-            f"{fn.id} is not declared strictly Schur-convex; the global alignment "
-            "argument needs strictness (run the local search at your own risk)"
-        )
-    rows, per_factor = problem.feasible._members(problem.algebra)
-    groups = None
-    if per_factor:
-        rows, groups = _placed(dec, rows, problem.sense)
+    members, ranks = problem.feasible._members(problem.algebra)
+    rows, lam_a = (members, dec.eigenvalues) if ranks is None else _placed(dec, members, problem.sense)
+    _check_orbit_domain(fn, members, lam_a, ranks)
     best = None
     for s in rows:
-        # _align lays s on the frame reversed for max
-        _check_orbit_domain(fn, s if problem.sense == "min" else s[::-1], dec.eigenvalues, groups)
         paired, x = _align(dec, s, problem.sense)
         value = fn(s - paired)
         if best is None or (value < best[0] if problem.sense == "min" else value > best[0]):
             best = (value, x)
     value, x_star = best
-    cert = _certify(problem.a, x_star, problem.sense, DEFAULT_TOL, dec.eigenvalues)
+    cert = _certify(problem.a, x_star, problem.sense, DEFAULT_TOL, lam_a, ranks)
     return Solution(x_star=x_star, value=value, certificate=cert)
 
 
@@ -415,7 +427,7 @@ def rotation_curve(frame, j: int, k: int, beta_j: float, beta_k: float, w: Eleme
 
 
 # Knobs of the rotation-curve search.  A sweep scores every pair once at
-# its aligning angle (_RotationSearch.aligning_angle), the exact extremiser
+# its aligning angle (_RotationSearch.pair), the exact extremiser
 # of <x(theta), a> on the pair's curve, and takes that step unless it
 # raises the value by more than _ACCEPT_TOL.  By the commutation principle
 # an optimizer extremises <x, a> over the orbit whatever F is; for
@@ -473,21 +485,10 @@ class _RotationSearch:
         """Eigenvalues of x - a."""
         return self.alg._search_lam(self.beta, self.frame, self.a)
 
-    def rotation(self, j, k):
-        """The curve data of pair (j, k), the map theta -> eigenvalues of
-        x(theta) - a and the pair's ``aligning_angle``."""
-        a_gap, a_w, data = self.alg._search_pair(self.beta, self.frame, self.a, j, k)
-        bj, bk = self.beta[j], self.beta[k]
-        curve = self.alg._search_curve
-
-        def lam_at(theta):
-            return curve(data, _curve(bj, bk, theta))
-
-        return data, lam_at, self.aligning_angle(j, k, a_gap, a_w)
-
-    def aligning_angle(self, j, k, a_gap, a_w):
-        """The size of the pair's first-order commutation term and the
-        angle that puts the pair in line with a for the sense, from
+    def pair(self, j, k):
+        """(off, angle, data) of pair (j, k): the size of the pair's
+        first-order commutation term, its aligning angle, the one that puts
+        the pair in line with a for the sense, and its curve data, from
         a_gap = <a, e_j> - <a, e_k> and a_w = <a, w>.
 
         The pair's share of the commutator of L_a and L_x is proportional
@@ -498,9 +499,14 @@ class _RotationSearch:
         sense; it is near +-pi/2 for a commuting but anti-ordered start, a
         saddle.
         """
+        a_gap, a_w, data = self.alg._search_pair(self.beta, self.frame, self.a, j, k)
         gap = self.sense_mult * (self.beta[j] - self.beta[k])
         off = gap * a_w
-        return abs(off), 0.5 * math.atan2(off, gap * a_gap)
+        return abs(off), 0.5 * math.atan2(off, gap * a_gap), data
+
+    def lam_at(self, j, k, data, theta):
+        """Eigenvalues of x(theta) - a on the curve of pair (j, k)."""
+        return self.alg._search_curve(data, _curve(self.beta[j], self.beta[k], theta))
 
     def apply(self, j, k, data, theta):
         # the coefficients of e_j(theta) and e_k(theta) on (e_j, w, e_k)
@@ -523,7 +529,7 @@ def local_search_orbit(problem: OrbitProblem, x0: Element) -> Solution:
 
     The search runs on the Jordan frames decomposed from x0, which every
     step rotates in place.  A sweep scores every frame pair once at its
-    ``_RotationSearch.aligning_angle`` and takes that step when the value
+    aligning angle (``_RotationSearch.pair``) and takes that step when the value
     rises by at most ``_ACCEPT_TOL`` (relative); on RealDiagonal the step
     is a transposition.  The sweeps stop when the steps of a full sweep
     improve the value by at most ``_EPS_SWEEP`` (relative), or after
@@ -552,7 +558,7 @@ def _local_searches(problem: OrbitProblem, starts) -> list:
     as the closed form probes it.  Every start is checked before any search
     runs, so a bad start raises as it does alone."""
     alg = problem.algebra
-    rows, per_factor = problem.feasible._members(alg)
+    rows, ranks = problem.feasible._members(alg)
     sense_mult = 1.0 if problem.sense == "min" else -1.0
     runs = []
     for x0 in starts:
@@ -566,40 +572,46 @@ def _local_searches(problem: OrbitProblem, starts) -> list:
         # each factor, checked against the members from the independent
         # route: factor by factor for rows read per factor, else merged
         lam_x0 = np.concatenate([st.beta for st in states])
-        if not per_factor:
+        if ranks is None:
             lam_x0 = sort_desc(lam_x0)
         if not np.any(np.max(np.abs(rows - lam_x0), axis=1) <= 1e-6 * np.max(np.abs(rows), axis=1)):
             raise InfeasibleError("x0 does not lie in the feasible set")
         runs.append(states)
-    # a's factor spectra, in factor order, serve the domain probe; sorted,
-    # they are eigenvalues(a) bit for bit, for the certificates
+    # a's factor spectra, in factor order, serve the domain probe and the
+    # per-factor certificates; sorted, they are eigenvalues(a) bit for bit,
+    # for the merged ones
     a_spectra = np.concatenate([eigenvalues(af) for af in split(problem.a)])
-    groups = np.repeat(np.arange(len(alg.factors)), [f.rank for f in alg.factors]) if per_factor else None
-    for s in rows:
-        _check_orbit_domain(problem.fn, s, a_spectra, groups)
-    lam_a = sort_desc(a_spectra)
-    return [_search(problem, states, lam_a) for states in runs]
+    _check_orbit_domain(problem.fn, rows, a_spectra, ranks)
+    lam_a = sort_desc(a_spectra) if ranks is None else a_spectra
+    return [_search(problem, states, lam_a, ranks) for states in runs]
 
 
-def _search(problem: OrbitProblem, states, lam_a) -> Solution:
+def _search(problem: OrbitProblem, states, lam_a, ranks) -> Solution:
     """The sweeps and the polish of ``local_search_orbit`` on the search
-    states of one start, certified with lambda(a) from the caller."""
+    states of one start, certified with lambda(a) and the set's ``ranks``
+    from the caller."""
     fn = problem.fn
     sense_mult = states[0].sense_mult
 
-    def pair_curves():
-        """(state, j, k, curve data, objective on the pair's curve,
-        first-order term, aligning angle) of every pair, built from the
-        current frames."""
+    def one_pass(cur, polish):
+        """Score every pair once at its aligning angle, on the current
+        frames, and take each step that raises the value by at most
+        _ACCEPT_TOL.  The polish passes over pairs whose first-order term
+        is within their share of _POLISH_TOL.  Returns the value and
+        whether a step was taken."""
+        kept = False
         for fi, st in enumerate(states):
             other = [s.lam() for i, s in enumerate(states) if i != fi]
-            for (j, k) in st.pairs:
-                data, lam_at, (off, angle) = st.rotation(j, k)
-
-                def g(theta, lam_at=lam_at, other=other):
-                    return sense_mult * fn(np.concatenate(other + [lam_at(theta)]))
-
-                yield st, j, k, data, g, off, angle
+            for j, k in st.pairs:
+                off, angle, data = st.pair(j, k)
+                if polish and off <= _POLISH_TOL * st.pair_scale:
+                    continue
+                gval = sense_mult * fn(np.concatenate(other + [st.lam_at(j, k, data, angle)]))
+                if gval <= cur + _ACCEPT_TOL * abs(cur):
+                    st.apply(j, k, data, angle)
+                    cur = gval
+                    kept = True
+        return cur, kept
 
     # f is symmetric, so the eigenvalues it scores need not be sorted
     cur = sense_mult * fn(np.concatenate([st.lam() for st in states]))
@@ -609,32 +621,20 @@ def _search(problem: OrbitProblem, states, lam_a) -> Solution:
     for _sweep in range(_MAX_SWEEPS):
         sweeps += 1
         start = cur
-        for st, j, k, data, g, _off, angle in pair_curves():
-            gval = g(angle)
-            if gval <= cur + _ACCEPT_TOL * abs(cur):
-                st.apply(j, k, data, angle)
-                cur = gval
+        cur, _kept = one_pass(cur, False)
         trace.append((sweeps, sense_mult * cur))
         if start - cur <= _EPS_SWEEP * abs(cur):
             converged = True
             break
     for _round in range(_MAX_SWEEPS):
-        kept = False
-        for st, j, k, data, g, off, angle in pair_curves():
-            if off <= _POLISH_TOL * st.pair_scale:
-                continue
-            gval = g(angle)
-            if gval <= cur + _ACCEPT_TOL * abs(cur):
-                st.apply(j, k, data, angle)
-                cur = gval
-                kept = True
+        cur, kept = one_pass(cur, True)
         if not kept:
             break
     x_final = join(problem.algebra, [st.x_element() for st in states])
     # sorted as eigenvalues() sorts a product's, so on kinds whose search
     # route is their eigenvalue map the value has the bits of F(x* - a)
     value = fn(sort_desc(np.concatenate([st.lam() for st in states])))
-    cert = _certify(problem.a, x_final, problem.sense, DEFAULT_TOL, lam_a)
+    cert = _certify(problem.a, x_final, problem.sense, DEFAULT_TOL, lam_a, ranks)
     return Solution(
         x_star=x_final,
         value=value,
@@ -699,7 +699,7 @@ def orbit_components(alg, b: Element):
     """Weak-orbit components of the eigenvalue orbit [b] of a product.
 
     Each component is an assignment of the full eigenvalue multiset of b
-    to the factors (canonicalized within groups of identical factors).
+    to the factors (canonicalized up to swaps of identical factors).
     For non-products there is a single component.  Raises ValueError
     beyond ``_MAX_PARTITIONS`` eigenvalue partitions.
     """

@@ -241,12 +241,46 @@ def test_solve_infeasible_exit_3(tmp_path, capsys):
     assert code == 3
 
 
-def test_solve_non_strict_fn_exit_3(tmp_path, capsys):
+def test_solve_non_strict_fn_exit_0(tmp_path, capsys):
+    # the closed form needs only Schur-convexity: the plain condition number
+    # of x - a, minimized over the orbit of b, at the aligned point
     doc = dict(SQRT2_PROBLEM)
-    doc["fn"] = {"fn": "spread"}
+    doc["fn"] = {"fn": "cond_number"}
+    doc["a"] = {"matrix": [[-2.0, 0.0], [0.0, -1.0]]}
     path = write(tmp_path, "p.json", doc)
-    code, _ = run(capsys, ["solve", path])
-    assert code == 3
+    code, out = run(capsys, ["solve", path, "--no-timestamp"])
+    assert code == 0
+    solution = json.loads(out)["solution"]
+    # x - a has eigenvalues (3 + 2, 0 + 1) aligned, (3 + 1, 0 + 2) anti-aligned
+    assert solution["value"] == pytest.approx(2.0, rel=1e-14)
+    assert solution["certificate"]["passed"] is True
+    assert solution["certificate"]["kind"] == "strong_commute_with_a"
+
+
+def test_solve_weak_orbit_of_a_product_certifies_per_factor(tmp_path, capsys):
+    # a weak orbit keeps each factor's spectrum on its factor, so its
+    # optimum is aligned with a factor by factor: the certificate checks
+    # that, and the CSV residual is the one behind its kind
+    path = write(tmp_path, "w.json", WEAK_PRODUCT_PROBLEM)
+    code, out = run(capsys, ["solve", path, "--local-search", "3", "--no-timestamp"])
+    assert code == 0
+    report = json.loads(out)
+    cert = report["solution"]["certificate"]
+    assert cert["kind"] == "strong_commute_per_factor_with_a" and cert["passed"] is True
+    assert set(cert["checks"]) == {
+        "operator_commute", "strong_commute_with_a", "strong_commute_with_neg_a",
+        "strong_commute_per_factor_with_a", "strong_commute_per_factor_with_neg_a",
+    }
+    # every run certifies its local optimum; start 0 stays in the other
+    # arrangement of the identical factors, above the closed form
+    runs = report["local_search"]["runs"]
+    assert report["local_search"]["all_certified"] is True
+    assert runs[0]["gap_to_closed_form"] > 1.0
+    assert all(r["gap_to_closed_form"] <= 1e-9 for r in runs[1:])
+    code, out = run(capsys, ["solve", path, "--no-timestamp", "--format", "csv"])
+    row = next(csv.DictReader(io.StringIO(out)))
+    assert row["cert_kind"] == "strong_commute_per_factor_with_a"
+    assert float(row["residual"]) == cert["residuals"]["inner_gap_per_factor_a"]
 
 
 # ---------------------------------------------------------------------------

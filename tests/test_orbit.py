@@ -50,7 +50,7 @@ from ejaopt import orbit as orbit_module
 from ejaopt.algebra import DEFAULT_TOL, Element, inner, join, split, strong_commutation_gap
 from ejaopt.majorization import sort_desc
 from ejaopt.orbit import _RotationSearch
-from ejaopt.schur import SymmetricFunction, affine_compose
+from ejaopt.schur import STRICTLY_SCHUR_CONVEX, SymmetricFunction, affine_compose
 
 EPS = np.finfo(float).eps
 S2 = SymMatrix(2)
@@ -161,10 +161,27 @@ def test_singleton_orbit():
     assert norm(sol.x_star - b) <= 1e-9
 
 
-def test_solver_refuses_non_strict_fn():
-    fn = builtin("spread", 2)
-    with pytest.raises(SolverError):
-        solve_orbit_global(OrbitProblem(S2, fn, diag2(2, 1), EigenvalueOrbit(diag2(3, 0)), "min"))
+def test_closed_form_solves_non_strict_fn_as_the_oracle():
+    # The closed form needs only Schur-convexity: Lidskii puts a minimizer
+    # at the aligned point and Ky Fan a maximizer at the anti-aligned one.
+    # Strictness is the hypothesis of the converse, that every optimizer
+    # commutes, so the aligned optimum certifies whatever F is.
+    rng = np.random.default_rng(43)
+    algs = (SymMatrix(2), SymMatrix(3), SymMatrix(5), SpinFactor(4), RealDiagonal(4),
+            product_algebra(SymMatrix(2), SpinFactor(3)))
+    for alg in algs:
+        n = alg.rank
+        fns = (builtin("spread", n), builtin("cond_number", n), builtin("schatten", n, p=1))
+        for fn, sense, _ in itertools.product(fns, ("min", "max"), range(4)):
+            assert fn.declared_class != STRICTLY_SCHUR_CONVEX
+            a, b = random_element(alg, rng), random_element(alg, rng)
+            if fn.domain == "positive":
+                b = lifted(alg, a, b)
+            sol = solve_orbit_global(OrbitProblem(alg, fn, a, EigenvalueOrbit(b), sense))
+            ref, _perm = permutation_oracle(fn, eigenvalues(b), eigenvalues(a), sense)
+            case = (alg, fn.id, sense)
+            assert sol.value == pytest.approx(ref, rel=1e-12, abs=1e-12), case
+            assert sol.certificate.passed, case
 
 
 def test_solver_domain_infeasible():
@@ -200,7 +217,7 @@ def test_orbit_domain_probe_matches_pairing_enumeration():
             for fn in fns:
                 expected = bool(np.all(fn.in_domain(lam_b[perms] - lam_a[None, :])))
                 try:
-                    _check_orbit_domain(fn, lam_b, lam_a)
+                    _check_orbit_domain(fn, lam_b[None], lam_a)
                     got = True
                 except InfeasibleError:
                     got = False
@@ -471,7 +488,7 @@ def test_search_state_scores_the_rotation_curve():
                 # the aligning data are <a, e_j> - <a, e_k> and <a, w>
                 assert abs(a_gap - (inner(af, frame[j]) - inner(af, frame[k]))) <= 1e-13 * scale**2
                 assert abs(a_w - inner(af, w)) <= 1e-13 * scale**2
-                _data, lam_at, _aligning = st.rotation(j, k)
+                _off, _angle, pair_data = st.pair(j, k)
                 if not isinstance(f, SymMatrix):
                     np.testing.assert_array_equal(data[1][1], w.coords)
                 rest = sum(
@@ -481,7 +498,7 @@ def test_search_state_scores_the_rotation_curve():
                 for theta in rng.uniform(-1.5, 1.5, size=5):
                     curve = rotation_curve(frame, j, k, beta[j], beta[k], w, theta)
                     expect = eigenvalues(curve + rest - af)
-                    assert np.max(np.abs(lam_at(theta) - expect)) <= 1e-12 * scale
+                    assert np.max(np.abs(st.lam_at(j, k, pair_data, theta) - expect)) <= 1e-12 * scale
                 theta = rng.uniform(-1.5, 1.5)
                 target = rotation_curve(frame, j, k, beta[j], beta[k], w, theta) + rest
                 st.apply(j, k, data, theta)
@@ -513,8 +530,8 @@ def test_aligning_step_is_the_line_minimiser_of_squared_norm():
                     st = _RotationSearch(f, xf.coords, af.coords, mult)
                     beta = st.beta
                     for j, k in st.pairs:
-                        _block, lam_at, (_off, angle) = st.rotation(j, k)
-                        aligned = mult * fn(lam_at(angle))
+                        _off, angle, data = st.pair(j, k)
+                        aligned = mult * fn(st.lam_at(j, k, data, angle))
                         frame, w = search_frame(st, j, k, af)
                         rest = sum(beta[i] * frame[i].coords for i in range(f.rank) if i not in (j, k))
                         bj, bk = beta[j], beta[k]
@@ -995,6 +1012,7 @@ def test_local_search_commutes_on_a_flat_valley():
         x0 = apply_automorphism(random_automorphism(alg, rng), a)
         sol = local_search_orbit(OrbitProblem(alg, fn, a, WeakOrbit(a), "min"), x0)
         assert sol.converged and operator_commute(a, sol.x_star), seed
+        assert sol.certificate.passed, seed
 
 
 def test_local_search_optimum_of_every_component_commutes():
@@ -1245,6 +1263,8 @@ def test_local_search_mixed_product_and_weak_orbit_feasible():
     sol = local_search_orbit(problem, x0)
     assert sol.converged
     assert sol.certificate.checks["operator_commute"]
+    assert ref.certificate.passed and sol.certificate.passed
+    assert sol.certificate.kind == "strong_commute_per_factor_with_a"
     # the diagonal factor steps by transpositions, the other two by
     # rotations, and no two factors are identical, so the weak orbit is one
     # component and the search meets the closed form
@@ -1466,6 +1486,9 @@ def test_solve_weak_orbit_global_product():
     problem = OrbitProblem(alg, fn, a, WeakOrbit(b), "min")
     sol = solve_orbit_global(problem)
     assert sol.value == pytest.approx(math.sqrt(6.0), abs=1e-12)
+    # aligned factor by factor, not across factors
+    assert sol.certificate.passed and sol.certificate.kind == "strong_commute_per_factor_with_a"
+    assert not sol.certificate.checks["strong_commute_with_a"]
     # solve_problem is the same solver
     other = solve_problem(problem)
     assert other.value == sol.value
@@ -1525,6 +1548,40 @@ def test_product_weak_orbit_matches_brute_force():
                 for assignment in assignments
             ), case
             assert operator_commute(a, sol.x_star), case
+            assert sol.certificate.passed, case
+
+
+def test_certify_per_factor_fails_a_point_misaligned_within_one_factor():
+    # On a weak orbit of a product the optimum is aligned factor by factor:
+    # the per-factor check passes there though the merged one fails, and
+    # fails on a point that commutes with a but is misaligned within one
+    # factor.  lambda(a) comes in factor order; -a's is reversed per factor.
+    s2 = SymMatrix(2)
+    alg = product_algebra(s2, s2)
+    a = join(alg, [diag2(4, 3), diag2(2, 1)])
+    lam_a = np.array([4.0, 3.0, 2.0, 1.0])
+    aligned = join(alg, [diag2(4, 1), diag2(3, 2)])
+    misaligned = join(alg, [diag2(4, 1), diag2(2, 3)])
+    anti = join(alg, [diag2(1, 4), diag2(2, 3)])
+    for t in (1.0, 1e-6):
+        certs = {
+            name: orbit_module._certify(t * a, t * x, sense, DEFAULT_TOL, t * lam_a, [2, 2])
+            for name, x, sense in (("aligned", aligned, "min"), ("misaligned", misaligned, "min"),
+                                   ("anti", anti, "max"))
+        }
+        assert all(c.checks["operator_commute"] for c in certs.values())
+        cert = certs["aligned"]
+        assert cert.kind == "strong_commute_per_factor_with_a" and cert.passed
+        assert not cert.checks["strong_commute_with_a"]
+        cert = certs["misaligned"]
+        assert not cert.passed and not cert.checks["strong_commute_per_factor_with_neg_a"]
+        assert cert.residuals["inner_gap_per_factor_a"] == pytest.approx(t * t, rel=1e-12)
+        cert = certs["anti"]
+        assert cert.kind == "strong_commute_per_factor_with_neg_a" and cert.passed
+        assert not cert.checks["strong_commute_per_factor_with_a"]
+        # the merged checks are the ones certify reports
+        ref = certify(t * a, t * misaligned, "min")
+        assert all(certs["misaligned"].residuals[k] == v for k, v in ref.residuals.items())
 
 
 def test_counterexample_reference_instance():
