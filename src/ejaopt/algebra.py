@@ -268,18 +268,13 @@ class RealDiagonal(_Kind):
         return s
 
     def _rotation_generator(self, frame, j, k, toward):
-        return None
-
-    def _search_pair(self, beta, frame, a, j, k):
-        # No pair has a generator.  With w = 0 the aligning angle is 0 or
-        # +-pi/2, and the curve at pi/2 swaps the pair's coefficients: the
-        # step is the transposition that sorts x against a, a T-transform
-        # of x - a, which no Schur-convex F rises under (Marshall, Olkin &
-        # Arnold, *Inequalities: Theory of Majorization*, ch. 2).
-        rest = beta.copy()
-        rest[j] = rest[k] = 0.0
-        block = np.array([frame[j], np.zeros(self.n), frame[k]])
-        return _dot(a, frame[j]) - _dot(a, frame[k]), 0.0, (rest @ frame - a, block)
+        # No pair has a nonzero generator.  With w = 0 the search's aligning
+        # angle is 0 or +-pi/2, and the curve at pi/2 swaps the pair's
+        # coefficients: the step is the transposition that sorts x against
+        # a, a T-transform of x - a, which no Schur-convex F rises under
+        # (Marshall, Olkin & Arnold, *Inequalities: Theory of Majorization*,
+        # ch. 2).
+        return np.zeros(self.n)
 
 
 @dataclass(frozen=True)
@@ -666,24 +661,28 @@ class ProductAlgebra:
         return {"kind": "product", "factors": [f._to_dict() for f in self.factors]}
 
     def _rotation_generator(self, frame, j, k, toward):
-        """Both members must live in one factor; rotate there."""
-        owner = [int(np.argmax([float(np.linalg.norm(c[s])) for s in self._slices])) for c in frame]
+        """Both members must live in one factor; rotate there.  Members of
+        two factors have only the zero generator."""
+        owner = _owners(self, frame)
         fi = owner[j]
-        if owner[k] != fi:
-            return None
-        s = self._slices[fi]
-        members = [i for i, o in enumerate(owner) if o == fi]
-        w = self.factors[fi]._rotation_generator(
-            [frame[i][s] for i in members],
-            members.index(j),
-            members.index(k),
-            None if toward is None else toward[s],
-        )
-        if w is None:
-            return None
         coords = np.zeros(self.dim)
-        coords[s] = w
+        if owner[k] == fi:
+            s = self._slices[fi]
+            members = list(np.flatnonzero(owner == fi))
+            coords[s] = self.factors[fi]._rotation_generator(
+                [frame[i][s] for i in members],
+                members.index(j),
+                members.index(k),
+                None if toward is None else toward[s],
+            )
         return coords
+
+
+def _owners(alg, frame):
+    """The factor of each frame member, given as coordinate rows: the index
+    of the factor slice that holds the member's norm (0 on a simple kind)."""
+    frame = np.asarray(frame)
+    return np.argmax([np.linalg.norm(frame[:, s], axis=1) for s in alg._slices], axis=0)
 
 
 def product_algebra(*factors):

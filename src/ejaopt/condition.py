@@ -8,21 +8,23 @@ lambda_i / lambda_{n-i+1}, i <= floor(n/2), repairs this: the norm
 
     floor(n/2)^(-1/2) |kappa(x)| <= c(x) <= |kappa(x)|.
 
-Minimizing |kappa(x + a)| over the orbit of b therefore has the closed
-form of the general alignment principle with shift -a: pair the largest
-eigenvalues of b with the smallest of a, giving |phi(lam(b) - lam(-a))|,
-with -a and the optimizer strongly operator commuting.
+Minimizing |kappa(x + a)| over the orbit of b is therefore the orbit
+solver's closed form for F = |kappa| with shift -a, its domain probe run
+with the cone margin lambda_n > tol: pair the largest eigenvalues of b
+with the smallest of a, giving |phi(lam(b) - lam(-a))|, with -a and the
+optimizer strongly operator commuting.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .algebra import DEFAULT_TOL, AlgebraError, Element, _dot, eigenvalues, spectral_decompose
-from .orbit import InfeasibleError, Solution, _align, _certify
+from .orbit import EigenvalueOrbit, InfeasibleError, OrbitProblem, Solution, _certify, _closed_form
+from .schur import builtin
 from .schur import phi_ratios as phi
 
 
@@ -74,30 +76,19 @@ def _condition(lam, tol):
 def minimize_condition_norm_orbit(b: Element, a: Element, tol=DEFAULT_TOL) -> Solution:
     """Closed-form minimum of |kappa(x + a)| over the orbit of b.
 
-    Feasibility asks lambda_n(b) + lambda_n(a) > tol, which is exact for
-    the whole orbit, not merely sufficient: by Weyl, lambda_n(x + a) >=
-    lambda_n(b) + lambda_n(a) for every x in the orbit, with equality at
-    the commuting x that pairs the smallest eigenvalues of b and a.  So the
-    test rejects precisely when some x + a has lambda_n(x + a) <= tol.
-    The optimizer pairs lambda_i(b) with lambda_{n-i+1}(a) on a's frame and
-    strongly operator commutes with -a.  Requires rank >= 2, as
+    The orbit solver's closed form for F = |kappa| with shift -a: x* pairs
+    lambda_i(b) with lambda_{n-i+1}(a) on a's frame and strongly operator
+    commutes with -a.  Feasibility is its domain probe with the cone margin
+    lambda_n(x + a) > tol as the domain, exact for the whole orbit by Weyl
+    (``orbit._check_orbit_domain``).  Requires rank >= 2, as
     ``condition_report`` does (``AlgebraError`` otherwise).
     """
-    if b.algebra != a.algebra:
-        raise InfeasibleError("a and b belong to different algebras")
-    _check_rank(a.algebra.rank)
+    alg = a.algebra
+    _check_rank(alg.rank)
     dec = spectral_decompose(a)
-    lam_a = dec.eigenvalues
-    lam_b = eigenvalues(b)
-    if lam_b[-1] + lam_a[-1] <= tol:
-        raise InfeasibleError(
-            "cannot certify [b] + a inside the open cone: "
-            f"lambda_n(b) + lambda_n(a) = {lam_b[-1] + lam_a[-1]:.3e}"
-        )
-    # anti-aligned synthesis: largest of b on the frame member carrying the
-    # smallest eigenvalue of a
-    paired, x_star = _align(dec, lam_b, "max")
-    shifted = lam_b + paired  # entries lam_i(b) + lam_{n-i+1}(a)
-    value = float(np.linalg.norm(phi(shifted)))
-    cert = _certify(a, x_star, "max", tol, lam_a)
+    fn = replace(builtin("cond_vector_norm", alg.rank), in_domain=lambda U: np.all(U > tol, axis=-1))
+    # a's own decomposition reversed decomposes -a, with a's order of ties
+    neg = replace(dec, eigenvalues=-dec.eigenvalues[::-1], frame=dec.frame[::-1])
+    value, x_star, *_ = _closed_form(OrbitProblem(alg, fn, -a, EigenvalueOrbit(b), "min"), neg)
+    cert = _certify(a, x_star, "max", tol, dec.eigenvalues)
     return Solution(x_star=x_star, value=value, certificate=cert)

@@ -32,6 +32,7 @@ from .algebra import (
     DEFAULT_TOL,
     AlgebraError,
     Element,
+    _owners,
     algebra_from_dict,
     eigenvalues,
     element_from_dict,
@@ -173,6 +174,10 @@ def certify(a: Element, x: Element, sense: str = "min", tol=DEFAULT_TOL) -> Cert
     ``tol * |a| |x|``: scaling a and x by any t > 0 leaves every verdict
     unchanged.
 
+    It takes no feasible set, so it runs the merged checks, which a
+    weak-orbit optimum of a product may fail: that is checked by its
+    ``Solution.certificate``.
+
     Callers that already hold lambda(a), as the library's solvers do from
     their decomposition of a, pass it to the same checks through
     ``_certify``: a decomposition's eigenvalues have the bits of
@@ -296,9 +301,9 @@ def _check_orbit_domain(fn: SymmetricFunction, rows, lam_a, ranks=None):
     if fn.domain == "all":
         return
     cuts = [0] if ranks is None else np.cumsum([0, *ranks[:-1]])
-    lows = np.minimum.reduceat(rows, cuts, axis=1) - np.maximum.reduceat(lam_a, cuts)
-    if not bool(np.all(fn.in_domain(np.broadcast_to(lows.min(axis=1, keepdims=True), rows.shape)))):
-        raise InfeasibleError(f"{fn.id}: orbit leaves the function domain")
+    lows = (np.minimum.reduceat(rows, cuts, axis=1) - np.maximum.reduceat(lam_a, cuts)).min(axis=1, keepdims=True)
+    if not bool(np.all(fn.in_domain(np.broadcast_to(lows, rows.shape)))):
+        raise InfeasibleError(f"{fn.id}: orbit leaves the function domain at smallest eigenvalue {lows.min():.3e}")
 
 
 def _align(dec, s, sense: str):
@@ -319,11 +324,9 @@ def _placed(dec, rows, sense: str):
     a's eigenvalues in factor order: each factor's spectrum lands on that
     factor's frame members in a's order, reversed for max.  A product frame
     merges its factors' members by a stable sort, so each factor's members
-    keep their order, and a member belongs to the one factor slice where
-    its coordinates are nonzero.
+    keep their order, and ``algebra._owners`` reads each member's factor.
     """
-    slices = dec.algebra._slices
-    owner = np.array([next(i for i, s in enumerate(slices) if c.coords[s].any()) for c in dec.frame])
+    owner = _owners(dec.algebra, [c.coords for c in dec.frame])
     # _align reverses a row for max, so the slots are read from the other end
     slots = np.argsort(owner if sense == "min" else owner[::-1], kind="stable")
     placed = np.empty((len(rows), len(slots)))
@@ -347,6 +350,14 @@ def solve_orbit_global(problem: OrbitProblem) -> Solution:
 
 def _solve_on(problem: OrbitProblem, dec) -> Solution:
     """``solve_orbit_global`` on ``dec``, a decomposition of problem.a."""
+    value, x_star, lam_a, ranks = _closed_form(problem, dec)
+    cert = _certify(problem.a, x_star, problem.sense, DEFAULT_TOL, lam_a, ranks)
+    return Solution(x_star=x_star, value=value, certificate=cert)
+
+
+def _closed_form(problem: OrbitProblem, dec):
+    """``_solve_on`` before the certificate: (value, x*, lam_a, ranks), the
+    last two as ``_certify`` reads them."""
     fn = problem.fn
     members, ranks = problem.feasible._members(problem.algebra)
     rows, lam_a = (members, dec.eigenvalues) if ranks is None else _placed(dec, members, problem.sense)
@@ -357,9 +368,7 @@ def _solve_on(problem: OrbitProblem, dec) -> Solution:
         value = fn(s - paired)
         if best is None or (value < best[0] if problem.sense == "min" else value > best[0]):
             best = (value, x)
-    value, x_star = best
-    cert = _certify(problem.a, x_star, problem.sense, DEFAULT_TOL, lam_a, ranks)
-    return Solution(x_star=x_star, value=value, certificate=cert)
+    return (*best, lam_a, ranks)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +401,7 @@ def rotation_generator(frame, j: int, k: int, toward: Element | None = None):
     w = alg._rotation_generator(
         [c.coords for c in frame], j, k, None if toward is None else toward.coords
     )
-    return None if w is None else Element(alg, w)
+    return Element(alg, w) if w.any() else None
 
 
 def rotation_curve(frame, j: int, k: int, beta_j: float, beta_k: float, w: Element, theta: float) -> Element:

@@ -304,6 +304,20 @@ def test_condition_command(tmp_path, capsys):
     assert out.splitlines()[0] == "case_id,algebra,fn,sense,value,cert_kind,cert_pass,residual"
 
 
+def test_condition_optimum_is_the_smallest_pairing(tmp_path, capsys):
+    # the solver's value is the optimal pairing's, bit for bit, so no
+    # pairing's residual reads below 0
+    doc = {
+        "algebra": {"kind": "sym", "n": 4},
+        "a": {"coords": [18.0, 16.0, 13.0, 4.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]},
+        "feasible": {"orbit_of": {"coords": [19.0, 14.0, 12.0, 10.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]}},
+    }
+    path = write(tmp_path, "c.json", doc)
+    code, out = run(capsys, ["condition", path, "--no-timestamp", "--format", "csv"])
+    assert code == 0
+    assert min(float(row["residual"]) for row in csv.DictReader(io.StringIO(out))) == 0.0
+
+
 def test_condition_tol_reaches_the_optimum_report(tmp_path, capsys):
     # the orbit is feasible at --tol 1e-12 (lambda_n(b) + lambda_n(a) = 5e-10),
     # and the report on the optimum takes the same margin

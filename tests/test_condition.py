@@ -10,6 +10,7 @@ from ejaopt import (
     DomainError,
     InfeasibleError,
     RealDiagonal,
+    SolverError,
     SpinFactor,
     SymMatrix,
     apply_automorphism,
@@ -160,6 +161,30 @@ def test_minimize_infeasible():
     b = sym_from_matrix(s2, np.diag([2.0, -1.0]))
     with pytest.raises(InfeasibleError):
         minimize_condition_norm_orbit(b, a)
+    # the closed form's problem validation refuses b from another algebra
+    with pytest.raises(SolverError, match="different algebra"):
+        minimize_condition_norm_orbit(unit(SymMatrix(3)), a)
+
+
+def test_minimize_pairs_ties_in_the_frame_order_of_a():
+    # a's own decomposition, reversed, pairs the tied eigenvalues of a in
+    # its frame order; decomposing -a would order the tie the other way
+    s3 = SymMatrix(3)
+    a = sym_from_matrix(s3, np.diag([3.0, 1.0, 1.0]))
+    b = sym_from_matrix(s3, np.diag([4.0, 2.0, 1.0]))
+    sol = minimize_condition_norm_orbit(b, a)
+    np.testing.assert_array_equal(sol.x_star.coords, sym_from_matrix(s3, np.diag([1.0, 2.0, 4.0])).coords)
+
+
+def test_minimize_feasibility_is_the_cone_margin():
+    # lambda_n(b) + lambda_n(a) = 1e-9 exactly: the margin lambda_n > tol is strict
+    s3 = SymMatrix(3)
+    a = sym_from_matrix(s3, np.diag([3.0, 5e-10, 5e-10]))
+    b = sym_from_matrix(s3, np.diag([4.0, 2.0, 5e-10]))
+    with pytest.raises(InfeasibleError, match="1.000e-09"):
+        minimize_condition_norm_orbit(b, a, tol=1e-9)
+    sol = minimize_condition_norm_orbit(b, a, tol=5e-10)
+    assert sol.certificate.passed
 
 
 def test_minimize_matches_oracle():
@@ -172,7 +197,8 @@ def test_minimize_matches_oracle():
             sol = minimize_condition_norm_orbit(b, a)
             lam_neg_a = sort_desc(-eigenvalues(a))
             ref, _ = permutation_oracle(fn, eigenvalues(b), lam_neg_a, "min")
-            assert sol.value == pytest.approx(ref, abs=1e-10)
+            # the closed form on -a: the oracle's value, bit for bit
+            assert sol.value == fn(eigenvalues(b) + eigenvalues(a)[::-1]) == ref
             assert sol.certificate.residuals["inner_gap_neg_a"] <= 1e-9
 
 

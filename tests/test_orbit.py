@@ -1584,6 +1584,20 @@ def test_certify_per_factor_fails_a_point_misaligned_within_one_factor():
         assert all(certs["misaligned"].residuals[k] == v for k, v in ref.residuals.items())
 
 
+def test_public_certify_checks_a_weak_orbit_optimum_merged():
+    # certify takes no feasible set, so on a solver's weak-orbit optimum of
+    # a product it runs the merged check, which the optimum may fail; the
+    # per-factor statement is the Solution's own certificate
+    alg = product_algebra(SymMatrix(2), SpinFactor(3))
+    rng = np.random.default_rng(3)
+    a, b = random_element(alg, rng), random_element(alg, rng)
+    sol = solve_orbit_global(OrbitProblem(alg, builtin("squared_norm", alg.rank), a, WeakOrbit(b), "min"))
+    assert sol.certificate.kind == "strong_commute_per_factor_with_a" and sol.certificate.passed
+    cert = certify(a, sol.x_star, "min")
+    assert cert.kind == "strong_commute_with_a" and not cert.passed
+    assert cert.checks["operator_commute"] and not sol.certificate.checks["strong_commute_with_a"]
+
+
 def test_counterexample_reference_instance():
     s2 = SymMatrix(2)
     alg = product_algebra(s2, s2)
